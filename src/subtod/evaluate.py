@@ -17,7 +17,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, MissingGoal, NotInGoal
-from .model import Database, Dialog, UserGoal, placeholder, query
+from .model import (
+    BeliefState,
+    Database,
+    Dialog,
+    GoalEntry,
+    SubgoalKind,
+    SystemTurn,
+    UserGoal,
+    placeholder,
+    query,
+)
 
 BLEU_EPSILON = 1e-9
 BLEU_ORDER = 4
@@ -58,6 +68,23 @@ class EvalReport:
         }
 
 
+def _goal_names(db: Database, domain: str, entry: GoalEntry) -> frozenset[str]:
+    """Names of the entities matching one goal domain's constraints."""
+    name_slot = db.ontology.schema(domain).name_slot
+    return frozenset(e.get(name_slot, "") for e in query(db, domain, dict(entry.constraints)))
+
+
+def _inform(
+    db: Database, domain: str, state: BeliefState, goal_names: frozenset[str]
+) -> tuple[bool, tuple[str, ...]]:
+    """INFORM at an offer turn with belief ``state``, and the names it offers."""
+    schema = db.ontology.schema(domain)
+    belief = state.get(domain, {})
+    constraints = {s: v for s, v in belief.items() if s in schema.informable}
+    offered = tuple(e.get(schema.name_slot, "") for e in query(db, domain, constraints))
+    return any(name in goal_names for name in offered), offered
+
+
 def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) -> DomainOutcome:
     """INFORM/SUCCESS for one goal domain of one dialog."""
     if domain not in goal.domains:
@@ -78,13 +105,9 @@ def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) ->
         if offer_turn is None:
             inform = not entry.constraints
         else:
-            belief = dialog.turns[offer_turn].system.state.get(domain, {})
-            constraints = {s: v for s, v in belief.items() if s in schema.informable}
-            offered_entities = query(db, domain, constraints)
-            goal_entities = query(db, domain, dict(entry.constraints))
-            offered = tuple(e.get(schema.name_slot, "") for e in offered_entities)
-            goal_names = {e.get(schema.name_slot, "") for e in goal_entities}
-            inform = bool(offered_entities) and any(name in goal_names for name in offered)
+            inform, offered = _inform(
+                db, domain, dialog.turns[offer_turn].system.state, _goal_names(db, domain, entry)
+            )
 
     success = inform and all(
         any(placeholder(domain, slot) in turn.system.response for turn in dialog.turns)
@@ -98,6 +121,127 @@ def dialog_success(dialog: Dialog, goal: UserGoal, db: Database) -> bool:
     return all(
         domain_outcome(dialog, goal, db, domain).success for domain in goal.domain_names()
     )
+
+
+@dataclass(frozen=True)
+class _DomainSplices:
+    """What one goal domain's outcome reads from a dialog, indexed by turn."""
+
+    domain: str
+    # Placeholder that marks an offer; None for non-entity-bearing domains.
+    name_ph: str | None
+    # Turns whose response carries ``name_ph``, ascending.
+    offers: tuple[int, ...]
+    # (placeholder, turns whose response carries it) per requested slot.
+    requests: tuple[tuple[str, frozenset[int]], ...]
+    # INFORM when no turn offers anything.
+    no_offer_inform: bool
+    # INFORM and request coverage of the unspliced dialog.
+    inform: bool
+    covered: bool
+
+
+class SpliceEvaluator:
+    """``dialog_success`` of one-fragment splices, re-checking only what changes.
+
+    ``SpliceEvaluator(goal, db).splices(dialog).success(t, kind, fragment)``
+    equals ``dialog_success(replace_turn(dialog, t, kind, fragment), goal, db)``,
+    which stays the reference definition. Belief states are read only at a
+    domain's last offer turn, acts never, and responses only for the
+    placeholders they carry, so a splice re-runs INFORM only for a domain
+    whose offer-turn belief it changes. Goal-entity names are queried once
+    per evaluator.
+    """
+
+    def __init__(self, goal: UserGoal, db: Database):
+        self.goal = goal
+        self.db = db
+        self._goal_names: dict[str, frozenset[str]] = {}
+
+    def inform(self, domain: str, state: BeliefState) -> bool:
+        names = self._goal_names.get(domain)
+        if names is None:
+            names = _goal_names(self.db, domain, self.goal.domains[domain])
+            self._goal_names[domain] = names
+        return _inform(self.db, domain, state, names)[0]
+
+    def splices(self, dialog: Dialog) -> DialogSplices:
+        return DialogSplices(self, dialog)
+
+
+class DialogSplices:
+    """Splice outcomes for one dialog; see ``SpliceEvaluator``."""
+
+    def __init__(self, evaluator: SpliceEvaluator, dialog: Dialog):
+        self._evaluator = evaluator
+        self._dialog = dialog
+        responses = [turn.system.response for turn in dialog.turns]
+
+        def carriers(ph: str) -> tuple[int, ...]:
+            return tuple(t for t, response in enumerate(responses) if ph in response)
+
+        domains = []
+        for domain in evaluator.goal.domain_names():
+            entry = evaluator.goal.domains[domain]
+            schema = evaluator.db.ontology.schema(domain)
+            requests = tuple(
+                (ph, frozenset(carriers(ph)))
+                for ph in (placeholder(domain, slot) for slot in entry.requests)
+            )
+            no_offer_inform = not entry.constraints
+            if not schema.entity_bearing:
+                name_ph, offers, inform = None, (), True
+            else:
+                name_ph = placeholder(domain, schema.name_slot)
+                offers = carriers(name_ph)
+                inform = (
+                    evaluator.inform(domain, dialog.turns[offers[-1]].system.state)
+                    if offers
+                    else no_offer_inform
+                )
+            covered = all(turns for _, turns in requests)
+            domains.append(
+                _DomainSplices(domain, name_ph, offers, requests, no_offer_inform, inform, covered)
+            )
+        self._domains = tuple(domains)
+        self._success = all(d.inform and d.covered for d in self._domains)
+        # The only turns whose belief state any domain reads.
+        self._state_turns = frozenset(d.offers[-1] for d in self._domains if d.offers)
+
+    def success(self, t: int, kind: SubgoalKind, fragment: SystemTurn) -> bool:
+        """Dialog success after turn ``t``'s ``kind`` fragment becomes ``fragment``'s."""
+        if not 0 <= t < len(self._dialog.turns):
+            raise IndexError(f"turn {t} out of range for dialog {self._dialog.id!r}")
+        if kind is SubgoalKind.STATE:
+            if t not in self._state_turns:
+                return self._success
+            return all(self._state_spliced(d, t, fragment.state) for d in self._domains)
+        return all(self._response_spliced(d, t, fragment.response) for d in self._domains)
+
+    def _state_spliced(self, d: _DomainSplices, t: int, state: BeliefState) -> bool:
+        if not d.offers or d.offers[-1] != t:
+            return d.inform and d.covered
+        return d.covered and self._evaluator.inform(d.domain, state)
+
+    def _response_spliced(self, d: _DomainSplices, t: int, response: str) -> bool:
+        # A requested placeholder survives on another turn or in the new response.
+        for ph, turns in d.requests:
+            if turns <= {t} and ph not in response:
+                return False
+        if d.name_ph is None:
+            return True
+        last = d.offers[-1] if d.offers else None
+        if d.name_ph in response:
+            offer = t if last is None or t > last else last
+        elif t == last:
+            offer = d.offers[-2] if len(d.offers) > 1 else None
+        else:
+            offer = last
+        if offer == last:
+            return d.inform
+        if offer is None:
+            return d.no_offer_inform
+        return self._evaluator.inform(d.domain, self._dialog.turns[offer].system.state)
 
 
 def bleu_tokenize(text: str) -> list[str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IncompleteSamples
-from .evaluate import dialog_success
+from .evaluate import SpliceEvaluator, dialog_success
 from .model import (
     Database,
     Dialog,
@@ -26,7 +26,7 @@ from .model import (
     Turn,
     UserGoal,
     contexts_of,
-    replace_turn,
+    replace_turn,  # noqa: F401  unused here; bench/tracer.py patches it by name
 )
 from .sampling import SampledTurnSet
 from .verbalize import serialize_act_prompt, serialize_state_prompt, state_text, turn_text
@@ -135,14 +135,18 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
     fragment of every unsuccessful dialog (in id order); fragments identical
     to the original are skipped since they cannot change anything. Each
     replacement that flips the dialog to unsuccessful contributes a negative;
-    a sample is emitted when at least one flip occurred.
+    a sample is emitted when at least one flip occurred. Replacements are
+    evaluated incrementally by ``SpliceEvaluator``, which agrees with
+    ``dialog_success`` on the spliced dialog.
     """
     failed = sorted(group.unsuccessful(), key=lambda d: d.id)
     if not failed:
         return []
+    evaluator = SpliceEvaluator(group.goal, db)
     samples: list[SubgoalSample] = []
     for winner in sorted(group.successful(), key=lambda d: d.id):
         contexts = contexts_of(winner)
+        splices = evaluator.splices(winner)
         for t in range(len(winner.turns)):
             original = winner.turns[t].system
             for kind in (SubgoalKind.STATE, SubgoalKind.ACT_RESPONSE):
@@ -154,8 +158,7 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
                     fragment = other.turns[t].system
                     if _fragments_equal(kind, original, fragment):
                         continue
-                    patched = replace_turn(winner, t, kind, fragment)
-                    if not dialog_success(patched, group.goal, db):
+                    if not splices.success(t, kind, fragment):
                         negatives.append(fragment)
                         negative_ids.append(other.id)
                 if negatives:

@@ -231,6 +231,8 @@ def test_http_backend_requires_a_url(corpus10, tmp_path, capsys, monkeypatch):
 
 def test_unreachable_backend_exits_3(corpus1, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SUIT_BACKEND_URL", raising=False)
+    # The retry backoff is real time; skip it.
+    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
     url = _closed_port_url()
     assert main([
         "iterate", "--corpus", corpus1, "--out", str(tmp_path / "a"),

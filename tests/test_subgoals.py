@@ -4,21 +4,29 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import detect as oracle_detect
 from oracles import detect_flip_set, plain_dialog, plain_goal, plain_schemas, plain_tables
 from subtod.backends import ScriptedBackend
 from subtod.errors import IncompleteSamples
+from subtod.evaluate import SpliceEvaluator, dialog_success
 from subtod.model import (
+    Database,
     Dialog,
     DialogAct,
     DialogContext,
+    DomainSchema,
     GoalEntry,
+    Ontology,
     SubgoalKind,
     SystemTurn,
     Turn,
     UserGoal,
     contexts_of,
+    placeholder,
+    replace_turn,
 )
 from subtod.sampling import SampledTurnSet, SamplingConfig, TurnCompletion, sample_turn
 from subtod.subgoals import (
@@ -306,3 +314,261 @@ def test_emission_order_ignores_input_order(db3, mixed_group):
     shuffled = random.Random(5).sample(samples, len(samples))
     assert emit_sft(shuffled) == emit_sft(samples)
     assert emit_dpo(shuffled, PairPolicy.ALL) == emit_dpo(samples, PairPolicy.ALL)
+
+
+# ------------------------------------------------------- incremental splices
+
+SPLICE_DB = Database(
+    ontology=Ontology(
+        domains={
+            "hotel": DomainSchema(
+                informable=("area", "pricerange", "internet"),
+                requestable=("address", "phone"),
+                acts=("inform", "recommend"),
+            ),
+            "train": DomainSchema(
+                informable=("departure", "destination", "day"),
+                requestable=("price", "duration"),
+                acts=("inform", "offerbook"),
+                name_slot="id",
+            ),
+            "taxi": DomainSchema(
+                informable=("departure", "destination"),
+                requestable=("phone", "type"),
+                acts=("inform",),
+                entity_bearing=False,
+            ),
+        }
+    ),
+    tables={
+        "hotel": (
+            {"name": "alpha", "area": "north", "pricerange": "moderate", "internet": "yes"},
+            {"name": "beta", "area": "north", "pricerange": "cheap", "internet": "no"},
+            {"name": "gamma", "area": "south", "pricerange": "moderate", "internet": "yes"},
+        ),
+        "train": (
+            {"id": "tr1", "departure": "cambridge", "destination": "london", "day": "monday"},
+            {"id": "tr2", "departure": "cambridge", "destination": "london", "day": "friday"},
+            {"id": "tr3", "departure": "london", "destination": "cambridge", "day": "monday"},
+        ),
+    },
+)
+# Values drawn per slot: database values, a case variant, dontcare and a miss.
+# "stars" and "leaveat" are not informable, so every evaluation ignores them.
+SLOT_VALUES = {
+    "hotel": {
+        "area": ("north", "North ", "south", "dontcare", "east"),
+        "pricerange": ("moderate", "cheap", "dontcare"),
+        "internet": ("yes", "no"),
+        "stars": ("4",),
+    },
+    "train": {
+        "departure": ("cambridge", "london", "dontcare"),
+        "destination": ("london", "cambridge"),
+        "day": ("monday", "friday", "sunday"),
+        "leaveat": ("10:00",),
+    },
+    "taxi": {"departure": ("alpha", "dontcare"), "destination": ("tr1",), "leaveat": ("9:00",)},
+}
+RESPONSE_PIECES = (
+    "[hotel_name]", "[hotel_address]", "[hotel_phone]", "[train_id]", "[train_price]",
+    "[train_duration]", "[taxi_phone]", "[taxi_type]", "anything else?",
+)
+
+
+@st.composite
+def beliefs(draw):
+    state = {}
+    for domain in draw(st.lists(st.sampled_from(sorted(SLOT_VALUES)), unique=True)):
+        slots = draw(st.lists(st.sampled_from(sorted(SLOT_VALUES[domain])), unique=True))
+        state[domain] = {slot: draw(st.sampled_from(SLOT_VALUES[domain][slot])) for slot in slots}
+    return state
+
+
+@st.composite
+def goals(draw):
+    entries = {}
+    for domain in draw(st.lists(st.sampled_from(sorted(SLOT_VALUES)), min_size=1, unique=True)):
+        schema = SPLICE_DB.ontology.schema(domain)
+        slots = draw(st.lists(st.sampled_from(schema.informable), unique=True))
+        entries[domain] = GoalEntry(
+            constraints={slot: draw(st.sampled_from(SLOT_VALUES[domain][slot])) for slot in slots},
+            requests=frozenset(draw(st.lists(st.sampled_from(schema.requestable), max_size=2))),
+        )
+    return UserGoal(domains=entries)
+
+
+@st.composite
+def system_turns(draw, goal):
+    """Turns that often satisfy ``goal`` (so that splices can break it) or nearly so."""
+    likely = st.sampled_from((True, True, True, False))
+    state = {d: dict(e.constraints) for d, e in goal.domains.items()} if draw(likely) else {}
+    if not draw(likely):
+        for domain, slots in draw(beliefs()).items():
+            state[domain] = {**state.get(domain, {}), **slots}
+    # Offers on half the turns, so that splices move the last offer turn.
+    pieces = [
+        placeholder(domain, SPLICE_DB.ontology.schema(domain).name_slot)
+        for domain in goal.domain_names()
+        if draw(st.booleans())
+    ]
+    pieces += [
+        placeholder(domain, slot)
+        for domain in goal.domain_names()
+        for slot in sorted(goal.domains[domain].requests)
+        if draw(likely)
+    ]
+    pieces += draw(st.lists(st.sampled_from(RESPONSE_PIECES), max_size=2))
+    acts = draw(st.sampled_from(((), (DialogAct("hotel", "recommend", "name"),))))
+    return SystemTurn(state=state, acts=acts, response=" ".join(pieces))
+
+
+def _dialog(dialog_id, systems):
+    turns = tuple(Turn(user=f"user {t}", system=s) for t, s in enumerate(systems))
+    return Dialog(id=dialog_id, goal_id="g-s", turns=turns)
+
+
+def _assert_splices_agree(goal, dialog, fragments):
+    splices = SpliceEvaluator(goal, SPLICE_DB).splices(dialog)
+    for t in range(len(dialog.turns)):
+        for kind in SubgoalKind:
+            for fragment in fragments:
+                patched = replace_turn(dialog, t, kind, fragment)
+                assert splices.success(t, kind, fragment) == dialog_success(
+                    patched, goal, SPLICE_DB
+                ), (t, kind, fragment)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_splice_evaluator_agrees_with_dialog_success(data):
+    goal = data.draw(goals())
+    systems = data.draw(st.lists(system_turns(goal), min_size=1, max_size=4))
+    fragments = data.draw(st.lists(system_turns(goal), min_size=1, max_size=3))
+    _assert_splices_agree(goal, _dialog("w", systems), fragments)
+
+
+HOTEL_GOAL = UserGoal(
+    domains={
+        "hotel": GoalEntry(
+            constraints={"area": "north", "pricerange": "moderate"},
+            requests=frozenset({"phone"}),
+        )
+    }
+)
+GOOD = {"hotel": {"area": "north", "pricerange": "moderate"}}
+BAD = {"hotel": {"area": "south", "pricerange": "cheap"}}
+
+
+def _sys(state, response):
+    return SystemTurn(state=state, acts=(), response=response)
+
+
+# (case, goal, winner turns, turn, kind, fragment, dialog success after the splice)
+SPLICE_CASES = [
+    ("no offer turn", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name]."), _sys(GOOD, "[hotel_phone].")],
+     0, SubgoalKind.ACT_RESPONSE, _sys(BAD, "no."), False),
+    ("offer moved earlier", HOTEL_GOAL,
+     [_sys(BAD, "[hotel_name]?"), _sys(GOOD, "[hotel_name], [hotel_phone].")],
+     1, SubgoalKind.ACT_RESPONSE, _sys(GOOD, "[hotel_phone]."), False),
+    ("offer moved later", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name]."), _sys(BAD, "[hotel_phone].")],
+     1, SubgoalKind.ACT_RESPONSE, _sys(GOOD, "[hotel_name], [hotel_phone]."), False),
+    ("offer removed at the last offer turn", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name]."), _sys(GOOD, "[hotel_name], [hotel_phone].")],
+     1, SubgoalKind.ACT_RESPONSE, _sys(GOOD, "[hotel_phone]."), True),
+    ("state spliced at the last offer turn", HOTEL_GOAL,
+     [_sys(BAD, "[hotel_name]."), _sys(GOOD, "[hotel_name], [hotel_phone].")],
+     1, SubgoalKind.STATE, _sys(BAD, ""), False),
+    ("state fixed but a request never answered", HOTEL_GOAL,
+     [_sys(BAD, "[hotel_name].")],
+     0, SubgoalKind.STATE, _sys(GOOD, ""), False),
+    ("state spliced off the offer turn", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name]."), _sys(GOOD, "[hotel_phone].")],
+     1, SubgoalKind.STATE, _sys(BAD, ""), True),
+    ("requested placeholder only at turn t", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name]."), _sys(GOOD, "[hotel_phone].")],
+     1, SubgoalKind.ACT_RESPONSE, _sys(GOOD, "goodbye."), False),
+    ("non-entity-bearing domain",
+     UserGoal(domains={"taxi": GoalEntry(constraints={"departure": "alpha"},
+                                         requests=frozenset({"type"}))}),
+     [_sys({}, "booked a [taxi_type]."), _sys({}, "bye.")],
+     0, SubgoalKind.STATE, _sys(BAD, ""), True),
+    ("dontcare and a non-informable slot", HOTEL_GOAL,
+     [_sys(GOOD, "[hotel_name], [hotel_phone].")],
+     0, SubgoalKind.STATE,
+     _sys({"hotel": {"area": "North ", "pricerange": "dontcare", "stars": "9"}}, ""), True),
+    ("two goal domains sharing an offer turn",
+     UserGoal(domains={
+         "hotel": HOTEL_GOAL.domains["hotel"],
+         "train": GoalEntry(constraints={"day": "friday"}),
+     }),
+     [_sys({**GOOD, "train": {"day": "friday"}}, "[hotel_name] and [train_id]. [hotel_phone].")],
+     0, SubgoalKind.STATE, _sys({**GOOD, "train": {"day": "sunday"}}, ""), False),
+]
+
+
+@pytest.mark.parametrize(
+    "goal, systems, t, kind, fragment, expected",
+    [case[1:] for case in SPLICE_CASES],
+    ids=[case[0] for case in SPLICE_CASES],
+)
+def test_splice_evaluator_cases(goal, systems, t, kind, fragment, expected):
+    dialog = _dialog("w", systems)
+    patched = replace_turn(dialog, t, kind, fragment)
+    assert dialog_success(patched, goal, SPLICE_DB) is expected
+    splices = SpliceEvaluator(goal, SPLICE_DB).splices(dialog)
+    assert splices.success(t, kind, fragment) is expected
+    _assert_splices_agree(goal, dialog, [fragment])
+
+
+def _naive_detect(group, db):
+    """Every flip in detection order, from full re-evaluation of each splice."""
+    failed = sorted(group.unsuccessful(), key=lambda d: d.id)
+    flips = []
+    for winner in sorted(group.successful(), key=lambda d: d.id):
+        for t in range(len(winner.turns)):
+            original = winner.turns[t].system
+            for kind in (SubgoalKind.STATE, SubgoalKind.ACT_RESPONSE):
+                for other in failed:
+                    if t >= len(other.turns):
+                        continue
+                    fragment = other.turns[t].system
+                    if kind is SubgoalKind.STATE:
+                        same = fragment.state == original.state
+                    else:
+                        same = (fragment.acts, fragment.response) == (
+                            original.acts, original.response)
+                    patched = replace_turn(winner, t, kind, fragment)
+                    if not same and not dialog_success(patched, group.goal, db):
+                        flips.append((winner.id, t, kind.value, other.id))
+    return flips
+
+
+@st.composite
+def candidate_groups(draw):
+    goal = draw(goals())
+    n_turns = draw(st.integers(2, 4))
+    pools = [draw(st.lists(system_turns(goal), min_size=2, max_size=3)) for _ in range(n_turns)]
+    candidates = []
+    for i in range(draw(st.integers(3, 6))):
+        # Offset by i so that even minimal draws give distinct candidates.
+        systems = [pool[(i + draw(st.integers(0, 2))) % len(pool)] for pool in pools]
+        if draw(st.booleans()):
+            systems = systems[:-1]
+        candidates.append(_dialog(f"c-{i}", systems))
+    group = CandidateGroup(
+        goal_id="g-s", goal=goal, source=candidates[0], candidates=tuple(candidates)
+    )
+    return label_success(group, SPLICE_DB)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(group=candidate_groups())
+def test_detection_equals_naive_splice_loop(group):
+    samples = detect_subgoals(group, SPLICE_DB)
+    found = [
+        (s.dialog_id, s.turn, s.kind.value, loser) for s in samples for loser in s.negative_ids
+    ]
+    assert found == _naive_detect(group, SPLICE_DB)
