@@ -12,16 +12,19 @@ so outputs are bit-identical across runs and worker counts; the per-request
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import random
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import Iterator, Protocol, Sequence
 
 import requests
+import requests.adapters
 
 from .corpus import Corpus
 from .errors import BackendError
@@ -49,7 +52,9 @@ class GeneratorBackend(Protocol):
     """Text-completion interface shared by all backends.
 
     Implementations must be deterministic for a fixed (prompt, seed, params)
-    tuple, or document themselves as best-effort.
+    tuple, or document themselves as best-effort. A backend may also offer a
+    ``prefetch(requests)`` context manager (see ``HttpBackend``), which
+    ``sampling.generate_wave`` uses to send a wave of requests at once.
     """
 
     def generate(
@@ -349,7 +354,8 @@ class HttpBackend:
     and expects ``{"completions": [...]}`` back. Transient failures (network
     errors, 429, 5xx) are retried with exponential backoff up to
     ``max_retries``; schema problems fail fast. Determinism is best-effort and
-    entirely up to the service.
+    entirely up to the service. At most ``max_in_flight`` POSTs are in flight
+    at once, across all threads that share the client.
     """
 
     def __init__(
@@ -367,7 +373,42 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff = backoff
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+        if session is None:
+            # requests pools 10 connections per host by default; more
+            # concurrent POSTs would reopen a connection each.
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="http-backend")
+        # Per calling thread: the replies of its current prefetched wave.
+        self._waves = threading.local()
+
+    @contextlib.contextmanager
+    def prefetch(self, wave: Sequence[tuple]) -> Iterator[None]:
+        """Send a wave of requests concurrently for the ``generate`` calls in the block.
+
+        Each request is a ``(prompt, n, greedy, temperature, seed, max_tokens)``
+        tuple. Inside the block, a ``generate`` call on this thread with equal
+        arguments returns that request's reply, or raises its error, instead of
+        posting again; each reply answers one call. On exit, replies nobody
+        took are cancelled or awaited and dropped, so a wave cut short by an
+        error leaves nothing for later calls.
+        """
+        pending: dict[tuple, list[Future]] = {}
+        for request in wave:
+            pending.setdefault(tuple(request), []).append(self._pool.submit(self._post, *request))
+        outer = getattr(self._waves, "pending", None)
+        self._waves.pending = pending
+        try:
+            yield
+        finally:
+            self._waves.pending = outer
+            leftovers = [future for futures in pending.values() for future in futures]
+            for future in leftovers:
+                future.cancel()
+            wait(leftovers)
 
     def generate(
         self,
@@ -378,6 +419,15 @@ class HttpBackend:
         temperature: float = 1.0,
         seed: int = 0,
         max_tokens: int = DEFAULT_MAX_TOKENS,
+    ) -> list[str]:
+        request = (prompt, n, greedy, temperature, seed, max_tokens)
+        futures = (getattr(self._waves, "pending", None) or {}).get(request)
+        if futures:
+            return futures.pop(0).result()
+        return self._post(*request)
+
+    def _post(
+        self, prompt: str, n: int, greedy: bool, temperature: float, seed: int, max_tokens: int
     ) -> list[str]:
         payload = {
             "prompt": prompt,

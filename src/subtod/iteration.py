@@ -25,7 +25,7 @@ from .corpus import Corpus
 from .errors import BackendError, IncompleteSamples
 from .evaluate import evaluate_corpus
 from .model import Database, Dialog, SubgoalKind, SystemTurn, Turn, UserGoal, contexts_of
-from .sampling import SamplingConfig, sample_turn
+from .sampling import SamplingConfig, generate_wave, generation_request, sample_turn
 from .subgoals import (
     CandidateGroup,
     PairPolicy,
@@ -156,29 +156,30 @@ def should_stop(history: LoopHistory | Sequence) -> bool:
 
 
 def predict_greedy(backend: GeneratorBackend, source: Dialog, cfg: SamplingConfig) -> Dialog:
-    """Greedy two-stage rollout over the source dialog's contexts."""
+    """Greedy two-stage rollout over the source dialog's contexts.
+
+    Contexts are ground-truth prefixes, so all state requests form one wave
+    and all act/response requests, built from the parsed states, a second.
+    """
+    contexts = contexts_of(source)
+    state_replies = generate_wave(
+        backend,
+        [
+            generation_request(serialize_state_prompt(context).text, "state", cfg, greedy=True)
+            for context in contexts
+        ],
+    )
+    states = [parse_state(reply[0]).state for reply in state_replies]
+    turn_replies = generate_wave(
+        backend,
+        [
+            generation_request(serialize_act_prompt(context, state).text, "turn", cfg, greedy=True)
+            for context, state in zip(contexts, states)
+        ],
+    )
     turns = []
-    for context in contexts_of(source):
-        prompt = serialize_state_prompt(context)
-        raw_state = backend.generate(
-            prompt.text,
-            1,
-            greedy=True,
-            temperature=cfg.temperature,
-            seed=stable_seed(cfg.seed, prompt.text, "greedy-state"),
-            max_tokens=cfg.max_tokens,
-        )[0]
-        state = parse_state(raw_state).state
-        act_prompt = serialize_act_prompt(context, state)
-        raw_turn = backend.generate(
-            act_prompt.text,
-            1,
-            greedy=True,
-            temperature=cfg.temperature,
-            seed=stable_seed(cfg.seed, act_prompt.text, "greedy-turn"),
-            max_tokens=cfg.max_tokens,
-        )[0]
-        parsed = parse_act_response(raw_turn)
+    for context, state, reply in zip(contexts, states, turn_replies):
+        parsed = parse_act_response(reply[0])
         turns.append(
             Turn(
                 user=context.user,

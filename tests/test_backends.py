@@ -1,6 +1,9 @@
 """Scripted backend behavior, error injection, and the HTTP client."""
 
 import json
+import logging
+import threading
+import time
 
 import pytest
 
@@ -13,13 +16,18 @@ from subtod.backends import (
     stable_seed,
 )
 from subtod.errors import BackendError
+from subtod.iteration import build_group, map_goals
 from subtod.model import SubgoalKind, contexts_of, normalize_value, placeholder
+from subtod.sampling import SamplingConfig, generate_wave, generation_request, sample_turn
 from subtod.verbalize import (
     parse_act_response,
     parse_state,
     serialize_act_prompt,
     serialize_state_prompt,
 )
+
+
+_REQUEST_FIELDS = ("prompt", "n", "greedy", "temperature", "seed", "max_tokens")
 
 
 def _norm_state(state):
@@ -330,3 +338,127 @@ def test_http_backend_fails_fast_on_client_errors(completion_server):
     with pytest.raises(BackendError, match="http 404"):
         backend.generate("p", 1, greedy=True)
     assert len(completion_server.payloads) == 1
+
+
+def _held(answer, hold_s=0.05):
+    """A responder that answers like ``answer`` after ``hold_s``; tracks peak concurrency."""
+    lock = threading.Lock()
+    seen = {"now": 0, "peak": 0}
+
+    def responder(payload):
+        with lock:
+            seen["now"] += 1
+            seen["peak"] = max(seen["peak"], seen["now"])
+        try:
+            time.sleep(hold_s)
+            return answer(payload)
+        finally:
+            with lock:
+                seen["now"] -= 1
+
+    return responder, seen
+
+
+def _scripted_answer(backend):
+    def answer(payload):
+        return 200, {"completions": backend.generate(
+            payload["prompt"], payload["n"], greedy=payload["greedy"]
+        )}
+
+    return answer
+
+
+def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, small_world):
+    scripted = ScriptedBackend(small_world, seed=2)
+    responder, seen = _held(_scripted_answer(scripted))
+    completion_server.respond_with(responder)
+    remote = HttpBackend(completion_server.url, max_in_flight=3)
+    calls = []
+    generate = remote.generate
+    remote.generate = lambda *args, **kwargs: calls.append(args) or generate(*args, **kwargs)
+    cfg = SamplingConfig(k=2, seed=4)
+    contexts = [contexts_of(dialog)[1] for dialog in small_world.dialogs[:2]]
+    results = [None] * len(contexts)
+
+    def run(i):
+        results[i] = sample_turn(remote, contexts[i], cfg)
+
+    # Two goal threads share the client, as under --workers 2.
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert results == [sample_turn(scripted, context, cfg) for context in contexts]
+    assert any(len(result.states) > 1 for result in results)
+    # Sequential calls would peak at 2, one per thread; the waves fill max_in_flight.
+    assert seen["peak"] == 3
+    assert len(completion_server.payloads) == len(calls)
+
+
+def test_connection_pool_holds_every_in_flight_post(completion_server, caplog):
+    responder, seen = _held(lambda payload: (200, {"completions": ["stub"]}))
+    completion_server.respond_with(responder)
+    backend = HttpBackend(completion_server.url, max_in_flight=16)
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(16)]
+    with caplog.at_level(logging.WARNING, logger="urllib3"):
+        for _ in range(2):
+            assert generate_wave(backend, wave) == [["stub"]] * 16
+    assert seen["peak"] > 10
+    assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+
+
+def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server, small_world):
+    scripted = ScriptedBackend(small_world, seed=2)
+    dialog = small_world.dialogs[0]
+    goal = small_world.goals[dialog.goal_id]
+    cfg = SamplingConfig(k=2, seed=4)
+    context = contexts_of(dialog)[1]
+    greedy_state = parse_state(
+        scripted.generate(serialize_state_prompt(context).text, 1, greedy=True)[0]
+    ).state
+    # The first request of the turn's act/response wave fails at once, while
+    # the rest of the wave is still held by the server.
+    failing = generation_request(
+        serialize_act_prompt(context, greedy_state).text, "turn", cfg, greedy=True
+    )
+    healthy = _scripted_answer(scripted)
+    held, seen = _held(healthy)
+
+    def responder(payload):
+        if tuple(payload[key] for key in _REQUEST_FIELDS) == failing:
+            return 404, {"error": "no route"}
+        return held(payload)
+
+    completion_server.respond_with(responder)
+    remote = HttpBackend(completion_server.url)
+
+    class Sequential:
+        def generate(self, *args, **kwargs):
+            return remote.generate(*args, **kwargs)
+
+    def skipped_with(backend):
+        def process(goal_id):
+            return build_group(dialog, goal, backend, cfg, cfg.k, small_world.database)
+
+        results, skipped = map_goals([dialog.goal_id], process, 1)
+        assert results == {}
+        return skipped
+
+    expected = skipped_with(Sequential())
+    assert expected == [(dialog.goal_id, "http 404 from backend")]
+    assert skipped_with(remote) == expected
+    # The rest of the failed wave was awaited, and none of it is kept.
+    assert seen["now"] == 0
+    assert not getattr(remote._waves, "pending", None)
+
+    completion_server.respond_with(healthy)
+    before = len(completion_server.payloads)
+    prompt, n, greedy, temperature, seed, max_tokens = failing
+    reply = remote.generate(
+        prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
+    )
+    assert reply == scripted.generate(prompt, n, greedy=greedy)
+    assert len(completion_server.payloads) == before + 1

@@ -201,23 +201,25 @@ def test_iterate_over_http_matches_scripted(corpus10, tmp_path, capsys,
     completion_server.serve_backend(
         ScriptedBackend(load_corpus(path), ErrorInjectionConfig(rate=0.5), seed=7)
     )
-    scripted_out = tmp_path / "scripted"
-    assert main([
-        "iterate", "--corpus", path, "--out", str(scripted_out), "--mode", "sft",
-        "--goal-fraction", "1.0", "--seed", "7", "--noise-rate", "0.5",
-    ]) == 0
-
     # The env var must win over a bogus --url.
     monkeypatch.setenv("SUIT_BACKEND_URL", completion_server.url)
-    http_out = tmp_path / "http"
-    assert main([
-        "iterate", "--corpus", path, "--out", str(http_out), "--mode", "sft",
-        "--goal-fraction", "1.0", "--seed", "7",
-        "--backend", "http", "--url", "http://127.0.0.1:1/unused",
-    ]) == 0
-    capsys.readouterr()
-    for name in ("sft.jsonl", "report.json"):
-        assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes()
+    runs = (
+        ("sft.jsonl", ["--mode", "sft", "--workers", "1"]),
+        ("sft.jsonl", ["--mode", "sft", "--workers", "2"]),
+        ("dpo.jsonl", ["--mode", "dpo", "--pair-policy", "all", "--workers", "2"]),
+    )
+    for i, (data_name, flags) in enumerate(runs):
+        common = ["iterate", "--corpus", path, "--goal-fraction", "1.0", "--seed", "7", *flags]
+        scripted_out = tmp_path / f"scripted{i}"
+        assert main([*common, "--out", str(scripted_out), "--noise-rate", "0.5"]) == 0
+        http_out = tmp_path / f"http{i}"
+        assert main([
+            *common, "--out", str(http_out),
+            "--backend", "http", "--url", "http://127.0.0.1:1/unused",
+        ]) == 0
+        capsys.readouterr()
+        for name in (data_name, "report.json"):
+            assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes(), flags
 
 
 def test_http_backend_requires_a_url(corpus10, tmp_path, capsys, monkeypatch):
