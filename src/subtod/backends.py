@@ -12,19 +12,25 @@ so outputs are bit-identical across runs and worker counts; the per-request
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import http.client
+import json
 import random
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Protocol, Sequence
-
-import requests
-import requests.adapters
 
 from .corpus import Corpus
 from .errors import BackendError
@@ -347,15 +353,71 @@ class ScriptedBackend:
         return acts, response
 
 
+class _RetryableStatus(Exception):
+    """A 429 or 5xx reply, retried like a network error."""
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True when an idle keep-alive socket is readable: the server closed it (or misbehaved)."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _route(parts: urllib.parse.SplitResult, timeout: float):
+    """How to reach the URL ``parts``: a connection factory, the request target and headers.
+
+    Honours ``http_proxy``/``https_proxy``/``no_proxy``, read once here: a
+    plain-HTTP request goes to the proxy with the absolute URL as its target,
+    an HTTPS one through a CONNECT tunnel.
+    """
+    https = parts.scheme == "https"
+    host, port = parts.hostname, parts.port or (443 if https else 80)
+    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    headers = {"Content-Type": "application/json"}
+    tunnel = None
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(f"{host}:{port}"):
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if via.scheme != "http" or not via.hostname:
+            raise ValueError(f"{parts.scheme}_proxy must be http://host[:port], got {proxy!r}")
+        auth = {}
+        if via.username is not None:
+            credentials = ":".join(urllib.parse.unquote(v or "") for v in (via.username, via.password))
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+        if https:
+            tunnel = (host, port, auth)
+        else:
+            target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+            headers.update(auth)
+        host, port = via.hostname, via.port or 80
+    factory = http.client.HTTPConnection
+    if https:
+        factory = functools.partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+
+    def connect() -> http.client.HTTPConnection:
+        conn = factory(host, port, timeout=timeout)
+        if tunnel is not None:
+            conn.set_tunnel(*tunnel)
+        return conn
+
+    return connect, target, headers
+
+
 class HttpBackend:
     """Client for a remote completion service.
 
     POSTs ``{"prompt", "n", "greedy", "temperature", "seed", "max_tokens"}``
     and expects ``{"completions": [...]}`` back. Transient failures (network
-    errors, 429, 5xx) are retried with exponential backoff up to
-    ``max_retries``; schema problems fail fast. Determinism is best-effort and
-    entirely up to the service. At most ``max_in_flight`` POSTs are in flight
-    at once, across all threads that share the client.
+    errors, truncated replies, 429, 5xx) are retried with exponential backoff
+    up to ``max_retries``; schema problems fail fast. Determinism is
+    best-effort and entirely up to the service. At most ``max_in_flight``
+    POSTs are in flight at once, across all threads that share the client, and
+    each runs on a keep-alive connection from a pool that never holds more
+    than that many. ``http_proxy``/``https_proxy``/``no_proxy`` are read once,
+    here; HTTPS verifies against the system's CA store.
     """
 
     def __init__(
@@ -366,24 +428,32 @@ class HttpBackend:
         max_retries: int = 3,
         backoff: float = 0.25,
         max_in_flight: int = 8,
-        session: requests.Session | None = None,
     ):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
         self.url = url
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        if session is None:
-            # requests pools 10 connections per host by default; more
-            # concurrent POSTs would reopen a connection each.
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
+        self._connect, self._target, self._headers = _route(parts, timeout)
+        # Idle keep-alive connections, most recently used last. A new one is
+        # opened only when none is idle, inside the semaphore, so there are
+        # never more than max_in_flight.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="http-backend")
         # Per calling thread: the replies of its current prefetched wave.
         self._waves = threading.local()
+
+    def close(self) -> None:
+        """Close the idle connections and stop the request threads."""
+        self._pool.shutdown(cancel_futures=True)
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     @contextlib.contextmanager
     def prefetch(self, wave: Sequence[tuple]) -> Iterator[None]:
@@ -426,41 +496,67 @@ class HttpBackend:
             return futures.pop(0).result()
         return self._post(*request)
 
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on an idle or new connection; return the status and the whole reply."""
+        conn = None
+        with self._idle_lock:
+            while self._idle and conn is None:
+                conn = self._idle.pop()
+                if _closed_by_peer(conn.sock):
+                    conn.close()
+                    conn = None
+        if conn is None:
+            conn = self._connect()
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        # http.client closes the connection itself when the reply ends it.
+        if conn.sock is not None:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, data
+
     def _post(
         self, prompt: str, n: int, greedy: bool, temperature: float, seed: int, max_tokens: int
     ) -> list[str]:
-        payload = {
-            "prompt": prompt,
-            "n": n,
-            "greedy": greedy,
-            "temperature": temperature,
-            "seed": seed,
-            "max_tokens": max_tokens,
-        }
+        body = json.dumps(
+            {
+                "prompt": prompt,
+                "n": n,
+                "greedy": greedy,
+                "temperature": temperature,
+                "seed": seed,
+                "max_tokens": max_tokens,
+            }
+        ).encode("utf-8")
         attempts = 0
         delay = self.backoff
         while True:
             attempts += 1
             try:
                 with self._semaphore:
-                    resp = self._session.post(self.url, json=payload, timeout=self.timeout)
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise requests.HTTPError(f"http {resp.status_code}")
-                if resp.status_code != 200:
+                    status, data = self._exchange(body)
+                if status == 429 or status >= 500:
+                    raise _RetryableStatus(f"http {status}")
+                if status != 200:
                     raise BackendError(
-                        f"http {resp.status_code} from backend",
+                        f"http {status} from backend",
                         prompt=prompt,
                         attempts=attempts,
                     )
                 try:
-                    data = resp.json()
-                except ValueError as exc:
+                    reply = json.loads(data)
+                except ValueError as exc:  # includes non-UTF-8 bytes
                     raise BackendError(
                         f"backend returned malformed JSON: {exc}",
                         prompt=prompt,
                         attempts=attempts,
                     ) from exc
-                completions = data.get("completions")
+                completions = reply.get("completions") if isinstance(reply, dict) else None
                 if (
                     not isinstance(completions, list)
                     or len(completions) != n
@@ -472,7 +568,9 @@ class HttpBackend:
                         attempts=attempts,
                     )
                 return completions
-            except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
+            # OSError: refused, reset, timed out, unresolvable; HTTPException:
+            # truncated or garbled replies.
+            except (OSError, http.client.HTTPException, _RetryableStatus) as exc:
                 if attempts > self.max_retries:
                     raise BackendError(
                         f"backend unreachable after {attempts} attempts: {exc}",

@@ -25,7 +25,9 @@ from .corpus import Corpus
 from .errors import BackendError, IncompleteSamples
 from .evaluate import evaluate_corpus
 from .model import Database, Dialog, SubgoalKind, SystemTurn, Turn, UserGoal, contexts_of
-from .sampling import SamplingConfig, generate_wave, generation_request, sample_turn
+# sample_turn, parse_state and parse_act_response are unused here;
+# bench/tracer.py patches them by name.
+from .sampling import SamplingConfig, sample_turn, sample_turns  # noqa: F401
 from .subgoals import (
     CandidateGroup,
     PairPolicy,
@@ -36,12 +38,7 @@ from .subgoals import (
     emit_sft,
     label_success,
 )
-from .verbalize import (
-    parse_act_response,
-    parse_state,
-    serialize_act_prompt,
-    serialize_state_prompt,
-)
+from .verbalize import parse_act_response, parse_state  # noqa: F401
 
 
 class TrainMode(Enum):
@@ -155,38 +152,34 @@ def should_stop(history: LoopHistory | Sequence) -> bool:
     return combined_of(entries[-1]) <= combined_of(entries[-2])
 
 
-def predict_greedy(backend: GeneratorBackend, source: Dialog, cfg: SamplingConfig) -> Dialog:
-    """Greedy two-stage rollout over the source dialog's contexts.
+def predict_greedy(
+    backend: GeneratorBackend, sources: Sequence[Dialog], cfg: SamplingConfig
+) -> list[Dialog]:
+    """Greedy two-stage rollout over every source dialog's contexts.
 
-    Contexts are ground-truth prefixes, so all state requests form one wave
-    and all act/response requests, built from the parsed states, a second.
+    Contexts are ground-truth prefixes, so the state requests of all dialogs
+    form one wave and the act/response requests, built from the parsed
+    states, a second.
     """
-    contexts = contexts_of(source)
-    state_replies = generate_wave(
-        backend,
-        [
-            generation_request(serialize_state_prompt(context).text, "state", cfg, greedy=True)
-            for context in contexts
-        ],
+    contexts = [contexts_of(source) for source in sources]
+    turn_sets = iter(
+        sample_turns(backend, [c for cs in contexts for c in cs], cfg, greedy_only=True)
     )
-    states = [parse_state(reply[0]).state for reply in state_replies]
-    turn_replies = generate_wave(
-        backend,
-        [
-            generation_request(serialize_act_prompt(context, state).text, "turn", cfg, greedy=True)
-            for context, state in zip(contexts, states)
-        ],
-    )
-    turns = []
-    for context, state, reply in zip(contexts, states, turn_replies):
-        parsed = parse_act_response(reply[0])
-        turns.append(
-            Turn(
-                user=context.user,
-                system=SystemTurn(state=state, acts=parsed.acts, response=parsed.response),
+    predicted = []
+    for source, source_contexts in zip(sources, contexts):
+        turns = []
+        for context, turn_set in zip(source_contexts, turn_sets):
+            greedy = turn_set.completions[0][0]
+            turns.append(
+                Turn(
+                    user=context.user,
+                    system=SystemTurn(
+                        state=turn_set.states[0], acts=greedy.acts, response=greedy.response
+                    ),
+                )
             )
-        )
-    return Dialog(id=source.id, goal_id=source.goal_id, turns=tuple(turns))
+        predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=tuple(turns)))
+    return predicted
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
@@ -205,7 +198,7 @@ def build_group(
     db: Database,
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
-    turn_sets = [sample_turn(backend, context, sampling) for context in contexts_of(source)]
+    turn_sets = sample_turns(backend, contexts_of(source), sampling)
     group = CandidateGroup(
         goal_id=source.goal_id,
         goal=goal,
@@ -290,7 +283,7 @@ def run_iteration(
 
     dev_eval = None
     if corpus.dev_dialogs:
-        predicted = [predict_greedy(backend, d, sampling) for d in corpus.dev_dialogs]
+        predicted = predict_greedy(backend, corpus.dev_dialogs, sampling)
         dev_eval = evaluate_corpus(
             predicted, corpus.dev_goals, corpus.database, corpus.dev_references()
         ).to_dict()

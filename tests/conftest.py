@@ -172,41 +172,114 @@ def small_world():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with ``server.responder(payload)``.
+
+    A responder returns ``(status, body)`` or ``(status, body, headers)``; a
+    non-bytes body is sent as JSON, and ``headers`` override the defaults
+    (for example a ``content-length`` longer than the body).
+    """
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("content-length") or 0)
         payload = json.loads(self.rfile.read(length) or b"{}")
         with self.server.lock:
             self.server.payloads.append(payload)
-        status, body = self.server.responder(payload)
-        self.send_response(status)
-        self.send_header("content-type", "application/json")
-        self.end_headers()
+            self.server.requests.append((self.path, dict(self.headers)))
+        status, body, *extra = self.server.responder(payload)
         if not isinstance(body, bytes):
             body = json.dumps(body).encode("utf-8")
+        headers = {"content-type": "application/json", "content-length": str(len(body))}
+        headers.update(*extra)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
         self.wfile.write(body)
+        if self.server.drop_after_reply:
+            # Closed without a "Connection: close" header, so the client pools it.
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
 
 
+class _KeepAliveHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
+
+
+class _StubHTTPServer(ThreadingHTTPServer):
+    # The default listen backlog of 5 overflows when a wave opens more
+    # connections at once, and a dropped SYN is resent only after 1 s.
+    request_queue_size = 64
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+            self.lock.notify_all()
+
+
 class CompletionServer:
-    def __init__(self):
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        self._httpd.lock = threading.Lock()
+    """A stub completion service on 127.0.0.1.
+
+    HTTP/1.0 by default, closing the connection after every reply; with
+    ``keep_alive`` it speaks HTTP/1.1 and keeps connections open.
+    """
+
+    def __init__(self, keep_alive=False):
+        handler = _KeepAliveHandler if keep_alive else _StubHandler
+        self._httpd = _StubHTTPServer(("127.0.0.1", 0), handler)
+        self._httpd.lock = threading.Condition()
         self._httpd.payloads = []
+        self._httpd.requests = []
+        self._httpd.connections = 0
+        self._httpd.closed = 0
+        self._httpd.drop_after_reply = False
         self._httpd.responder = lambda payload: (
             200,
             {"completions": ["stub"] * payload.get("n", 1)},
         )
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short shutdown poll keeps teardown from waiting out the 0.5 s default.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
         host, port = self._httpd.server_address
-        self.url = f"http://{host}:{port}/v1/completions"
+        self.origin = f"http://{host}:{port}"
+        self.url = f"{self.origin}/v1/completions"
+
+    def _read(self, name):
+        with self._httpd.lock:
+            value = getattr(self._httpd, name)
+            return list(value) if isinstance(value, list) else value
 
     @property
     def payloads(self):
+        return self._read("payloads")
+
+    @property
+    def requests(self):
+        """``(request target, headers)`` of every POST, in arrival order."""
+        return self._read("requests")
+
+    @property
+    def connections(self):
+        """Connections accepted so far."""
+        return self._read("connections")
+
+    def wait_closed(self, count, timeout=5.0):
+        """Wait until the server has closed ``count`` connections (``time.sleep`` may be patched)."""
         with self._httpd.lock:
-            return list(self._httpd.payloads)
+            assert self._httpd.lock.wait_for(lambda: self._httpd.closed >= count, timeout)
+
+    def drop_after_reply(self):
+        """Close every connection after its reply, without a ``Connection: close`` header."""
+        self._httpd.drop_after_reply = True
 
     def respond_with(self, responder):
         self._httpd.responder = responder
@@ -233,5 +306,12 @@ class CompletionServer:
 @pytest.fixture
 def completion_server():
     server = CompletionServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = CompletionServer(keep_alive=True)
     yield server
     server.close()

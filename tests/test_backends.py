@@ -1,7 +1,9 @@
 """Scripted backend behavior, error injection, and the HTTP client."""
 
+import base64
 import json
-import logging
+import socket
+import sys
 import threading
 import time
 
@@ -398,16 +400,50 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
     assert len(completion_server.payloads) == len(calls)
 
 
-def test_connection_pool_holds_every_in_flight_post(completion_server, caplog):
-    responder, seen = _held(lambda payload: (200, {"completions": ["stub"]}))
-    completion_server.respond_with(responder)
-    backend = HttpBackend(completion_server.url, max_in_flight=16)
+def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
+    # Every request of a wave waits until all 16 are in flight.
+    barrier = threading.Barrier(16, timeout=10)
+
+    def responder(payload):
+        barrier.wait()
+        return 200, {"completions": ["stub"]}
+
+    keep_alive_server.respond_with(responder)
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=16)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(16)]
-    with caplog.at_level(logging.WARNING, logger="urllib3"):
-        for _ in range(2):
-            assert generate_wave(backend, wave) == [["stub"]] * 16
-    assert seen["peak"] > 10
-    assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+    # Frequent thread switches, so a lost update to the idle pool would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert generate_wave(backend, wave) == ([["stub"]] * 16, None)
+        assert keep_alive_server.connections == 16
+        # The second wave runs on the first wave's connections.
+        assert generate_wave(backend, wave) == ([["stub"]] * 16, None)
+        assert keep_alive_server.connections == 16
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert len(keep_alive_server.payloads) == 32
+
+
+def test_a_connection_the_server_closed_is_replaced_without_a_retry(
+    keep_alive_server, monkeypatch
+):
+    def no_sleep(seconds):
+        raise AssertionError("a closed idle connection must not cost a retry")
+
+    monkeypatch.setattr("subtod.backends.time.sleep", no_sleep)
+    keep_alive_server.drop_after_reply()
+    backend = HttpBackend(keep_alive_server.url, max_retries=0)
+    try:
+        for i in range(3):
+            assert backend.generate(f"prompt {i}", 1, greedy=True) == ["stub"]
+            # The pooled connection is now closed at the server's end.
+            keep_alive_server.wait_closed(i + 1)
+    finally:
+        backend.close()
+    assert len(keep_alive_server.payloads) == 3
+    assert keep_alive_server.connections == 3
 
 
 def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server, small_world):
@@ -462,3 +498,123 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server
     )
     assert reply == scripted.generate(prompt, n, greedy=greedy)
     assert len(completion_server.payloads) == before + 1
+
+
+def test_state_wave_failure_still_meets_an_earlier_turns_act_failure_first(
+    completion_server, small_world
+):
+    scripted = ScriptedBackend(small_world, seed=2)
+    dialog = small_world.dialogs[0]
+    goal = small_world.goals[dialog.goal_id]
+    cfg = SamplingConfig(k=2, seed=4)
+    contexts = contexts_of(dialog)
+    assert len(contexts) >= 3
+    greedy_state = parse_state(
+        scripted.generate(serialize_state_prompt(contexts[1]).text, 1, greedy=True)[0]
+    ).state
+    # Turn 1's greedy act/response request, then turn 2's greedy state request.
+    failures = {
+        generation_request(
+            serialize_act_prompt(contexts[1], greedy_state).text, "turn", cfg, greedy=True
+        ): 404,
+        generation_request(
+            serialize_state_prompt(contexts[2]).text, "state", cfg, greedy=True
+        ): 400,
+    }
+    healthy = _scripted_answer(scripted)
+
+    def responder(payload):
+        status = failures.get(tuple(payload[key] for key in _REQUEST_FIELDS))
+        return (status, {"error": "refused"}) if status else healthy(payload)
+
+    completion_server.respond_with(responder)
+    remote = HttpBackend(completion_server.url)
+
+    class Sequential:
+        def generate(self, *args, **kwargs):
+            return remote.generate(*args, **kwargs)
+
+    def one_request_at_a_time(goal_id):
+        return [sample_turn(Sequential(), context, cfg) for context in contexts]
+
+    def in_waves(goal_id):
+        return build_group(dialog, goal, remote, cfg, cfg.k, small_world.database)
+
+    expected = map_goals([dialog.goal_id], one_request_at_a_time, 1)
+    assert expected == ({}, [(dialog.goal_id, "http 404 from backend")])
+    assert map_goals([dialog.goal_id], in_waves, 1) == expected
+
+
+@pytest.mark.parametrize(
+    "body, headers, error",
+    [
+        (b"[1, 2]", {}, "missing 1 string completions"),
+        (b'"x"', {}, "missing 1 string completions"),
+        (b"5", {}, "missing 1 string completions"),
+        (b"null", {}, "missing 1 string completions"),
+        (b'{"completions": ["\xff"]}', {}, "malformed JSON"),
+        (b'{"completions": ["stub"]}', {"content-length": "100"}, "unreachable after 2 attempts"),
+    ],
+    ids=["list", "string", "number", "null", "non-utf8", "truncated"],
+)
+def test_http_backend_rejects_hostile_replies(completion_server, monkeypatch, body, headers, error):
+    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    completion_server.respond_with(lambda payload: (200, body, headers))
+    backend = HttpBackend(completion_server.url, max_retries=1)
+    with pytest.raises(BackendError, match=error):
+        backend.generate("p", 1, greedy=True)
+    # Only a truncated reply is transient and retried.
+    assert len(completion_server.payloads) == (2 if headers else 1)
+
+
+def test_a_reply_that_is_not_an_object_skips_the_goal(completion_server, small_world):
+    completion_server.respond_with(lambda payload: (200, [1, 2]))
+    remote = HttpBackend(completion_server.url)
+    dialog = small_world.dialogs[0]
+    cfg = SamplingConfig(k=2, seed=4)
+
+    def process(goal_id):
+        return build_group(
+            dialog, small_world.goals[goal_id], remote, cfg, cfg.k, small_world.database
+        )
+
+    assert map_goals([dialog.goal_id], process, 1) == (
+        {},
+        [(dialog.goal_id, "backend reply missing 1 string completions")],
+    )
+
+
+def test_http_backend_honours_proxy_variables(completion_server, monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    # The backend host resolves nowhere: only the proxy can reach it.
+    resolve = socket.getaddrinfo
+
+    def getaddrinfo(host, *args, **kwargs):
+        if host == "backend.invalid":
+            raise socket.gaierror(socket.EAI_NONAME, "unresolvable")
+        return resolve(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    proxy = completion_server.origin.replace("//", "//user:p%40ss@")
+    monkeypatch.setenv("http_proxy", proxy)
+    proxied = HttpBackend("http://backend.invalid/v1/completions?model=m", max_retries=0)
+    assert proxied.generate("p", 1, greedy=True) == ["stub"]
+    [(target, headers)] = completion_server.requests
+    assert target == "http://backend.invalid/v1/completions?model=m"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    # no_proxy covers the stub server's host: it is reached directly.
+    monkeypatch.setenv("no_proxy", "example.org, 127.0.0.1")
+    direct = HttpBackend(completion_server.url, max_retries=0)
+    assert direct.generate("p", 1, greedy=True) == ["stub"]
+    (target, headers) = completion_server.requests[1]
+    assert target == "/v1/completions"
+    assert "Proxy-Authorization" not in headers
+
+
+@pytest.mark.parametrize("url", ["127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1"])
+def test_http_backend_rejects_urls_it_cannot_post_to(url):
+    with pytest.raises(ValueError, match="backend url"):
+        HttpBackend(url)

@@ -161,8 +161,8 @@ def test_map_goals_propagates_programming_errors():
 
 def test_predict_greedy_reproduces_the_ground_truth(small_world):
     backend = ScriptedBackend(small_world)
-    dialog = small_world.dialogs[4]
-    assert predict_greedy(backend, dialog, SamplingConfig(k=2, seed=0)) == dialog
+    dialogs = list(small_world.dialogs[4:7])
+    assert predict_greedy(backend, dialogs, SamplingConfig(k=2, seed=0)) == dialogs
 
 
 def test_write_jsonl_format(tmp_path):
