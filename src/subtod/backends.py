@@ -38,12 +38,19 @@ from .model import (
     BeliefState,
     Dialog,
     SubgoalKind,
+    SystemTurn,
     UserGoal,
-    contexts_of,
     normalize_value,
     placeholder,
 )
-from .verbalize import TOKEN_STATE, serialize_state_prompt, state_text, turn_text
+from .verbalize import (
+    TOKEN_STATE,
+    dialog_state_prompts,
+    state_text,
+    turn_text,
+    verbalize_acts,
+    verbalized_turn_text,
+)
 
 DEFAULT_MAX_TOKENS = 256
 
@@ -158,7 +165,12 @@ def _strip_placeholder(response: str, token: str) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic stand-in for a dialog LM, driven by a corpus world."""
+    """Deterministic stand-in for a dialog LM, driven by a corpus world.
+
+    A site is one state prompt (a dialog context). Contexts that several
+    dialogs share are answered from the first such dialog, so their gold
+    system turns must agree; construction raises ``ValueError`` otherwise.
+    """
 
     def __init__(self, world: Corpus, noise: ErrorInjectionConfig | None = None, seed: int = 0):
         self.world = world
@@ -166,8 +178,17 @@ class ScriptedBackend:
         self.seed = seed
         self._sites: dict[str, tuple[Dialog, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
-            for t, context in enumerate(contexts_of(dialog)):
-                self._sites.setdefault(serialize_state_prompt(context).text, (dialog, t))
+            for t, prompt in enumerate(dialog_state_prompts(dialog)):
+                first, first_t = self._sites.setdefault(prompt, (dialog, t))
+                if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
+                    raise ValueError(
+                        f"dialogs {first.id!r} (turn {first_t}) and {dialog.id!r} (turn {t}) "
+                        "share a context but not its gold system turn"
+                    )
+        # Per-site values, filled on first use: the injection per (site,
+        # stage, n) and the verbalized gold acts per site.
+        self._injections: dict[tuple[str, SubgoalKind, int], Injection | None] = {}
+        self._gold_acts: dict[str, str] = {}
         self._value_pool: dict[tuple[str, str], list[str]] = {}
         for domain, entities in world.database.tables.items():
             for entity in entities:
@@ -199,42 +220,48 @@ class ScriptedBackend:
         if site is None:
             raise BackendError("prompt does not match any known dialog context", prompt=prompt)
         dialog, turn = site
+        system = dialog.turns[turn].system
+        if stage is SubgoalKind.STATE:
+            if greedy:
+                return [state_text(system.state)] * n
+            injection = self._injection(state_key, dialog, turn, stage, n)
+            return [self._sampled_state(dialog, system, i, injection) for i in range(1, n + 1)]
+        acts = self._gold_acts.get(state_key)
+        if acts is None:
+            acts = self._gold_acts[state_key] = verbalize_acts(system.acts)
         if greedy:
-            return [self._greedy(dialog, turn, stage)] * n
-        injection = self._site_injection(dialog, turn, stage, n)
-        return [self._sampled(dialog, turn, stage, i, injection) for i in range(1, n + 1)]
+            return [verbalized_turn_text(acts, system.response)] * n
+        injection = self._injection(state_key, dialog, turn, stage, n)
+        return [self._sampled_turn(dialog, turn, acts, i, injection) for i in range(1, n + 1)]
 
-    def _greedy(self, dialog: Dialog, turn: int, stage: SubgoalKind) -> str:
-        system = dialog.turns[turn].system
-        if stage is SubgoalKind.STATE:
-            return state_text(system.state)
-        return turn_text(system.acts, system.response)
-
-    def _sampled(
-        self,
-        dialog: Dialog,
-        turn: int,
-        stage: SubgoalKind,
-        i: int,
-        injection: Injection | None,
+    def _sampled_state(
+        self, dialog: Dialog, system: SystemTurn, i: int, injection: Injection | None
     ) -> str:
-        system = dialog.turns[turn].system
-        if stage is SubgoalKind.STATE:
-            if injection is not None and injection.sample == i:
-                state = self._apply_state_error(dialog, system.state, injection)
-            else:
-                state = self._neutral_state(system.state, i)
-            return state_text(state)
         if injection is not None and injection.sample == i:
-            acts, response = self._apply_response_error(dialog, turn, injection)
-        else:
-            acts, response = system.acts, _response_variant(system.response, i)
-        return turn_text(acts, response)
+            return state_text(self._apply_state_error(dialog, system.state, injection))
+        return state_text(self._neutral_state(system.state, i))
+
+    def _sampled_turn(
+        self, dialog: Dialog, turn: int, gold_acts: str, i: int, injection: Injection | None
+    ) -> str:
+        if injection is not None and injection.sample == i:
+            return turn_text(*self._apply_response_error(dialog, turn, injection))
+        response = _response_variant(dialog.turns[turn].system.response, i)
+        return verbalized_turn_text(gold_acts, response)
 
     # -- noise -----------------------------------------------------------
 
     def _goal_of(self, dialog: Dialog) -> UserGoal | None:
         return self.world.goals.get(dialog.goal_id) or self.world.dev_goals.get(dialog.goal_id)
+
+    def _injection(
+        self, state_key: str, dialog: Dialog, turn: int, stage: SubgoalKind, n: int
+    ) -> Injection | None:
+        """``_site_injection`` for the site of ``state_key``, decided once."""
+        key = (state_key, stage, n)
+        if key not in self._injections:
+            self._injections[key] = self._site_injection(dialog, turn, stage, n)
+        return self._injections[key]
 
     def _site_injection(
         self, dialog: Dialog, turn: int, stage: SubgoalKind, n: int

@@ -74,14 +74,18 @@ def _goal_names(db: Database, domain: str, entry: GoalEntry) -> frozenset[str]:
     return frozenset(e.get(name_slot, "") for e in query(db, domain, dict(entry.constraints)))
 
 
+def _offer_constraints(db: Database, domain: str, state: BeliefState) -> dict[str, str]:
+    """The informable part of belief ``state`` for ``domain``: what INFORM queries."""
+    informable = db.ontology.schema(domain).informable
+    return {s: v for s, v in state.get(domain, {}).items() if s in informable}
+
+
 def _inform(
-    db: Database, domain: str, state: BeliefState, goal_names: frozenset[str]
+    db: Database, domain: str, constraints: Mapping[str, str], goal_names: frozenset[str]
 ) -> tuple[bool, tuple[str, ...]]:
-    """INFORM at an offer turn with belief ``state``, and the names it offers."""
-    schema = db.ontology.schema(domain)
-    belief = state.get(domain, {})
-    constraints = {s: v for s, v in belief.items() if s in schema.informable}
-    offered = tuple(e.get(schema.name_slot, "") for e in query(db, domain, constraints))
+    """INFORM at an offer turn whose belief has ``constraints``, and the names it offers."""
+    name_slot = db.ontology.schema(domain).name_slot
+    offered = tuple(e.get(name_slot, "") for e in query(db, domain, constraints))
     return any(name in goal_names for name in offered), offered
 
 
@@ -105,9 +109,8 @@ def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) ->
         if offer_turn is None:
             inform = not entry.constraints
         else:
-            inform, offered = _inform(
-                db, domain, dialog.turns[offer_turn].system.state, _goal_names(db, domain, entry)
-            )
+            constraints = _offer_constraints(db, domain, dialog.turns[offer_turn].system.state)
+            inform, offered = _inform(db, domain, constraints, _goal_names(db, domain, entry))
 
     success = inform and all(
         any(placeholder(domain, slot) in turn.system.response for turn in dialog.turns)
@@ -150,20 +153,27 @@ class SpliceEvaluator:
     domain's last offer turn, acts never, and responses only for the
     placeholders they carry, so a splice re-runs INFORM only for a domain
     whose offer-turn belief it changes. Goal-entity names are queried once
-    per evaluator.
+    per evaluator, and INFORM once per domain and informable constraints.
+    ``splices(dialog).unspliced_success`` is ``dialog_success(dialog, goal, db)``.
     """
 
     def __init__(self, goal: UserGoal, db: Database):
         self.goal = goal
         self.db = db
         self._goal_names: dict[str, frozenset[str]] = {}
+        self._informs: dict[tuple[str, frozenset[tuple[str, str]]], bool] = {}
 
     def inform(self, domain: str, state: BeliefState) -> bool:
-        names = self._goal_names.get(domain)
-        if names is None:
-            names = _goal_names(self.db, domain, self.goal.domains[domain])
-            self._goal_names[domain] = names
-        return _inform(self.db, domain, state, names)[0]
+        constraints = _offer_constraints(self.db, domain, state)
+        key = (domain, frozenset(constraints.items()))
+        inform = self._informs.get(key)
+        if inform is None:
+            names = self._goal_names.get(domain)
+            if names is None:
+                names = _goal_names(self.db, domain, self.goal.domains[domain])
+                self._goal_names[domain] = names
+            inform = self._informs[key] = _inform(self.db, domain, constraints, names)[0]
+        return inform
 
     def splices(self, dialog: Dialog) -> DialogSplices:
         return DialogSplices(self, dialog)
@@ -204,7 +214,7 @@ class DialogSplices:
                 _DomainSplices(domain, name_ph, offers, requests, no_offer_inform, inform, covered)
             )
         self._domains = tuple(domains)
-        self._success = all(d.inform and d.covered for d in self._domains)
+        self.unspliced_success = all(d.inform and d.covered for d in self._domains)
         # The only turns whose belief state any domain reads.
         self._state_turns = frozenset(d.offers[-1] for d in self._domains if d.offers)
 
@@ -214,7 +224,7 @@ class DialogSplices:
             raise IndexError(f"turn {t} out of range for dialog {self._dialog.id!r}")
         if kind is SubgoalKind.STATE:
             if t not in self._state_turns:
-                return self._success
+                return self.unspliced_success
             return all(self._state_spliced(d, t, fragment.state) for d in self._domains)
         return all(self._response_spliced(d, t, fragment.response) for d in self._domains)
 

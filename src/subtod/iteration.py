@@ -24,7 +24,16 @@ from .backends import GeneratorBackend, stable_seed
 from .corpus import Corpus
 from .errors import BackendError, IncompleteSamples
 from .evaluate import evaluate_corpus
-from .model import Database, Dialog, SubgoalKind, SystemTurn, Turn, UserGoal, contexts_of
+from .model import (
+    Database,
+    Dialog,
+    Ontology,
+    SubgoalKind,
+    SystemTurn,
+    Turn,
+    UserGoal,
+    contexts_of,
+)
 # sample_turn, parse_state and parse_act_response are unused here;
 # bench/tracer.py patches them by name.
 from .sampling import SamplingConfig, sample_turn, sample_turns  # noqa: F401
@@ -153,17 +162,26 @@ def should_stop(history: LoopHistory | Sequence) -> bool:
 
 
 def predict_greedy(
-    backend: GeneratorBackend, sources: Sequence[Dialog], cfg: SamplingConfig
+    backend: GeneratorBackend,
+    sources: Sequence[Dialog],
+    cfg: SamplingConfig,
+    ontology: Ontology | None = None,
 ) -> list[Dialog]:
     """Greedy two-stage rollout over every source dialog's contexts.
 
     Contexts are ground-truth prefixes, so the state requests of all dialogs
     form one wave and the act/response requests, built from the parsed
-    states, a second.
+    states, a second. Replies are parsed with ``ontology``'s vocabulary.
     """
     contexts = [contexts_of(source) for source in sources]
     turn_sets = iter(
-        sample_turns(backend, [c for cs in contexts for c in cs], cfg, greedy_only=True)
+        sample_turns(
+            backend,
+            [c for cs in contexts for c in cs],
+            cfg,
+            greedy_only=True,
+            ontology=ontology,
+        )
     )
     predicted = []
     for source, source_contexts in zip(sources, contexts):
@@ -198,7 +216,7 @@ def build_group(
     db: Database,
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
-    turn_sets = sample_turns(backend, contexts_of(source), sampling)
+    turn_sets = sample_turns(backend, contexts_of(source), sampling, ontology=db.ontology)
     group = CandidateGroup(
         goal_id=source.goal_id,
         goal=goal,
@@ -283,7 +301,7 @@ def run_iteration(
 
     dev_eval = None
     if corpus.dev_dialogs:
-        predicted = predict_greedy(backend, corpus.dev_dialogs, sampling)
+        predicted = predict_greedy(backend, corpus.dev_dialogs, sampling, corpus.ontology)
         dev_eval = evaluate_corpus(
             predicted, corpus.dev_goals, corpus.database, corpus.dev_references()
         ).to_dict()

@@ -30,7 +30,12 @@ class SubgoalKind(Enum):
     ACT_RESPONSE = "act_response"
 
 
-@lru_cache(maxsize=None)
+# Distinct values whose normalized form is kept; values come from generated
+# text, so an unbounded memo would grow with a long run.
+NORMALIZE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=NORMALIZE_MEMO_SIZE)
 def normalize_value(value: str) -> str:
     """Lowercase and collapse whitespace; the equality used for value matching."""
     return " ".join(value.lower().split())

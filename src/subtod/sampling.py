@@ -17,11 +17,13 @@ from typing import Sequence
 
 from .backends import GeneratorBackend, stable_seed
 from .errors import BackendError, IncompleteSamples
-from .model import BeliefState, DialogAct, DialogContext
+from .model import BeliefState, DialogAct, DialogContext, Ontology
 from .verbalize import (
+    DEFAULT_ACT_VERBS,
+    DEFAULT_DOMAINS,
+    act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_act_prompt,
     serialize_state_prompt,
 )
 
@@ -53,7 +55,11 @@ class TurnCompletion:
 
 @dataclass
 class SampledTurnSet:
-    """Deduplicated generations for one turn, greedy variant first when present."""
+    """Deduplicated generations for one turn, greedy variant first when present.
+
+    ``states`` holds distinct states, and ``completions[i]`` distinct
+    completions for state ``i``, so distinct indices mean distinct fragments.
+    """
 
     states: list[BeliefState]
     completions: dict[int, list[TurnCompletion]]
@@ -109,6 +115,7 @@ def sample_turns(
     cfg: SamplingConfig,
     *,
     greedy_only: bool = False,
+    ontology: Ontology | None = None,
 ) -> list[SampledTurnSet]:
     """Sample every context in two request waves: all states, then every distinct state's acts.
 
@@ -118,8 +125,13 @@ def sample_turns(
     contexts one by one, and so is the error raised when requests fail: the
     first in context order, a context's state requests before its
     act/response requests. A failed state request therefore still lets the
-    act/response requests of the contexts before it run.
+    act/response requests of the contexts before it run. Replies are parsed
+    with ``ontology``'s domains and act verbs, or the MultiWOZ defaults.
     """
+    if ontology is None:
+        domains, verbs = DEFAULT_DOMAINS, DEFAULT_ACT_VERBS
+    else:
+        domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
     # The ``greedy`` flag of each request per prompt, greedy first.
     if greedy_only:
         draws: tuple[bool, ...] = (True,)
@@ -134,7 +146,7 @@ def sample_turns(
             for greedy in draws
         ],
     )
-    sampled: list[tuple[DialogContext, list[BeliefState], list[str]]] = []
+    sampled: list[tuple[str, list[BeliefState], list[str]]] = []
     for at, context in enumerate(contexts):
         replies = state_replies[at * len(draws) : (at + 1) * len(draws)]
         if len(replies) < len(draws):
@@ -142,7 +154,7 @@ def sample_turns(
         diagnostics: list[str] = []
         states: list[BeliefState] = []
         for pos, raw in enumerate(raw for reply in replies for raw in reply):
-            parsed = parse_state(raw)
+            parsed = parse_state(raw, domains=domains)
             for note in parsed.diagnostics:
                 diagnostics.append(f"state sample {pos}: {note}")
             if parsed.state not in states:
@@ -152,11 +164,11 @@ def sample_turns(
                 f"no usable states for goal {context.goal_id} turn {context.turn_index}"
             )
             break
-        sampled.append((context, states, diagnostics))
+        sampled.append((state_prompts[at], states, diagnostics))
 
     turn_prompts = [
-        serialize_act_prompt(context, state).text
-        for context, states, _ in sampled
+        act_prompt_text(state_prompt, state)
+        for state_prompt, states, _ in sampled
         for state in states
     ]
     turn_replies, turn_error = generate_wave(
@@ -179,7 +191,7 @@ def sample_turns(
             spots: list[TurnCompletion] = []
             raw_turns = [raw for _ in draws for raw in next(replies)]
             for pos, raw in enumerate(raw_turns):
-                parsed = parse_act_response(raw)
+                parsed = parse_act_response(raw, domains=domains, verbs=verbs)
                 for note in parsed.diagnostics:
                     diagnostics.append(f"turn sample {pos} (state {idx}): {note}")
                 completion = TurnCompletion(acts=parsed.acts, response=parsed.response)

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IncompleteSamples
-from .evaluate import SpliceEvaluator, dialog_success
+from .evaluate import (
+    SpliceEvaluator,
+    dialog_success,  # noqa: F401  unused here; bench/tracer.py patches it by name
+)
 from .model import (
     Database,
     Dialog,
@@ -91,34 +94,42 @@ def assemble_candidates(
         )
     choices = [(0, 0)] + [((j - 1) // k, (j - 1) % k) for j in range(1, k * k + 1)]
     dialogs: list[Dialog] = []
+    # Per-turn (state, completion) indices of each kept dialog; distinct
+    # indices are distinct fragments (see ``SampledTurnSet``), so equal
+    # index tuples are exactly equal dialogs.
+    picked: set[tuple[tuple[int, int], ...]] = set()
     for number, (a, b) in enumerate(choices):
-        turns = []
-        for t, turn_set in enumerate(samples):
+        indices = []
+        for turn_set in samples:
             base = 1 if turn_set.has_greedy else 0
             state_idx = 0 if number == 0 else min(base + a, len(turn_set.states) - 1)
-            state = turn_set.states[state_idx]
             spots = turn_set.completions[state_idx]
             cont_idx = 0 if number == 0 else min(base + b, len(spots) - 1)
-            completion = spots[cont_idx]
-            turns.append(
-                Turn(
-                    user=source.turns[t].user,
-                    system=SystemTurn(
-                        state=state, acts=completion.acts, response=completion.response
-                    ),
-                )
+            indices.append((state_idx, cont_idx))
+        key = tuple(indices)
+        if key in picked:
+            continue
+        picked.add(key)
+        turns = []
+        for t, (turn_set, (state_idx, cont_idx)) in enumerate(zip(samples, key)):
+            completion = turn_set.completions[state_idx][cont_idx]
+            system = SystemTurn(
+                state=turn_set.states[state_idx],
+                acts=completion.acts,
+                response=completion.response,
             )
+            turns.append(Turn(user=source.turns[t].user, system=system))
         suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
-        candidate = Dialog(
-            id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=tuple(turns)
+        dialogs.append(
+            Dialog(id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=tuple(turns))
         )
-        if all(candidate.turns != d.turns for d in dialogs):
-            dialogs.append(candidate)
     return dialogs
 
 
 def label_success(group: CandidateGroup, db: Database) -> CandidateGroup:
-    labels = tuple(dialog_success(d, group.goal, db) for d in group.candidates)
+    """Label every candidate with ``dialog_success``, through one ``SpliceEvaluator``."""
+    evaluator = SpliceEvaluator(group.goal, db)
+    labels = tuple(evaluator.splices(d).unspliced_success for d in group.candidates)
     return dataclasses.replace(group, labels=labels)
 
 

@@ -21,9 +21,10 @@ states (lowercase slots, clean values); the reverse composition canonicalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
-from .model import BeliefState, DialogAct, DialogContext, SubgoalKind
+from .model import BeliefState, Dialog, DialogAct, DialogContext, SubgoalKind
 
 TOKEN_CONTEXT = "[C]"
 TOKEN_USER = "[U]"
@@ -32,6 +33,11 @@ TOKEN_STATE = "[B]"
 TOKEN_ACTS = "[A]"
 
 BOOKING_PREFIX = "booking"
+
+# Distinct generated texts (with their vocabulary) whose parse is kept. The
+# parsers are pure and their results are never mutated (see ``model``), so
+# one parse serves every goal and ``--workers`` thread that meets the text.
+PARSE_MEMO_SIZE = 4096
 
 DEFAULT_DOMAINS = frozenset(
     {"attraction", "hospital", "hotel", "police", "restaurant", "taxi", "train"}
@@ -86,12 +92,29 @@ def serialize_state_prompt(context: DialogContext) -> Prompt:
     return Prompt(text=" ".join(p for p in parts if p), stage=SubgoalKind.STATE)
 
 
+def dialog_state_prompts(dialog: Dialog) -> list[str]:
+    """``serialize_state_prompt(c).text`` for each context ``c`` of ``dialog``, in one pass."""
+    prompts = []
+    history = TOKEN_CONTEXT
+    for turn in dialog.turns:
+        user = " ".join(p for p in (TOKEN_USER, _clean(turn.user)) if p)
+        prompts.append(f"{history} {user}")
+        response = _clean(turn.system.response)
+        history = " ".join(p for p in (history, user, TOKEN_RESPONSE, response) if p)
+    return prompts
+
+
 def serialize_act_prompt(context: DialogContext, state: BeliefState) -> Prompt:
     """State prompt extended with a trailing ``[B]`` segment."""
-    base = serialize_state_prompt(context).text
-    verbalized = verbalize_state(state)
-    text = f"{base} {TOKEN_STATE} {verbalized}" if verbalized else f"{base} {TOKEN_STATE}"
+    text = act_prompt_text(serialize_state_prompt(context).text, state)
     return Prompt(text=text, stage=SubgoalKind.ACT_RESPONSE)
+
+
+def act_prompt_text(state_prompt: str, state: BeliefState) -> str:
+    """The act/response prompt text from its context's state prompt text."""
+    verbalized = verbalize_state(state)
+    text = f"{state_prompt} {TOKEN_STATE}"
+    return f"{text} {verbalized}" if verbalized else text
 
 
 def verbalize_state(state: BeliefState) -> str:
@@ -106,11 +129,13 @@ def verbalize_state(state: BeliefState) -> str:
     return " ".join(parts)
 
 
-def parse_state(text: str, *, domains: Collection[str] = DEFAULT_DOMAINS) -> ParsedState:
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def parse_state(text: str, *, domains: frozenset[str] = DEFAULT_DOMAINS) -> ParsedState:
     """Parse a verbalized state; skips malformed clauses with diagnostics.
 
     An empty string parses to an empty state. A leading ``[B]`` token is
-    tolerated so raw generations can be fed in directly.
+    tolerated so raw generations can be fed in directly. Results are memoized
+    (``domains`` must be hashable) and shared, so treat them as read-only.
     """
     text = text.strip()
     if text.startswith(TOKEN_STATE):
@@ -152,7 +177,12 @@ def state_text(state: BeliefState) -> str:
 
 def turn_text(acts: Sequence[DialogAct], response: str) -> str:
     """Full generation text for the turn stage: ``[A] <acts> [R] <response>``."""
-    return " ".join(p for p in (TOKEN_ACTS, verbalize_acts(acts), TOKEN_RESPONSE, response) if p)
+    return verbalized_turn_text(verbalize_acts(acts), response)
+
+
+def verbalized_turn_text(acts: str, response: str) -> str:
+    """``turn_text`` for acts already verbalized by ``verbalize_acts``."""
+    return " ".join(p for p in (TOKEN_ACTS, acts, TOKEN_RESPONSE, response) if p)
 
 
 def verbalize_acts(acts: Sequence[DialogAct]) -> str:
@@ -173,16 +203,18 @@ def verbalize_acts(acts: Sequence[DialogAct]) -> str:
     return " ".join(parts)
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_act_response(
     text: str,
     *,
-    domains: Collection[str] = DEFAULT_DOMAINS,
-    verbs: Collection[str] = DEFAULT_ACT_VERBS,
+    domains: frozenset[str] = DEFAULT_DOMAINS,
+    verbs: frozenset[str] = DEFAULT_ACT_VERBS,
 ) -> ParsedActResponse:
     """Split ``[A] <acts> [R] <response>`` and parse the act clauses.
 
     Missing tokens degrade instead of failing: without ``[R]`` the whole text
-    becomes the response and no acts are returned.
+    becomes the response and no acts are returned. Memoized like
+    ``parse_state``.
     """
     text = text.strip()
     diagnostics: list[str] = []

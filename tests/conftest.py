@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from subtod.corpus import corpus_from_dict, corpus_to_dict
 from subtod.model import (
     Database,
     Dialog,
@@ -169,6 +170,18 @@ def mixed_group(db3):
 @pytest.fixture(scope="session")
 def small_world():
     return build_world(12, seed=7, dev_goals=3)
+
+
+@pytest.fixture(scope="session")
+def lodge_world(small_world):
+    """``small_world`` with a domain and an act verb that the parsers' defaults lack.
+
+    Every ``hotel`` becomes ``lodge`` and every ``recommend`` ``suggest``:
+    ontology, database, goals, states, acts, placeholders and texts alike.
+    """
+    text = json.dumps(corpus_to_dict(small_world))
+    renamed = text.replace("hotel", "lodge").replace("recommend", "suggest")
+    return corpus_from_dict(json.loads(renamed))
 
 
 class _StubHandler(BaseHTTPRequestHandler):

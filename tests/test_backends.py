@@ -1,6 +1,7 @@
 """Scripted backend behavior, error injection, and the HTTP client."""
 
 import base64
+import dataclasses
 import json
 import socket
 import sys
@@ -17,6 +18,8 @@ from subtod.backends import (
     ScriptedBackend,
     stable_seed,
 )
+from subtod.cli import main
+from subtod.corpus import save_corpus
 from subtod.errors import BackendError
 from subtod.iteration import build_group, map_goals
 from subtod.model import SubgoalKind, contexts_of, normalize_value, placeholder
@@ -156,6 +159,32 @@ def test_scripted_rejects_prompts_outside_its_world(small_world):
     backend = ScriptedBackend(small_world)
     with pytest.raises(BackendError, match="known dialog context"):
         backend.generate("[C] [U] a prompt from nowhere", 1, greedy=True)
+
+
+def test_scripted_refuses_conflicting_gold_for_a_shared_context(small_world, tmp_path, capsys):
+    dialog = small_world.dialogs[0]
+    goal = small_world.goals[dialog.goal_id]
+    twin = dataclasses.replace(dialog, id="twin", goal_id="twin")
+    world = dataclasses.replace(
+        small_world, dialogs=(dialog, twin), goals={dialog.goal_id: goal, "twin": goal}
+    )
+    twin_greedy = ScriptedBackend(world).generate(_act_prompt(twin, 1), 1, greedy=True)
+    gold = ScriptedBackend(small_world).generate(_act_prompt(dialog, 1), 1, greedy=True)
+    assert twin_greedy == gold
+
+    # Turn 1's context (turn 0 and the user's turn 1) is shared; its gold is not.
+    turn = twin.turns[1]
+    changed = dataclasses.replace(
+        turn, system=dataclasses.replace(turn.system, response="a different answer.")
+    )
+    clash = dataclasses.replace(twin, turns=(twin.turns[0], changed, *twin.turns[2:]))
+    world = dataclasses.replace(world, dialogs=(dialog, clash))
+    with pytest.raises(ValueError, match=r"'twin' \(turn 1\) share a context"):
+        ScriptedBackend(world)
+    path = tmp_path / "corpus.json"
+    save_corpus(world, path)
+    assert main(["iterate", "--corpus", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "share a context but not its gold system turn" in capsys.readouterr().err
 
 
 def test_planted_wrong_value_hits_one_sample(small_world):

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: flows, output files, exit codes."""
 
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subtod
 from subtod.backends import ErrorInjectionConfig, ScriptedBackend
 from subtod.cli import main
 from subtod.corpus import dialog_to_dict, load_corpus, save_corpus
@@ -220,6 +225,37 @@ def test_iterate_over_http_matches_scripted(corpus10, tmp_path, capsys,
         capsys.readouterr()
         for name in (data_name, "report.json"):
             assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes(), flags
+
+
+def test_warm_memos_do_not_leak_between_runs(small_world, lodge_world, tmp_path, capsys):
+    """A run after another corpus's run writes what a run in a fresh process writes.
+
+    The two corpora differ in vocabulary but share every context without a
+    hotel, and the first run uses another seed, so its noise differs.
+    """
+    first, corpus = tmp_path / "first.json", tmp_path / "lodge.json"
+    save_corpus(small_world, first)
+    save_corpus(lodge_world, corpus)
+    common = ["--goal-fraction", "1.0", "--k", "3", "--noise-rate", "0.5"]
+    first_run = ["iterate", "--corpus", str(first), "--out", str(tmp_path / "first"), "--seed", "6"]
+    assert main([*first_run, *common]) == 0
+    common += ["--seed", "5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(subtod.__file__).resolve().parents[1])}
+    for data_name, flags in (
+        ("sft.jsonl", ["--mode", "sft"]),
+        ("dpo.jsonl", ["--mode", "dpo", "--pair-policy", "all"]),
+    ):
+        argv = ["iterate", "--corpus", str(corpus), *common, *flags]
+        warm, fresh = tmp_path / f"warm-{data_name}", tmp_path / f"fresh-{data_name}"
+        assert main([*argv, "--out", str(warm)]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "subtod.cli", *argv, "--out", str(fresh)],
+            check=True, env=env, capture_output=True,
+        )
+        assert (warm / data_name).stat().st_size > 0
+        for name in (data_name, "report.json"):
+            assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_http_backend_requires_a_url(corpus10, tmp_path, capsys, monkeypatch):

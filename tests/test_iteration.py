@@ -1,6 +1,7 @@
 """Iteration driver: subsampling, stopping, worker parity, report round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from subtod.iteration import (
     IterationReport,
     LoopHistory,
     TrainMode,
+    build_group,
     map_goals,
     predict_greedy,
     run_iteration,
@@ -17,8 +19,10 @@ from subtod.iteration import (
     subsample_goals,
     write_jsonl,
 )
-from subtod.sampling import SamplingConfig
+from subtod.model import contexts_of
+from subtod.sampling import SamplingConfig, sample_turns
 from subtod.subgoals import PairPolicy
+from subtod.verbalize import parse_act_response, parse_state
 
 
 def test_iteration_config_validates_its_knobs(tmp_path):
@@ -117,8 +121,14 @@ def test_run_iteration_with_noise_emits_preference_data(small_world, tmp_path):
 
 
 def test_run_iteration_bytes_match_across_worker_counts(small_world, tmp_path):
+    # The threaded run goes first, on cold memos and with a fast thread
+    # switch, so that its threads race to fill the parse memos and the
+    # backend's per-site caches that they share.
+    parse_state.cache_clear()
+    parse_act_response.cache_clear()
+    switch = sys.getswitchinterval()
     outputs = {}
-    for workers in (1, 3):
+    for workers in (4, 1):
         out = tmp_path / f"w{workers}"
         cfg = IterationConfig(
             k=2,
@@ -130,12 +140,16 @@ def test_run_iteration_bytes_match_across_worker_counts(small_world, tmp_path):
             pair_policy=PairPolicy.ALL,
         )
         backend = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.6), seed=13)
-        run_iteration(small_world, cfg, backend)
+        sys.setswitchinterval(1e-6 if workers > 1 else switch)
+        try:
+            run_iteration(small_world, cfg, backend)
+        finally:
+            sys.setswitchinterval(switch)
         outputs[workers] = (
             (out / "dpo.jsonl").read_bytes(),
             (out / "report.json").read_bytes(),
         )
-    assert outputs[1] == outputs[3]
+    assert outputs[1] == outputs[4]
 
 
 def test_map_goals_skips_failures_and_keeps_going():
@@ -163,6 +177,24 @@ def test_predict_greedy_reproduces_the_ground_truth(small_world):
     backend = ScriptedBackend(small_world)
     dialogs = list(small_world.dialogs[4:7])
     assert predict_greedy(backend, dialogs, SamplingConfig(k=2, seed=0)) == dialogs
+
+
+def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
+    backend = ScriptedBackend(lodge_world)
+    cfg = SamplingConfig(k=2, seed=0)
+    dialog = next(
+        d for d in lodge_world.dialogs if "lodge" in lodge_world.goals[d.goal_id].domains
+    )
+    acts = {(act.domain, act.act) for turn in dialog.turns for act in turn.system.acts}
+    assert ("lodge", "suggest") in acts
+    group = build_group(
+        dialog, lodge_world.goals[dialog.goal_id], backend, cfg, 2, lodge_world.database
+    )
+    assert group.candidates[0].turns == dialog.turns
+    assert predict_greedy(backend, [dialog], cfg, lodge_world.ontology) == [dialog]
+    # The parsers' default vocabulary would drop the lodge clauses.
+    defaults = sample_turns(backend, contexts_of(dialog), cfg, greedy_only=True)
+    assert [s.states[0] for s in defaults] != [turn.system.state for turn in dialog.turns]
 
 
 def test_write_jsonl_format(tmp_path):

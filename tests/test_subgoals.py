@@ -572,3 +572,68 @@ def test_detection_equals_naive_splice_loop(group):
         (s.dialog_id, s.turn, s.kind.value, loser) for s in samples for loser in s.negative_ids
     ]
     assert found == _naive_detect(group, SPLICE_DB)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(group=candidate_groups())
+def test_labels_equal_dialog_success(group):
+    assert group.labels == tuple(
+        dialog_success(d, group.goal, SPLICE_DB) for d in group.candidates
+    )
+
+
+def _naive_assemble(source, samples, k):
+    """``assemble_candidates`` that drops a candidate equal, turn by turn, to a kept one."""
+    choices = [(0, 0)] + [((j - 1) // k, (j - 1) % k) for j in range(1, k * k + 1)]
+    dialogs = []
+    for number, (a, b) in enumerate(choices):
+        turns = []
+        for t, turn_set in enumerate(samples):
+            base = 1 if turn_set.has_greedy else 0
+            state_idx = 0 if number == 0 else min(base + a, len(turn_set.states) - 1)
+            spots = turn_set.completions[state_idx]
+            completion = spots[0 if number == 0 else min(base + b, len(spots) - 1)]
+            system = SystemTurn(
+                state=turn_set.states[state_idx],
+                acts=completion.acts,
+                response=completion.response,
+            )
+            turns.append(Turn(user=source.turns[t].user, system=system))
+        suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
+        candidate = Dialog(
+            id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=tuple(turns)
+        )
+        if all(candidate.turns != d.turns for d in dialogs):
+            dialogs.append(candidate)
+    return dialogs
+
+
+@st.composite
+def turn_sets(draw):
+    """Turn sets with distinct states, and distinct completions per state."""
+    areas = draw(st.lists(st.sampled_from(("north", "south", "east")), min_size=1, unique=True))
+    completions = {}
+    for idx in range(len(areas)):
+        pairs = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(((), (DialogAct("hotel", "inform", "area"),))),
+                    st.sampled_from(("ok.", "in the [hotel_area].", "anything else?")),
+                ),
+                min_size=1,
+                unique=True,
+            )
+        )
+        completions[idx] = [TurnCompletion(acts=acts, response=text) for acts, text in pairs]
+    return SampledTurnSet(
+        states=[{"hotel": {"area": area}} for area in areas],
+        completions=completions,
+        has_greedy=draw(st.booleans()),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(samples=st.lists(turn_sets(), min_size=1, max_size=4), k=st.integers(1, 3))
+def test_assembly_equals_naive_equality_dedup(samples, k):
+    source = _dialog("src", [_sys({}, "") for _ in samples])
+    assert assemble_candidates(source, samples, k) == _naive_assemble(source, samples, k)

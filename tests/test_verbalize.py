@@ -2,10 +2,22 @@
 
 import random
 
-from subtod.model import DialogAct, DialogContext, SubgoalKind, SystemTurn, Turn
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subtod.model import (
+    Dialog,
+    DialogAct,
+    DialogContext,
+    SubgoalKind,
+    SystemTurn,
+    Turn,
+    contexts_of,
+)
 from subtod.verbalize import (
     DEFAULT_ACT_VERBS,
     DEFAULT_DOMAINS,
+    dialog_state_prompts,
     parse_act_response,
     parse_state,
     serialize_act_prompt,
@@ -89,6 +101,23 @@ def test_state_prompt_token_split_recovers_the_context():
         user, _, response = chunk.partition(" [R] ")
         assert user == f"user turn {i} please"
         assert response == f"system reply {i}."
+
+
+def test_dialog_state_prompts_equal_each_contexts_state_prompt(small_world):
+    texts = ("Hi  there", "", "   ", "[hotel_name] is NICE.")
+    blank = Dialog(
+        id="d-blank",
+        goal_id="g-blank",
+        turns=tuple(
+            Turn(user=user, system=SystemTurn(state={}, acts=(), response=response))
+            for user in texts
+            for response in texts
+        ),
+    )
+    for dialog in (*small_world.dialogs, blank):
+        assert dialog_state_prompts(dialog) == [
+            serialize_state_prompt(context).text for context in contexts_of(dialog)
+        ]
 
 
 def test_act_prompt_with_empty_state_ends_with_the_state_token():
@@ -283,3 +312,45 @@ def test_random_acts_round_trip():
         parsed = parse_act_response(turn_text(acts, response))
         assert parsed.acts == acts
         assert parsed.response == response
+
+
+def test_parse_memo_is_keyed_by_the_vocabulary():
+    acts_text = "[A] lodge suggest NAME; [R] ok."
+    lodge = {"domains": frozenset({"lodge"}), "verbs": frozenset({"suggest"})}
+    for _ in range(2):
+        assert parse_act_response(acts_text).acts == ()
+        suggest = DialogAct("lodge", "suggest", "name")
+        assert parse_act_response(acts_text, **lodge).acts == (suggest,)
+        assert parse_state("lodge area: north;").state == {}
+        assert parse_state("lodge area: north;", domains=lodge["domains"]).state == {
+            "lodge": {"area": "north"}
+        }
+
+
+_PIECES = (
+    "[A]", "[B]", "[R]", ";", ":", "booking", "hotel", "lodge", "taxi", "inform",
+    "suggest", "bye", "AREA", "area", "north", "08:45", "ok.",
+)
+_WORDS = ("hotel", "lodge", "taxi", "inform", "suggest", "bye")
+_VOCABULARY = st.frozensets(st.sampled_from(_WORDS))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(max_size=30),
+        st.lists(st.sampled_from(_PIECES), max_size=14).map(" ".join),
+        st.lists(st.sampled_from(_PIECES), max_size=14).map("".join),
+    ),
+    domains=_VOCABULARY,
+    verbs=_VOCABULARY,
+)
+def test_memoized_parsers_equal_their_originals(text, domains, verbs):
+    # The first round may miss the memo, the second hits it.
+    for _ in range(2):
+        assert parse_state(text) == parse_state.__wrapped__(text)
+        assert parse_state(text, domains=domains) == parse_state.__wrapped__(text, domains=domains)
+        assert parse_act_response(text) == parse_act_response.__wrapped__(text)
+        assert parse_act_response(
+            text, domains=domains, verbs=verbs
+        ) == parse_act_response.__wrapped__(text, domains=domains, verbs=verbs)
