@@ -40,12 +40,13 @@ from .model import (
     SubgoalKind,
     SystemTurn,
     UserGoal,
+    contexts_of,
     normalize_value,
     placeholder,
 )
 from .verbalize import (
     TOKEN_STATE,
-    dialog_state_prompts,
+    serialize_state_prompt,
     state_text,
     turn_text,
     verbalize_acts,
@@ -178,7 +179,8 @@ class ScriptedBackend:
         self.seed = seed
         self._sites: dict[str, tuple[Dialog, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
-            for t, prompt in enumerate(dialog_state_prompts(dialog)):
+            for t, context in enumerate(contexts_of(dialog)):
+                prompt = serialize_state_prompt(context).text
                 first, first_t = self._sites.setdefault(prompt, (dialog, t))
                 if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
                     raise ValueError(

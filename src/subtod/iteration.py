@@ -165,7 +165,7 @@ def predict_greedy(
     backend: GeneratorBackend,
     sources: Sequence[Dialog],
     cfg: SamplingConfig,
-    ontology: Ontology | None = None,
+    ontology: Ontology,
 ) -> list[Dialog]:
     """Greedy two-stage rollout over every source dialog's contexts.
 
@@ -175,13 +175,7 @@ def predict_greedy(
     """
     contexts = [contexts_of(source) for source in sources]
     turn_sets = iter(
-        sample_turns(
-            backend,
-            [c for cs in contexts for c in cs],
-            cfg,
-            greedy_only=True,
-            ontology=ontology,
-        )
+        sample_turns(backend, [c for cs in contexts for c in cs], cfg, ontology, greedy_only=True)
     )
     predicted = []
     for source, source_contexts in zip(sources, contexts):
@@ -216,7 +210,7 @@ def build_group(
     db: Database,
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
-    turn_sets = sample_turns(backend, contexts_of(source), sampling, ontology=db.ontology)
+    turn_sets = sample_turns(backend, contexts_of(source), sampling, db.ontology)
     group = CandidateGroup(
         goal_id=source.goal_id,
         goal=goal,

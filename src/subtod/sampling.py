@@ -19,8 +19,6 @@ from .backends import GeneratorBackend, stable_seed
 from .errors import BackendError, IncompleteSamples
 from .model import BeliefState, DialogAct, DialogContext, Ontology
 from .verbalize import (
-    DEFAULT_ACT_VERBS,
-    DEFAULT_DOMAINS,
     act_prompt_text,
     parse_act_response,
     parse_state,
@@ -113,9 +111,9 @@ def sample_turns(
     backend: GeneratorBackend,
     contexts: Sequence[DialogContext],
     cfg: SamplingConfig,
+    ontology: Ontology,
     *,
     greedy_only: bool = False,
-    ontology: Ontology | None = None,
 ) -> list[SampledTurnSet]:
     """Sample every context in two request waves: all states, then every distinct state's acts.
 
@@ -126,12 +124,9 @@ def sample_turns(
     first in context order, a context's state requests before its
     act/response requests. A failed state request therefore still lets the
     act/response requests of the contexts before it run. Replies are parsed
-    with ``ontology``'s domains and act verbs, or the MultiWOZ defaults.
+    with ``ontology``'s domains and act verbs.
     """
-    if ontology is None:
-        domains, verbs = DEFAULT_DOMAINS, DEFAULT_ACT_VERBS
-    else:
-        domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
+    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
     # The ``greedy`` flag of each request per prompt, greedy first.
     if greedy_only:
         draws: tuple[bool, ...] = (True,)
@@ -210,7 +205,7 @@ def sample_turns(
 
 
 def sample_turn(
-    backend: GeneratorBackend, context: DialogContext, cfg: SamplingConfig
+    backend: GeneratorBackend, context: DialogContext, cfg: SamplingConfig, ontology: Ontology
 ) -> SampledTurnSet:
     """Sample one turn: ``sample_turns`` for a single context."""
-    return sample_turns(backend, [context], cfg)[0]
+    return sample_turns(backend, [context], cfg, ontology)[0]

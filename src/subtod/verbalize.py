@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from .model import BeliefState, Dialog, DialogAct, DialogContext, SubgoalKind
+from .model import BeliefState, DialogAct, DialogContext, SubgoalKind
 
 TOKEN_CONTEXT = "[C]"
 TOKEN_USER = "[U]"
@@ -92,18 +92,6 @@ def serialize_state_prompt(context: DialogContext) -> Prompt:
     return Prompt(text=" ".join(p for p in parts if p), stage=SubgoalKind.STATE)
 
 
-def dialog_state_prompts(dialog: Dialog) -> list[str]:
-    """``serialize_state_prompt(c).text`` for each context ``c`` of ``dialog``, in one pass."""
-    prompts = []
-    history = TOKEN_CONTEXT
-    for turn in dialog.turns:
-        user = " ".join(p for p in (TOKEN_USER, _clean(turn.user)) if p)
-        prompts.append(f"{history} {user}")
-        response = _clean(turn.system.response)
-        history = " ".join(p for p in (history, user, TOKEN_RESPONSE, response) if p)
-    return prompts
-
-
 def serialize_act_prompt(context: DialogContext, state: BeliefState) -> Prompt:
     """State prompt extended with a trailing ``[B]`` segment."""
     text = act_prompt_text(serialize_state_prompt(context).text, state)
@@ -129,14 +117,19 @@ def verbalize_state(state: BeliefState) -> str:
     return " ".join(parts)
 
 
-@lru_cache(maxsize=PARSE_MEMO_SIZE)
-def parse_state(text: str, *, domains: frozenset[str] = DEFAULT_DOMAINS) -> ParsedState:
+def parse_state(text: str, *, domains: Collection[str] = DEFAULT_DOMAINS) -> ParsedState:
     """Parse a verbalized state; skips malformed clauses with diagnostics.
 
     An empty string parses to an empty state. A leading ``[B]`` token is
-    tolerated so raw generations can be fed in directly. Results are memoized
-    (``domains`` must be hashable) and shared, so treat them as read-only.
+    tolerated so raw generations can be fed in directly. Parses are memoized
+    per text and vocabulary: every caller that parses the same text gets the
+    same ``ParsedState``, whose state must therefore not be mutated.
     """
+    return _parse_state(text, frozenset(domains))
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_state(text: str, domains: frozenset[str]) -> ParsedState:
     text = text.strip()
     if text.startswith(TOKEN_STATE):
         text = text[len(TOKEN_STATE) :].strip()
@@ -203,19 +196,25 @@ def verbalize_acts(acts: Sequence[DialogAct]) -> str:
     return " ".join(parts)
 
 
-@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_act_response(
     text: str,
     *,
-    domains: frozenset[str] = DEFAULT_DOMAINS,
-    verbs: frozenset[str] = DEFAULT_ACT_VERBS,
+    domains: Collection[str] = DEFAULT_DOMAINS,
+    verbs: Collection[str] = DEFAULT_ACT_VERBS,
 ) -> ParsedActResponse:
     """Split ``[A] <acts> [R] <response>`` and parse the act clauses.
 
     Missing tokens degrade instead of failing: without ``[R]`` the whole text
     becomes the response and no acts are returned. Memoized like
-    ``parse_state``.
+    ``parse_state``; the result is shared between callers.
     """
+    return _parse_act_response(text, frozenset(domains), frozenset(verbs))
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_act_response(
+    text: str, domains: frozenset[str], verbs: frozenset[str]
+) -> ParsedActResponse:
     text = text.strip()
     diagnostics: list[str] = []
     if TOKEN_RESPONSE not in text:

@@ -412,7 +412,7 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
     results = [None] * len(contexts)
 
     def run(i):
-        results[i] = sample_turn(remote, contexts[i], cfg)
+        results[i] = sample_turn(remote, contexts[i], cfg, small_world.ontology)
 
     # Two goal threads share the client, as under --workers 2.
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
@@ -422,7 +422,9 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
 
-    assert results == [sample_turn(scripted, context, cfg) for context in contexts]
+    assert results == [
+        sample_turn(scripted, context, cfg, small_world.ontology) for context in contexts
+    ]
     assert any(len(result.states) > 1 for result in results)
     # Sequential calls would peak at 2, one per thread; the waves fill max_in_flight.
     assert seen["peak"] == 3
@@ -564,7 +566,10 @@ def test_state_wave_failure_still_meets_an_earlier_turns_act_failure_first(
             return remote.generate(*args, **kwargs)
 
     def one_request_at_a_time(goal_id):
-        return [sample_turn(Sequential(), context, cfg) for context in contexts]
+        return [
+            sample_turn(Sequential(), context, cfg, small_world.ontology)
+            for context in contexts
+        ]
 
     def in_waves(goal_id):
         return build_group(dialog, goal, remote, cfg, cfg.k, small_world.database)

@@ -19,10 +19,10 @@ from subtod.iteration import (
     subsample_goals,
     write_jsonl,
 )
-from subtod.model import contexts_of
-from subtod.sampling import SamplingConfig, sample_turns
+from subtod import verbalize
+from subtod.sampling import SamplingConfig
 from subtod.subgoals import PairPolicy
-from subtod.verbalize import parse_act_response, parse_state
+from subtod.verbalize import DEFAULT_ACT_VERBS, DEFAULT_DOMAINS
 
 
 def test_iteration_config_validates_its_knobs(tmp_path):
@@ -124,8 +124,8 @@ def test_run_iteration_bytes_match_across_worker_counts(small_world, tmp_path):
     # The threaded run goes first, on cold memos and with a fast thread
     # switch, so that its threads race to fill the parse memos and the
     # backend's per-site caches that they share.
-    parse_state.cache_clear()
-    parse_act_response.cache_clear()
+    verbalize._parse_state.cache_clear()
+    verbalize._parse_act_response.cache_clear()
     switch = sys.getswitchinterval()
     outputs = {}
     for workers in (4, 1):
@@ -176,7 +176,8 @@ def test_map_goals_propagates_programming_errors():
 def test_predict_greedy_reproduces_the_ground_truth(small_world):
     backend = ScriptedBackend(small_world)
     dialogs = list(small_world.dialogs[4:7])
-    assert predict_greedy(backend, dialogs, SamplingConfig(k=2, seed=0)) == dialogs
+    cfg = SamplingConfig(k=2, seed=0)
+    assert predict_greedy(backend, dialogs, cfg, small_world.ontology) == dialogs
 
 
 def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
@@ -193,8 +194,7 @@ def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
     assert group.candidates[0].turns == dialog.turns
     assert predict_greedy(backend, [dialog], cfg, lodge_world.ontology) == [dialog]
     # The parsers' default vocabulary would drop the lodge clauses.
-    defaults = sample_turns(backend, contexts_of(dialog), cfg, greedy_only=True)
-    assert [s.states[0] for s in defaults] != [turn.system.state for turn in dialog.turns]
+    assert "lodge" not in DEFAULT_DOMAINS and "suggest" not in DEFAULT_ACT_VERBS
 
 
 def test_write_jsonl_format(tmp_path):

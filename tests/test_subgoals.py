@@ -46,7 +46,7 @@ def test_assemble_builds_k_squared_plus_one_candidates(small_world):
     backend = ScriptedBackend(small_world)
     dialog = small_world.dialogs[0]
     cfg = SamplingConfig(k=2, seed=3)
-    samples = [sample_turn(backend, ctx, cfg) for ctx in contexts_of(dialog)]
+    samples = [sample_turn(backend, ctx, cfg, small_world.ontology) for ctx in contexts_of(dialog)]
     candidates = assemble_candidates(dialog, samples, 2)
     assert len(candidates) == 5
     assert [c.id for c in candidates] == [

@@ -5,19 +5,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtod.model import (
-    Dialog,
-    DialogAct,
-    DialogContext,
-    SubgoalKind,
-    SystemTurn,
-    Turn,
-    contexts_of,
-)
+from subtod.model import DialogAct, DialogContext, SubgoalKind, SystemTurn, Turn
 from subtod.verbalize import (
     DEFAULT_ACT_VERBS,
     DEFAULT_DOMAINS,
-    dialog_state_prompts,
+    _parse_act_response,
+    _parse_state,
     parse_act_response,
     parse_state,
     serialize_act_prompt,
@@ -101,23 +94,6 @@ def test_state_prompt_token_split_recovers_the_context():
         user, _, response = chunk.partition(" [R] ")
         assert user == f"user turn {i} please"
         assert response == f"system reply {i}."
-
-
-def test_dialog_state_prompts_equal_each_contexts_state_prompt(small_world):
-    texts = ("Hi  there", "", "   ", "[hotel_name] is NICE.")
-    blank = Dialog(
-        id="d-blank",
-        goal_id="g-blank",
-        turns=tuple(
-            Turn(user=user, system=SystemTurn(state={}, acts=(), response=response))
-            for user in texts
-            for response in texts
-        ),
-    )
-    for dialog in (*small_world.dialogs, blank):
-        assert dialog_state_prompts(dialog) == [
-            serialize_state_prompt(context).text for context in contexts_of(dialog)
-        ]
 
 
 def test_act_prompt_with_empty_state_ends_with_the_state_token():
@@ -327,6 +303,17 @@ def test_parse_memo_is_keyed_by_the_vocabulary():
         }
 
 
+def test_parsers_take_any_collection_as_vocabulary():
+    acts_text = "[A] lodge suggest NAME; [R] ok."
+    suggest = DialogAct("lodge", "suggest", "name")
+    for domains, verbs in (({"lodge"}, {"suggest"}), (["lodge"], ["suggest"]),
+                           ({"lodge": None}, {"suggest": None})):
+        assert parse_act_response(acts_text, domains=domains, verbs=verbs).acts == (suggest,)
+        assert parse_state("lodge area: north;", domains=domains).state == {
+            "lodge": {"area": "north"}
+        }
+
+
 _PIECES = (
     "[A]", "[B]", "[R]", ";", ":", "booking", "hotel", "lodge", "taxi", "inform",
     "suggest", "bye", "AREA", "area", "north", "08:45", "ok.",
@@ -347,10 +334,14 @@ _VOCABULARY = st.frozensets(st.sampled_from(_WORDS))
 )
 def test_memoized_parsers_equal_their_originals(text, domains, verbs):
     # The first round may miss the memo, the second hits it.
+    unmemoized_state = _parse_state.__wrapped__
+    unmemoized_turn = _parse_act_response.__wrapped__
     for _ in range(2):
-        assert parse_state(text) == parse_state.__wrapped__(text)
-        assert parse_state(text, domains=domains) == parse_state.__wrapped__(text, domains=domains)
-        assert parse_act_response(text) == parse_act_response.__wrapped__(text)
-        assert parse_act_response(
-            text, domains=domains, verbs=verbs
-        ) == parse_act_response.__wrapped__(text, domains=domains, verbs=verbs)
+        assert parse_state(text) == unmemoized_state(text, DEFAULT_DOMAINS)
+        assert parse_state(text, domains=domains) == unmemoized_state(text, domains)
+        assert parse_act_response(text) == unmemoized_turn(
+            text, DEFAULT_DOMAINS, DEFAULT_ACT_VERBS
+        )
+        assert parse_act_response(text, domains=domains, verbs=verbs) == unmemoized_turn(
+            text, domains, verbs
+        )
