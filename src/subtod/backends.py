@@ -27,6 +27,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +69,7 @@ class GeneratorBackend(Protocol):
     Implementations must be deterministic for a fixed (prompt, seed, params)
     tuple, or document themselves as best-effort. A backend may also offer a
     ``prefetch(requests)`` context manager (see ``HttpBackend``), which
-    ``sampling.generate_wave`` uses to send a wave of requests at once.
+    ``sampling.answer_wave`` uses to send a wave of requests at once.
     """
 
     def generate(
@@ -435,6 +436,37 @@ def _route(parts: urllib.parse.SplitResult, timeout: float):
     return connect, target, headers
 
 
+class _Wave:
+    """One thread's prefetched wave: requests not sent yet, then those sent and not yet taken."""
+
+    def __init__(self, submit, wave: Sequence[tuple], ahead: int):
+        self._submit = submit
+        self._ahead = ahead
+        self._unsent = deque(tuple(request) for request in wave)
+        self._sent: deque[tuple[tuple, Future]] = deque()
+        self._fill()
+
+    def _fill(self) -> None:
+        while self._unsent and len(self._sent) < self._ahead:
+            request = self._unsent.popleft()
+            self._sent.append((request, self._submit(request)))
+
+    def take(self, request: tuple) -> Future | None:
+        """The future of ``request`` if it is the wave's next request, else ``None``."""
+        if not self._sent or self._sent[0][0] != request:
+            return None
+        future = self._sent.popleft()[1]
+        self._fill()
+        return future
+
+    def close(self) -> None:
+        self._unsent.clear()
+        leftovers = [future for _, future in self._sent]
+        for future in leftovers:
+            future.cancel()
+        wait(leftovers)
+
+
 class HttpBackend:
     """Client for a remote completion service.
 
@@ -465,6 +497,7 @@ class HttpBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        self._max_in_flight = max_in_flight
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._connect, self._target, self._headers = _route(parts, timeout)
         # Idle keep-alive connections, most recently used last. A new one is
@@ -489,25 +522,25 @@ class HttpBackend:
         """Send a wave of requests concurrently for the ``generate`` calls in the block.
 
         Each request is a ``(prompt, n, greedy, temperature, seed, max_tokens)``
-        tuple. Inside the block, a ``generate`` call on this thread with equal
-        arguments returns that request's reply, or raises its error, instead of
-        posting again; each reply answers one call. On exit, replies nobody
-        took are cancelled or awaited and dropped, so a wave cut short by an
-        error leaves nothing for later calls.
+        tuple. Inside the block, a ``generate`` call on this thread for the
+        wave's next request returns that request's reply, or raises its error,
+        instead of posting again; any other call posts on its own. Requests are
+        sent in wave order, at most ``2 * max_in_flight`` ahead of the calls
+        that take their replies, so a large wave keeps every connection busy
+        without holding a future per request. On exit, requests nobody took are
+        dropped, cancelled or awaited, so a wave cut short by an error leaves
+        nothing for later calls.
         """
-        pending: dict[tuple, list[Future]] = {}
-        for request in wave:
-            pending.setdefault(tuple(request), []).append(self._pool.submit(self._post, *request))
+        pending = _Wave(
+            lambda request: self._pool.submit(self._post, *request), wave, 2 * self._max_in_flight
+        )
         outer = getattr(self._waves, "pending", None)
         self._waves.pending = pending
         try:
             yield
         finally:
             self._waves.pending = outer
-            leftovers = [future for futures in pending.values() for future in futures]
-            for future in leftovers:
-                future.cancel()
-            wait(leftovers)
+            pending.close()
 
     def generate(
         self,
@@ -520,9 +553,10 @@ class HttpBackend:
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
-        futures = (getattr(self._waves, "pending", None) or {}).get(request)
-        if futures:
-            return futures.pop(0).result()
+        wave = getattr(self._waves, "pending", None)
+        future = wave.take(request) if wave is not None else None
+        if future is not None:
+            return future.result()
         return self._post(*request)
 
     def _exchange(self, body: bytes) -> tuple[int, bytes]:

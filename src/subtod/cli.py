@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .backends import ErrorInjectionConfig, GeneratorBackend, HttpBackend, ScriptedBackend, stable_seed
+from .backends import ErrorInjectionConfig, GeneratorBackend, HttpBackend, ScriptedBackend
 from .corpus import (
     Corpus,
     dialog_from_dict,
@@ -27,17 +27,18 @@ from .corpus import (
 )
 from .errors import BackendError, PipelineError
 from .evaluate import evaluate_corpus
-from .iteration import (
+# build_group and map_goals are unused here; bench/tracer.py patches them by name.
+from .iteration import (  # noqa: F401
     IterationConfig,
     IterationReport,
     TrainMode,
     build_group,
     map_goals,
+    process_goals,
     run_iteration,
-    subsample_goals,
+    staged_outputs,
     write_jsonl,
 )
-from .sampling import SamplingConfig
 from .subgoals import CandidateGroup, PairPolicy, detect_subgoals, emit_dpo, emit_sft
 from .synthetic import build_world
 
@@ -68,7 +69,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iteration", type=int, default=0)
     parser.add_argument("--noise-rate", type=float, default=0.0,
                         help="scripted backend error injection rate per site")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
 
 def cmd_synth(args) -> int:
@@ -99,66 +101,81 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _iteration_config(args, **emission) -> IterationConfig:
+    return IterationConfig(
+        k=args.k,
+        goal_fraction=args.goal_fraction,
+        seed=args.seed,
+        out_dir=args.out,
+        iteration_index=args.iteration,
+        temperature=args.temperature,
+        workers=args.workers,
+        **emission,
+    )
+
+
 def cmd_sample(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, corpus)
-    goal_ids = subsample_goals(
-        corpus.goals, args.goal_fraction, stable_seed(args.seed, "goals", args.iteration)
-    )
-    sampling = SamplingConfig(
-        k=args.k,
-        temperature=args.temperature,
-        seed=stable_seed(args.seed, "sampling", args.iteration),
-    )
-    dialog_map = corpus.dialog_map()
+    with staged_outputs(args.out) as staging:
+        path = staging / "candidates.jsonl"
+        path.touch()
 
-    def process(goal_id: str) -> CandidateGroup:
-        return build_group(
-            dialog_map[goal_id], corpus.goals[goal_id], backend, sampling, args.k, corpus.database
-        )
+        def write_group(group: CandidateGroup) -> tuple[int, int]:
+            entries = []
+            for dialog, success in group.labeled():
+                entry = dialog_to_dict(dialog)
+                entry["success"] = success
+                entries.append(entry)
+            write_jsonl(path, [{"goal_id": group.goal_id, "candidates": entries}])
+            return len(entries), sum(group.labels)
 
-    results, skipped = map_goals(goal_ids, process, args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    n_candidates = n_successful = 0
-    for goal_id in sorted(results):
-        group = results[goal_id]
-        entries = []
-        for dialog, success in group.labeled():
-            entry = dialog_to_dict(dialog)
-            entry["success"] = success
-            entries.append(entry)
-            n_candidates += 1
-            n_successful += success
-        lines.append({"goal_id": goal_id, "candidates": entries})
-    write_jsonl(out_dir / "candidates.jsonl", lines)
+        counts, skipped = process_goals(corpus, _iteration_config(args), backend, write_group)
+    n_candidates = sum(n for n, _ in counts.values())
+    n_successful = sum(wins for _, wins in counts.values())
     _print_json(
         {
-            "candidates_file": str(out_dir / "candidates.jsonl"),
-            "n_goals": len(results),
+            "candidates_file": str(Path(args.out) / "candidates.jsonl"),
+            "n_goals": len(counts),
             "n_candidates": n_candidates,
             "n_successful": n_successful,
             "n_unsuccessful": n_candidates - n_successful,
             "skipped": [list(pair) for pair in skipped],
         }
     )
-    if not results and skipped:
+    if not counts and skipped:
         return 3
     return 0
 
 
 def cmd_detect(args) -> int:
+    """Detect subgoals one candidates line at a time; goal ids must strictly ascend."""
     corpus = load_corpus(args.corpus)
     dialog_map = corpus.dialog_map()
-    samples = []
-    with open(args.candidates, encoding="utf-8") as handle:
-        for line in handle:
+    pair_policy = PairPolicy(args.pair_policy)
+    written = {
+        name: 0
+        for mode, name in (("sft", "sft.jsonl"), ("dpo", "dpo.jsonl"))
+        if args.mode in (mode, "both")
+    }
+    seen: set[tuple[str, str, str]] = set()
+    n_samples = 0
+    previous = None
+    with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
+        for name in written:
+            (staging / name).touch()
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             entry = json.loads(line)
             goal_id = entry["goal_id"]
+            if previous is not None and goal_id <= previous:
+                raise ValueError(
+                    f"{args.candidates} line {number}: goal id {goal_id!r} does not follow "
+                    f"{previous!r}; detect needs strictly ascending goal ids, as sample writes them"
+                )
+            previous = goal_id
             group = CandidateGroup(
                 goal_id=goal_id,
                 goal=corpus.goals[goal_id],
@@ -166,35 +183,24 @@ def cmd_detect(args) -> int:
                 candidates=tuple(dialog_from_dict(c) for c in entry["candidates"]),
                 labels=tuple(bool(c["success"]) for c in entry["candidates"]),
             )
-            samples.extend(detect_subgoals(group, corpus.database))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    if args.mode in ("sft", "both"):
-        records = emit_sft(samples)
-        write_jsonl(out_dir / "sft.jsonl", records)
-        written["sft.jsonl"] = len(records)
-    if args.mode in ("dpo", "both"):
-        records = emit_dpo(samples, PairPolicy(args.pair_policy))
-        write_jsonl(out_dir / "dpo.jsonl", records)
-        written["dpo.jsonl"] = len(records)
-    _print_json({"n_subgoal_samples": len(samples), "written": written})
+            samples = detect_subgoals(group, corpus.database)
+            n_samples += len(samples)
+            for name in written:
+                if name == "sft.jsonl":
+                    records = emit_sft(samples)
+                else:
+                    records = emit_dpo(samples, pair_policy, seen)
+                write_jsonl(staging / name, records)
+                written[name] += len(records)
+    _print_json({"n_subgoal_samples": n_samples, "written": written})
     return 0
 
 
 def cmd_iterate(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, corpus)
-    cfg = IterationConfig(
-        k=args.k,
-        goal_fraction=args.goal_fraction,
-        seed=args.seed,
-        train_mode=TrainMode(args.mode),
-        out_dir=args.out,
-        iteration_index=args.iteration,
-        temperature=args.temperature,
-        workers=args.workers,
-        pair_policy=PairPolicy(args.pair_policy),
+    cfg = _iteration_config(
+        args, train_mode=TrainMode(args.mode), pair_policy=PairPolicy(args.pair_policy)
     )
     report = run_iteration(corpus, cfg, backend)
     _print_json(report.to_dict())

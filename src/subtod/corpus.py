@@ -213,21 +213,25 @@ def _validate(corpus: Corpus, errors: list[str]) -> None:
     for split in (corpus.dialogs, corpus.dev_dialogs):
         for dialog in split:
             for t, turn in enumerate(dialog.turns):
+                where = f"dialog {dialog.id!r} turn {t}"
+                for domain in turn.system.state:
+                    if domain not in ontology.domains:
+                        errors.append(f"{where}: belief state names unknown domain {domain!r}")
+                for act in turn.system.acts:
+                    if act.domain not in ontology.domains:
+                        errors.append(f"{where}: act names unknown domain {act.domain!r}")
+                    elif act.act not in ontology.domains[act.domain].acts:
+                        errors.append(f"{where}: act verb {act.act!r} not in {act.domain!r}'s acts")
                 for token in _BRACKET_RE.findall(turn.system.response):
                     if token in _SPECIAL_TOKENS:
-                        errors.append(
-                            f"dialog {dialog.id!r} turn {t}: special token {token} in response"
-                        )
+                        errors.append(f"{where}: special token {token} in response")
                         continue
                     match = _PLACEHOLDER_RE.fullmatch(token)
                     if match is None:
-                        errors.append(
-                            f"dialog {dialog.id!r} turn {t}: malformed placeholder {token}"
-                        )
+                        errors.append(f"{where}: malformed placeholder {token}")
                     elif match.group(1) not in ontology.domains:
                         errors.append(
-                            f"dialog {dialog.id!r} turn {t}: placeholder {token} "
-                            f"names unknown domain {match.group(1)!r}"
+                            f"{where}: placeholder {token} names unknown domain {match.group(1)!r}"
                         )
 
 

@@ -3,26 +3,32 @@
 Training itself happens elsewhere; an iteration ends by writing ``sft.jsonl``
 or ``dpo.jsonl`` plus ``report.json`` into the output directory, and the next
 iteration points its backend at whatever model was trained on those files.
-Goals are processed by a bounded worker pool but merged in sorted goal id
-order, so the emitted bytes never depend on the worker count. A goal whose
-generation fails is skipped whole and listed in the report rather than
-contributing a partial candidate group.
+Goals run in sorted goal id order, ``BLOCK_SIZE`` at a time: each block is
+sampled in one wave of distinct state requests and one of distinct
+act/response requests, and its records are appended to the output before the
+next block starts, so memory grows with a block rather than with the run.
+Outputs are staged and replace the previous run's files only when the run
+succeeds. A goal whose generation fails is skipped whole and listed in the
+report rather than contributing a partial candidate group.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .backends import GeneratorBackend, stable_seed
 from .corpus import Corpus
-from .errors import BackendError, IncompleteSamples
+from .errors import BackendError, IncompleteSamples, PipelineError
 from .evaluate import evaluate_corpus
 from .model import (
     Database,
@@ -36,11 +42,16 @@ from .model import (
 )
 # sample_turn, parse_state and parse_act_response are unused here;
 # bench/tracer.py patches them by name.
-from .sampling import SamplingConfig, sample_turn, sample_turns  # noqa: F401
+from .sampling import (  # noqa: F401
+    SampledTurnSet,
+    SamplingConfig,
+    sample_dialogs,
+    sample_turn,
+    sample_turns,
+)
 from .subgoals import (
     CandidateGroup,
     PairPolicy,
-    SubgoalSample,
     assemble_candidates,
     detect_subgoals,
     emit_dpo,
@@ -48,6 +59,12 @@ from .subgoals import (
     label_success,
 )
 from .verbalize import parse_act_response, parse_state  # noqa: F401
+
+# Goals sampled together in one pair of request waves; a run holds one
+# block's turn sets at a time.
+BLOCK_SIZE = 32
+
+T = TypeVar("T")
 
 
 class TrainMode(Enum):
@@ -64,6 +81,8 @@ class IterationConfig:
     out_dir: str | Path = "."
     iteration_index: int = 0
     temperature: float = 1.0
+    # Accepted and validated, with no effect: the block waves give the
+    # backend its concurrency.
     workers: int = 1
     pair_policy: PairPolicy = PairPolicy.FIRST
 
@@ -74,6 +93,13 @@ class IterationConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.iteration_index < 0:
             raise ValueError(f"iteration_index must be non-negative, got {self.iteration_index}")
+
+    def sampling(self) -> SamplingConfig:
+        return SamplingConfig(
+            k=self.k,
+            temperature=self.temperature,
+            seed=stable_seed(self.seed, "sampling", self.iteration_index),
+        )
 
 
 @dataclass(frozen=True)
@@ -195,10 +221,44 @@ def predict_greedy(
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Append ``records`` to ``path`` as JSON lines, creating the file if needed."""
+    with open(path, "a", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             handle.write("\n")
+
+
+@contextlib.contextmanager
+def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
+    """A fresh directory in ``out_dir`` for a run's outputs, moved into ``out_dir`` on success.
+
+    When the block exits normally, each staged file replaces its namesake in
+    ``out_dir`` with ``os.replace``. Either way the staging directory is
+    removed, so a run that raises leaves the previous run's files whole and
+    no partial file behind.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        yield staging
+        for path in staging.iterdir():
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def label_candidates(
+    source: Dialog, goal: UserGoal, turn_sets: list[SampledTurnSet], k: int, db: Database
+) -> CandidateGroup:
+    """Assemble one goal's candidates from its turn sets and label them."""
+    group = CandidateGroup(
+        goal_id=source.goal_id,
+        goal=goal,
+        source=source,
+        candidates=tuple(assemble_candidates(source, turn_sets, k)),
+    )
+    return label_success(group, db)
 
 
 def build_group(
@@ -211,110 +271,117 @@ def build_group(
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
     turn_sets = sample_turns(backend, contexts_of(source), sampling, db.ontology)
-    group = CandidateGroup(
-        goal_id=source.goal_id,
-        goal=goal,
-        source=source,
-        candidates=tuple(assemble_candidates(source, turn_sets, k)),
-    )
-    return label_success(group, db)
+    return label_candidates(source, goal, turn_sets, k, db)
 
 
-def map_goals(goal_ids: Sequence[str], fn, workers: int) -> tuple[dict, list[tuple[str, str]]]:
-    """Apply ``fn`` to every goal id, optionally on a thread pool.
+def map_goals(goal_ids: Sequence[str], fn, workers: int = 1) -> tuple[dict, list[tuple[str, str]]]:
+    """Apply ``fn`` to every goal id in order; ``workers`` has no effect.
 
-    Generation failures skip the goal instead of aborting the run; the skip
-    list is returned sorted so output never depends on completion order.
+    Generation failures skip the goal instead of aborting the run; results
+    keep the order of ``goal_ids`` and the skip list is returned sorted.
     """
     results: dict = {}
     skipped: list[tuple[str, str]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(fn, goal_id): goal_id for goal_id in goal_ids}
-            for future in as_completed(futures):
-                goal_id = futures[future]
-                try:
-                    results[goal_id] = future.result()
-                except (BackendError, IncompleteSamples) as exc:
-                    skipped.append((goal_id, str(exc)))
-    else:
-        for goal_id in goal_ids:
-            try:
-                results[goal_id] = fn(goal_id)
-            except (BackendError, IncompleteSamples) as exc:
-                skipped.append((goal_id, str(exc)))
+    for goal_id in goal_ids:
+        try:
+            results[goal_id] = fn(goal_id)
+        except (BackendError, IncompleteSamples) as exc:
+            skipped.append((goal_id, str(exc)))
     skipped.sort()
+    return results, skipped
+
+
+def process_goals(
+    corpus: Corpus,
+    cfg: IterationConfig,
+    backend: GeneratorBackend,
+    handle: Callable[[CandidateGroup], T],
+) -> tuple[dict[str, T], list[tuple[str, str]]]:
+    """Label the iteration's goals ``BLOCK_SIZE`` at a time, in sorted order, and ``handle`` each.
+
+    Each group goes to ``handle`` as soon as it is labeled, before the next
+    goal's group is built; a block's turn sets are released goal by goal.
+    Returns ``handle``'s result per goal, in goal order, and the skipped
+    goals, sorted. A goal is skipped with the error ``build_group`` on it
+    alone would raise; a failed request that several goals share skips each
+    of them.
+    """
+    goal_ids = subsample_goals(
+        corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
+    )
+    sampling = cfg.sampling()
+    dialog_map = corpus.dialog_map()
+    results: dict[str, T] = {}
+    skipped: list[tuple[str, str]] = []
+    for start in range(0, len(goal_ids), BLOCK_SIZE):
+        block = goal_ids[start : start + BLOCK_SIZE]
+        contexts = [contexts_of(dialog_map[goal_id]) for goal_id in block]
+        sampled = dict(zip(block, sample_dialogs(backend, contexts, sampling, corpus.ontology)))
+
+        def process(goal_id: str) -> T:
+            turn_sets = sampled.pop(goal_id)
+            if isinstance(turn_sets, PipelineError):
+                raise turn_sets
+            return handle(
+                label_candidates(
+                    dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
+                )
+            )
+
+        block_results, block_skipped = map_goals(block, process, cfg.workers)
+        results.update(block_results)
+        skipped += block_skipped
     return results, skipped
 
 
 def run_iteration(
     corpus: Corpus, cfg: IterationConfig, backend: GeneratorBackend
 ) -> IterationReport:
-    goal_ids = subsample_goals(
-        corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
-    )
-    sampling = SamplingConfig(
-        k=cfg.k,
-        temperature=cfg.temperature,
-        seed=stable_seed(cfg.seed, "sampling", cfg.iteration_index),
-    )
-    dialog_map = corpus.dialog_map()
-
-    def process(goal_id: str) -> tuple[CandidateGroup, list[SubgoalSample]]:
-        group = build_group(
-            dialog_map[goal_id], corpus.goals[goal_id], backend, sampling, cfg.k, corpus.database
-        )
-        return group, detect_subgoals(group, corpus.database)
-
-    results, skipped = map_goals(goal_ids, process, cfg.workers)
-
-    histogram = {bucket: 0 for bucket in range(cfg.k * cfg.k + 2)}
-    n_successful = 0
-    n_unsuccessful = 0
-    samples: list[SubgoalSample] = []
-    for goal_id in sorted(results):
-        group, goal_samples = results[goal_id]
-        wins = sum(group.labels)
-        n_successful += wins
-        n_unsuccessful += len(group.labels) - wins
-        histogram[wins] += 1
-        samples.extend(goal_samples)
     kind_counts = {kind.value: 0 for kind in SubgoalKind}
-    for sample in samples:
-        kind_counts[sample.kind.value] += 1
+    seen: set[tuple[str, str, str]] = set()
+    data_name = "sft.jsonl" if cfg.train_mode is TrainMode.SFT else "dpo.jsonl"
+    with staged_outputs(cfg.out_dir) as staging:
+        data_path = staging / data_name
+        data_path.touch()
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.train_mode is TrainMode.SFT:
-        data_name = "sft.jsonl"
-        records = emit_sft(samples)
-    else:
-        data_name = "dpo.jsonl"
-        records = emit_dpo(samples, cfg.pair_policy)
-    write_jsonl(out_dir / data_name, records)
+        def emit(group: CandidateGroup) -> tuple[int, int]:
+            samples = detect_subgoals(group, corpus.database)
+            for sample in samples:
+                kind_counts[sample.kind.value] += 1
+            if cfg.train_mode is TrainMode.SFT:
+                records = emit_sft(samples)
+            else:
+                records = emit_dpo(samples, cfg.pair_policy, seen)
+            write_jsonl(data_path, records)
+            return sum(group.labels), len(group.labels)
 
-    dev_eval = None
-    if corpus.dev_dialogs:
-        predicted = predict_greedy(backend, corpus.dev_dialogs, sampling, corpus.ontology)
-        dev_eval = evaluate_corpus(
-            predicted, corpus.dev_goals, corpus.database, corpus.dev_references()
-        ).to_dict()
+        counts, skipped = process_goals(corpus, cfg, backend, emit)
 
-    report = IterationReport(
-        iteration_index=cfg.iteration_index,
-        k=cfg.k,
-        train_mode=cfg.train_mode.value,
-        n_goals_sampled=len(results),
-        n_dialogs_successful=n_successful,
-        n_dialogs_unsuccessful=n_unsuccessful,
-        histogram=histogram,
-        n_subgoal_samples=kind_counts,
-        skipped=tuple(skipped),
-        files=(data_name,),
-        dev_eval=dev_eval,
-    )
-    report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        dev_eval = None
+        if corpus.dev_dialogs:
+            predicted = predict_greedy(backend, corpus.dev_dialogs, cfg.sampling(), corpus.ontology)
+            dev_eval = evaluate_corpus(
+                predicted, corpus.dev_goals, corpus.database, corpus.dev_references()
+            ).to_dict()
+
+        histogram = {bucket: 0 for bucket in range(cfg.k * cfg.k + 2)}
+        for wins, _ in counts.values():
+            histogram[wins] += 1
+        n_successful = sum(wins for wins, _ in counts.values())
+        report = IterationReport(
+            iteration_index=cfg.iteration_index,
+            k=cfg.k,
+            train_mode=cfg.train_mode.value,
+            n_goals_sampled=len(counts),
+            n_dialogs_successful=n_successful,
+            n_dialogs_unsuccessful=sum(n for _, n in counts.values()) - n_successful,
+            histogram=histogram,
+            n_subgoal_samples=kind_counts,
+            skipped=tuple(skipped),
+            files=(data_name,),
+            dev_eval=dev_eval,
+        )
+        (staging / "report.json").write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return report

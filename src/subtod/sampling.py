@@ -5,8 +5,9 @@ then for every distinct surviving state draw a greedy act/response completion
 plus ``k`` sampled ones. Duplicates are removed early (keeping the first
 occurrence, so the greedy variant survives any tie) because identical
 fragments can only produce identical downstream dialogs. The requests of each
-stage, across all contexts sampled together, form one wave, which a backend
-that can prefetch sends concurrently.
+stage, across all contexts of all dialogs sampled together, form one wave
+with one call per distinct request, which a backend that can prefetch sends
+concurrently.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .backends import GeneratorBackend, stable_seed
-from .errors import BackendError, IncompleteSamples
+from .errors import BackendError, IncompleteSamples, PipelineError
 from .model import BeliefState, DialogAct, DialogContext, Ontology
 from .verbalize import (
     act_prompt_text,
@@ -31,7 +32,6 @@ class SamplingConfig:
     k: int = 2
     temperature: float = 1.0
     seed: int = 0
-    include_greedy: bool = True
     max_tokens: int = 256
 
     def __post_init__(self):
@@ -82,29 +82,145 @@ def generation_request(prompt: str, stage: str, cfg: SamplingConfig, *, greedy: 
     )
 
 
-def generate_wave(
+def answer_wave(
     backend: GeneratorBackend, requests: Sequence[Request]
-) -> tuple[list[list[str]], BackendError | None]:
-    """Answer ``requests`` in order, one ``backend.generate`` call each, up to the first failure.
+) -> dict[Request, list[str] | BackendError]:
+    """Answer every distinct request in ``requests`` with one ``backend.generate`` call.
 
-    Returns the replies before the first request that failed and its error,
-    or every reply and ``None``. A backend with a ``prefetch`` context manager
-    receives the whole wave first, so it can send the requests concurrently;
-    the calls, their order and their results are those of the plain
-    sequential loop.
+    A request that fails maps to its ``BackendError`` and the wave goes on,
+    so requests that share a failed one fail with the same error and no
+    others. A backend with a ``prefetch`` context manager receives the
+    distinct requests first, so it can send them concurrently.
     """
-    replies: list[list[str]] = []
+    distinct = list(dict.fromkeys(requests))
+    answers: dict[Request, list[str] | BackendError] = {}
     prefetch = getattr(backend, "prefetch", None)
-    with prefetch(requests) if prefetch is not None else contextlib.nullcontext():
-        for prompt, n, greedy, temperature, seed, max_tokens in requests:
+    with prefetch(distinct) if prefetch is not None else contextlib.nullcontext():
+        for request in distinct:
+            prompt, n, greedy, temperature, seed, max_tokens = request
             try:
-                reply = backend.generate(
+                answers[request] = backend.generate(
                     prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
                 )
             except BackendError as exc:
-                return replies, exc
-            replies.append(reply)
+                answers[request] = exc
+    return answers
+
+
+def _replies_until_failure(
+    answers: dict[Request, list[str] | BackendError], requests: Sequence[Request]
+) -> tuple[list[list[str]], BackendError | None]:
+    """The replies to ``requests`` before the first that failed, and its error (or ``None``)."""
+    replies = []
+    for request in requests:
+        reply = answers[request]
+        if isinstance(reply, BackendError):
+            return replies, reply
+        replies.append(reply)
     return replies, None
+
+
+def sample_dialogs(
+    backend: GeneratorBackend,
+    dialogs: Sequence[Sequence[DialogContext]],
+    cfg: SamplingConfig,
+    ontology: Ontology,
+    *,
+    greedy_only: bool = False,
+) -> list[list[SampledTurnSet] | BackendError | IncompleteSamples]:
+    """Sample several dialogs' contexts in two waves: all states, then every distinct state's acts.
+
+    Contexts are ground-truth prefixes, so no request waits on another
+    context's replies, and each wave holds every distinct request of every
+    dialog (``answer_wave``): dialogs that share a request share its reply.
+    Each entry is one dialog's turn sets, or the error that sampling its
+    contexts alone raises: the first failure in context order, a context's
+    state requests before its act/response requests. A failed state request
+    therefore still lets the act/response requests of the contexts before it
+    run. ``greedy_only`` draws only the greedy state and completion; otherwise
+    each prompt gets the greedy request and the ``k``-sample one. Replies are
+    parsed with ``ontology``'s domains and act verbs.
+    """
+    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
+    # The ``greedy`` flag of each request per prompt, greedy first.
+    draws: tuple[bool, ...] = (True,) if greedy_only else (True, False)
+    state_prompts = [
+        [serialize_state_prompt(context).text for context in contexts] for contexts in dialogs
+    ]
+    state_requests = [
+        [
+            generation_request(prompt, "state", cfg, greedy=greedy)
+            for prompt in prompts
+            for greedy in draws
+        ]
+        for prompts in state_prompts
+    ]
+    state_answers = answer_wave(backend, [r for requests in state_requests for r in requests])
+
+    # Per dialog: (state prompt, distinct states, diagnostics) of each context
+    # sampled before the first failure, that failure, and the turn requests.
+    partial = []
+    for contexts, prompts, requests in zip(dialogs, state_prompts, state_requests):
+        state_replies, error = _replies_until_failure(state_answers, requests)
+        sampled: list[tuple[str, list[BeliefState], list[str]]] = []
+        for at, context in enumerate(contexts):
+            replies = state_replies[at * len(draws) : (at + 1) * len(draws)]
+            if len(replies) < len(draws):
+                break
+            diagnostics: list[str] = []
+            states: list[BeliefState] = []
+            for pos, raw in enumerate(raw for reply in replies for raw in reply):
+                parsed = parse_state(raw, domains=domains)
+                for note in parsed.diagnostics:
+                    diagnostics.append(f"state sample {pos}: {note}")
+                if parsed.state not in states:
+                    states.append(parsed.state)
+            if not states:
+                error = IncompleteSamples(
+                    f"no usable states for goal {context.goal_id} turn {context.turn_index}"
+                )
+                break
+            sampled.append((prompts[at], states, diagnostics))
+        turn_requests = [
+            generation_request(act_prompt_text(state_prompt, state), "turn", cfg, greedy=greedy)
+            for state_prompt, states, _ in sampled
+            for state in states
+            for greedy in draws
+        ]
+        partial.append((sampled, error, turn_requests))
+    turn_answers = answer_wave(backend, [r for _, _, requests in partial for r in requests])
+
+    results: list[list[SampledTurnSet] | BackendError | IncompleteSamples] = []
+    for sampled, error, requests in partial:
+        turn_replies, turn_error = _replies_until_failure(turn_answers, requests)
+        if turn_error is not None or error is not None:
+            results.append(turn_error or error)
+            continue
+        replies = iter(turn_replies)
+        turn_sets = []
+        for _, states, diagnostics in sampled:
+            completions: dict[int, list[TurnCompletion]] = {}
+            for idx in range(len(states)):
+                spots: list[TurnCompletion] = []
+                raw_turns = [raw for _ in draws for raw in next(replies)]
+                for pos, raw in enumerate(raw_turns):
+                    parsed = parse_act_response(raw, domains=domains, verbs=verbs)
+                    for note in parsed.diagnostics:
+                        diagnostics.append(f"turn sample {pos} (state {idx}): {note}")
+                    completion = TurnCompletion(acts=parsed.acts, response=parsed.response)
+                    if completion not in spots:
+                        spots.append(completion)
+                completions[idx] = spots
+            turn_sets.append(
+                SampledTurnSet(
+                    states=states,
+                    completions=completions,
+                    has_greedy=True,
+                    diagnostics=diagnostics,
+                )
+            )
+        results.append(turn_sets)
+    return results
 
 
 def sample_turns(
@@ -115,93 +231,11 @@ def sample_turns(
     *,
     greedy_only: bool = False,
 ) -> list[SampledTurnSet]:
-    """Sample every context in two request waves: all states, then every distinct state's acts.
-
-    Contexts are ground-truth prefixes, so no request waits on another
-    context's replies. ``greedy_only`` draws only the greedy state and
-    completion. Requests, seeds, calls and results are those of sampling the
-    contexts one by one, and so is the error raised when requests fail: the
-    first in context order, a context's state requests before its
-    act/response requests. A failed state request therefore still lets the
-    act/response requests of the contexts before it run. Replies are parsed
-    with ``ontology``'s domains and act verbs.
-    """
-    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
-    # The ``greedy`` flag of each request per prompt, greedy first.
-    if greedy_only:
-        draws: tuple[bool, ...] = (True,)
-    else:
-        draws = (True, False) if cfg.include_greedy else (False,)
-    state_prompts = [serialize_state_prompt(context).text for context in contexts]
-    state_replies, error = generate_wave(
-        backend,
-        [
-            generation_request(prompt, "state", cfg, greedy=greedy)
-            for prompt in state_prompts
-            for greedy in draws
-        ],
-    )
-    sampled: list[tuple[str, list[BeliefState], list[str]]] = []
-    for at, context in enumerate(contexts):
-        replies = state_replies[at * len(draws) : (at + 1) * len(draws)]
-        if len(replies) < len(draws):
-            break
-        diagnostics: list[str] = []
-        states: list[BeliefState] = []
-        for pos, raw in enumerate(raw for reply in replies for raw in reply):
-            parsed = parse_state(raw, domains=domains)
-            for note in parsed.diagnostics:
-                diagnostics.append(f"state sample {pos}: {note}")
-            if parsed.state not in states:
-                states.append(parsed.state)
-        if not states:
-            error = IncompleteSamples(
-                f"no usable states for goal {context.goal_id} turn {context.turn_index}"
-            )
-            break
-        sampled.append((state_prompts[at], states, diagnostics))
-
-    turn_prompts = [
-        act_prompt_text(state_prompt, state)
-        for state_prompt, states, _ in sampled
-        for state in states
-    ]
-    turn_replies, turn_error = generate_wave(
-        backend,
-        [
-            generation_request(prompt, "turn", cfg, greedy=greedy)
-            for prompt in turn_prompts
-            for greedy in draws
-        ],
-    )
-    if turn_error is not None:
-        raise turn_error
-    if error is not None:
-        raise error
-    replies = iter(turn_replies)
-    turn_sets = []
-    for _, states, diagnostics in sampled:
-        completions: dict[int, list[TurnCompletion]] = {}
-        for idx in range(len(states)):
-            spots: list[TurnCompletion] = []
-            raw_turns = [raw for _ in draws for raw in next(replies)]
-            for pos, raw in enumerate(raw_turns):
-                parsed = parse_act_response(raw, domains=domains, verbs=verbs)
-                for note in parsed.diagnostics:
-                    diagnostics.append(f"turn sample {pos} (state {idx}): {note}")
-                completion = TurnCompletion(acts=parsed.acts, response=parsed.response)
-                if completion not in spots:
-                    spots.append(completion)
-            completions[idx] = spots
-        turn_sets.append(
-            SampledTurnSet(
-                states=states,
-                completions=completions,
-                has_greedy=draws[0],
-                diagnostics=diagnostics,
-            )
-        )
-    return turn_sets
+    """``sample_dialogs`` for one dialog's contexts; its failure is raised."""
+    [result] = sample_dialogs(backend, [contexts], cfg, ontology, greedy_only=greedy_only)
+    if isinstance(result, PipelineError):
+        raise result
+    return result
 
 
 def sample_turn(

@@ -12,11 +12,12 @@ failure; those fragments become the dispreferred side of preference records.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IncompleteSamples
 from .evaluate import (
+    DialogSplices,
     SpliceEvaluator,
     dialog_success,  # noqa: F401  unused here; bench/tracer.py patches it by name
 )
@@ -37,13 +38,19 @@ from .verbalize import serialize_act_prompt, serialize_state_prompt, state_text,
 
 @dataclass(frozen=True)
 class CandidateGroup:
-    """All candidate dialogs for one goal; ``labels`` filled by label_success."""
+    """All candidate dialogs for one goal; ``labels`` filled by label_success.
+
+    ``splices`` holds the ``DialogSplices`` each label was read from, one
+    evaluator's, so that detection reuses them; a group read back from a
+    candidates file has none.
+    """
 
     goal_id: str
     goal: UserGoal
     source: Dialog
     candidates: tuple[Dialog, ...]
     labels: tuple[bool, ...] = ()
+    splices: tuple[DialogSplices, ...] = field(default=(), compare=False, repr=False)
 
     def labeled(self) -> tuple[tuple[Dialog, bool], ...]:
         if len(self.labels) != len(self.candidates):
@@ -129,8 +136,9 @@ def assemble_candidates(
 def label_success(group: CandidateGroup, db: Database) -> CandidateGroup:
     """Label every candidate with ``dialog_success``, through one ``SpliceEvaluator``."""
     evaluator = SpliceEvaluator(group.goal, db)
-    labels = tuple(evaluator.splices(d).unspliced_success for d in group.candidates)
-    return dataclasses.replace(group, labels=labels)
+    splices = tuple(evaluator.splices(d) for d in group.candidates)
+    labels = tuple(s.unspliced_success for s in splices)
+    return dataclasses.replace(group, labels=labels, splices=splices)
 
 
 def _fragments_equal(kind: SubgoalKind, a: SystemTurn, b: SystemTurn) -> bool:
@@ -148,16 +156,20 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
     replacement that flips the dialog to unsuccessful contributes a negative;
     a sample is emitted when at least one flip occurred. Replacements are
     evaluated incrementally by ``SpliceEvaluator``, which agrees with
-    ``dialog_success`` on the spliced dialog.
+    ``dialog_success`` on the spliced dialog; a group that ``label_success``
+    labeled brings its evaluator's splices along.
     """
     failed = sorted(group.unsuccessful(), key=lambda d: d.id)
     if not failed:
         return []
-    evaluator = SpliceEvaluator(group.goal, db)
+    if group.splices:
+        winners = [(d, s) for d, ok, s in zip(group.candidates, group.labels, group.splices) if ok]
+    else:
+        evaluator = SpliceEvaluator(group.goal, db)
+        winners = [(d, evaluator.splices(d)) for d in group.successful()]
     samples: list[SubgoalSample] = []
-    for winner in sorted(group.successful(), key=lambda d: d.id):
+    for winner, splices in sorted(winners, key=lambda pair: pair[0].id):
         contexts = contexts_of(winner)
-        splices = evaluator.splices(winner)
         for t in range(len(winner.turns)):
             original = winner.turns[t].system
             for kind in (SubgoalKind.STATE, SubgoalKind.ACT_RESPONSE):
@@ -220,16 +232,20 @@ def emit_sft(samples: list[SubgoalSample]) -> list[dict]:
 
 
 def emit_dpo(
-    samples: list[SubgoalSample], pair_policy: PairPolicy = PairPolicy.FIRST
+    samples: list[SubgoalSample],
+    pair_policy: PairPolicy = PairPolicy.FIRST,
+    seen: set[tuple[str, str, str]] | None = None,
 ) -> list[dict]:
     """Preference records pairing each positive with flipping negatives.
 
     FIRST keeps only the first flipping negative per sample; ALL emits every
     pair, deduplicated on (prompt, chosen, rejected) since distinct dialogs
-    can contribute textually identical fragments.
+    can contribute textually identical fragments. ``seen`` holds the keys
+    earlier calls emitted, so a run that emits goal by goal deduplicates
+    across goals; ALL skips them and adds its own.
     """
     records = []
-    seen: set[tuple[str, str, str]] = set()
+    seen = set() if seen is None else seen
     for sample in samples:
         prompt, chosen = _prompt_and_text(sample, sample.positive)
         negatives = sample.negatives[:1] if pair_policy is PairPolicy.FIRST else sample.negatives

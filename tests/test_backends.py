@@ -21,9 +21,9 @@ from subtod.backends import (
 from subtod.cli import main
 from subtod.corpus import save_corpus
 from subtod.errors import BackendError
-from subtod.iteration import build_group, map_goals
+from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
 from subtod.model import SubgoalKind, contexts_of, normalize_value, placeholder
-from subtod.sampling import SamplingConfig, generate_wave, generation_request, sample_turn
+from subtod.sampling import SamplingConfig, answer_wave, generation_request, sample_turn
 from subtod.verbalize import (
     parse_act_response,
     parse_state,
@@ -446,10 +446,10 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert generate_wave(backend, wave) == ([["stub"]] * 16, None)
+        assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
         assert keep_alive_server.connections == 16
         # The second wave runs on the first wave's connections.
-        assert generate_wave(backend, wave) == ([["stub"]] * 16, None)
+        assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
         assert keep_alive_server.connections == 16
     finally:
         sys.setswitchinterval(interval)
@@ -577,6 +577,61 @@ def test_state_wave_failure_still_meets_an_earlier_turns_act_failure_first(
     expected = map_goals([dialog.goal_id], one_request_at_a_time, 1)
     assert expected == ({}, [(dialog.goal_id, "http 404 from backend")])
     assert map_goals([dialog.goal_id], in_waves, 1) == expected
+
+
+def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
+    completion_server, small_world, tmp_path
+):
+    scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=7)
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=7)
+    sampling = cfg.sampling()
+    goals_of = {}
+    for dialog in small_world.dialogs:
+        for context in contexts_of(dialog):
+            goals_of.setdefault(serialize_state_prompt(context).text, set()).add(dialog.goal_id)
+    # A state prompt that two goals of the single block share; its greedy request fails.
+    prompt = min(p for p, goals in goals_of.items() if len(goals) > 1)
+    failing = generation_request(prompt, "state", sampling, greedy=True)
+    healthy = _scripted_answer(scripted)
+
+    def responder(payload):
+        if tuple(payload[key] for key in _REQUEST_FIELDS) == failing:
+            return 404, {"error": "no route"}
+        return healthy(payload)
+
+    completion_server.respond_with(responder)
+    remote = HttpBackend(completion_server.url)
+    failed = run_iteration(
+        small_world, dataclasses.replace(cfg, out_dir=tmp_path / "failed"), remote
+    )
+    dialog_map = small_world.dialog_map()
+
+    def alone(goal_id):
+        return build_group(
+            dialog_map[goal_id], small_world.goals[goal_id], remote, sampling, cfg.k,
+            small_world.database,
+        )
+
+    expected = map_goals(sorted(goals_of[prompt]), alone, 1)[1]
+    assert expected == [(goal_id, "http 404 from backend") for goal_id in sorted(goals_of[prompt])]
+    assert list(failed.skipped) == expected
+    assert len(small_world.goals) == failed.n_goals_sampled + len(expected)
+    # The goals shared one POST of the request in the run, and one more each alone.
+    sent = [tuple(p[key] for key in _REQUEST_FIELDS) for p in completion_server.payloads]
+    assert sent.count(failing) == 1 + len(expected)
+
+    completion_server.respond_with(healthy)
+    clean = run_iteration(small_world, dataclasses.replace(cfg, out_dir=tmp_path / "clean"), remote)
+    assert clean.skipped == ()
+
+    def records(run):
+        return (tmp_path / run / "sft.jsonl").read_text(encoding="utf-8").splitlines()
+
+    kept = [
+        line for line in records("clean") if json.loads(line)["goal_id"] not in goals_of[prompt]
+    ]
+    assert kept
+    assert records("failed") == kept
 
 
 @pytest.mark.parametrize(

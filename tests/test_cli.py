@@ -177,6 +177,30 @@ def test_detect_matches_iterate_output(corpus10, tmp_path, capsys):
     assert (staged / "sft.jsonl").read_bytes() == (direct / "sft.jsonl").read_bytes()
 
 
+def test_detect_requires_strictly_ascending_goal_ids(corpus10, tmp_path, capsys):
+    _, path = corpus10
+    out = tmp_path / "staged"
+    flags = ["--goal-fraction", "1.0", "--seed", "9", "--noise-rate", "0.5"]
+    assert main(["sample", "--corpus", path, "--out", str(out), *flags]) == 0
+    candidates = out / "candidates.jsonl"
+    detect = ["detect", "--corpus", path, "--mode", "both", "--out", str(out)]
+    assert main([*detect, "--candidates", str(candidates)]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    lines = candidates.read_text(encoding="utf-8").splitlines(keepends=True)
+    for name, bad in (("swapped", [lines[1], lines[0], *lines[2:]]),
+                      ("repeated", [*lines[:3], lines[2], *lines[3:]])):
+        bad_file = tmp_path / f"{name}.jsonl"
+        bad_file.write_text("".join(bad), encoding="utf-8")
+        assert main([*detect, "--candidates", str(bad_file)]) == 2
+        err = capsys.readouterr().err
+        line = 2 if name == "swapped" else 4
+        assert f"{bad_file} line {line}: goal id" in err
+        assert "strictly ascending" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):
     _, path = corpus10
     out = tmp_path / "iter0"

@@ -18,6 +18,7 @@ from subtod.corpus import (
     load_predictions,
     save_corpus,
 )
+from subtod.cli import main
 from subtod.errors import CorpusError
 from subtod.model import DialogAct
 
@@ -201,6 +202,44 @@ def test_errors_accumulate_instead_of_stopping_early():
         assert "not requestable" in message
     else:
         pytest.fail("expected CorpusError")
+
+
+# Each edit of the tiny fixture's one turn, and the diagnostic it must raise.
+ONTOLOGY_DRIFT = {
+    "act verb": (
+        lambda turn: turn["acts"].append({"domain": "hotel", "act": "haggle"}),
+        "act verb 'haggle' not in 'hotel''s acts",
+    ),
+    "act domain": (
+        lambda turn: turn["acts"].append({"domain": "spa", "act": "inform"}),
+        "act names unknown domain 'spa'",
+    ),
+    "state domain": (
+        lambda turn: turn["state"].update({"spa": {"area": "north"}}),
+        "belief state names unknown domain 'spa'",
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ONTOLOGY_DRIFT))
+def test_dialog_acts_and_states_are_checked_against_the_ontology(problem, tmp_path, capsys):
+    edit, diagnostic = ONTOLOGY_DRIFT[problem]
+    data = tiny_corpus_dict()
+    edit(data["dialogs"][0]["turns"][0])
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["evaluate", "--corpus", str(path), "--predictions", str(path)]) == 2
+    assert f"dialog 'd-1' turn 0: {diagnostic}" in capsys.readouterr().err
+
+
+def test_ontology_drift_in_acts_and_states_is_reported_at_once():
+    data = tiny_corpus_dict()
+    for edit, _ in ONTOLOGY_DRIFT.values():
+        edit(data["dialogs"][0]["turns"][0])
+    with pytest.raises(CorpusError) as err:
+        corpus_from_dict(data)
+    for _, diagnostic in ONTOLOGY_DRIFT.values():
+        assert diagnostic in str(err.value)
 
 
 def test_load_predictions(small_world, tmp_path):

@@ -2,10 +2,15 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from subtod import cli, iteration, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
+from subtod.corpus import save_corpus
+from subtod.evaluate import SpliceEvaluator
+from subtod.model import contexts_of
 from subtod.iteration import (
     IterationConfig,
     IterationReport,
@@ -22,7 +27,7 @@ from subtod.iteration import (
 from subtod import verbalize
 from subtod.sampling import SamplingConfig
 from subtod.subgoals import PairPolicy
-from subtod.verbalize import DEFAULT_ACT_VERBS, DEFAULT_DOMAINS
+from subtod.verbalize import DEFAULT_ACT_VERBS, DEFAULT_DOMAINS, serialize_state_prompt
 
 
 def test_iteration_config_validates_its_knobs(tmp_path):
@@ -203,3 +208,74 @@ def test_write_jsonl_format(tmp_path):
     raw = path.read_text(encoding="utf-8")
     assert raw == '{"a": 2, "b": 1}\n{"text": "café"}\n'
     assert "\\u" not in raw
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("iterate", {"sft.jsonl", "report.json"}),
+    ("sample", {"candidates.jsonl"}),
+])
+def test_a_run_that_dies_mid_stream_leaves_the_previous_outputs_whole(
+    small_world, tmp_path, monkeypatch, capsys, command, outputs
+):
+    corpus, out = tmp_path / "corpus.json", tmp_path / "out"
+    save_corpus(small_world, corpus)
+    argv = [command, "--corpus", str(corpus), "--out", str(out), "--goal-fraction", "1.0",
+            "--noise-rate", "0.5", "--seed", "13"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == outputs
+
+    # Blocks of two goals, and a backend that dies on the fifth goal's last
+    # context: earlier blocks' records are appended before it dies.
+    monkeypatch.setattr(iteration, "BLOCK_SIZE", 2)
+    fifth = small_world.dialog_map()[sorted(small_world.goals)[4]]
+    doomed = serialize_state_prompt(contexts_of(fifth)[-1]).text
+    make_backend = cli._make_backend
+
+    def dying_backend(args, corpus):
+        backend = make_backend(args, corpus)
+        generate = backend.generate
+
+        def dies_at_the_fifth_goal(prompt, *args, **kwargs):
+            if prompt == doomed:
+                raise RuntimeError("backend process died")
+            return generate(prompt, *args, **kwargs)
+
+        backend.generate = dies_at_the_fifth_goal
+        return backend
+
+    appended = []
+    write = iteration.write_jsonl
+
+    def recorded_write(path, records):
+        records = list(records)
+        if records:
+            appended.append(Path(path).name)
+        write(path, records)
+
+    monkeypatch.setattr(cli, "_make_backend", dying_backend)
+    monkeypatch.setattr(cli, "write_jsonl", recorded_write)
+    monkeypatch.setattr(iteration, "write_jsonl", recorded_write)
+    with pytest.raises(RuntimeError, match="backend process died"):
+        cli.main(argv)
+    assert set(appended) & outputs
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_an_iterate_run_builds_one_splice_evaluator_per_goal(small_world, tmp_path, monkeypatch):
+    built = []
+
+    class CountedEvaluator(SpliceEvaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(subgoals, "SpliceEvaluator", CountedEvaluator)
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=13, out_dir=tmp_path)
+    backend = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.6), seed=13)
+    report = run_iteration(small_world, cfg, backend)
+    # Detection ran on groups with failed candidates, and reused their labelling evaluator.
+    assert report.n_dialogs_unsuccessful > 0
+    assert sum(report.n_subgoal_samples.values()) > 0
+    assert len(built) == report.n_goals_sampled == len(small_world.goals)

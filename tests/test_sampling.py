@@ -1,11 +1,13 @@
 """Per-turn sampling: dedup, greedy-first ordering, and diagnostics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subtod.errors import IncompleteSamples
-from subtod.backends import ScriptedBackend
+from subtod.errors import BackendError, IncompleteSamples
+from subtod.backends import ErrorInjectionConfig, ScriptedBackend
 from subtod.model import DialogAct, DialogContext, contexts_of
-from subtod.sampling import SamplingConfig, TurnCompletion, sample_turn
+from subtod.sampling import SamplingConfig, TurnCompletion, sample_dialogs, sample_turn
 from subtod.synthetic import default_ontology
 
 STATE_NORTH = "[B] hotel area: north;"
@@ -84,17 +86,6 @@ def test_dedup_keeps_the_greedy_variant_first():
     ]
 
 
-def test_without_greedy_only_samples_are_drawn():
-    backend = FakeBackend(STATE_NORTH, [STATE_SOUTH, STATE_WEST],
-                          TURN_BASE, [TURN_TAIL, TURN_ASK])
-    turn_set = sample_turn(
-        backend, _context(), SamplingConfig(k=2, include_greedy=False), ONTOLOGY
-    )
-    assert turn_set.has_greedy is False
-    assert [s["hotel"]["area"] for s in turn_set.states] == ["south", "west"]
-    assert all(not greedy for _, _, greedy, _ in backend.calls)
-
-
 def test_call_plan_and_distinct_stage_seeds():
     backend = FakeBackend(STATE_NORTH, [STATE_SOUTH, STATE_WEST],
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
@@ -150,3 +141,52 @@ def test_sampled_turn_set_is_deterministic(small_world):
     second = sample_turn(ScriptedBackend(small_world), context, cfg, small_world.ontology)
     assert first.states == second.states
     assert first.completions == second.completions
+
+
+class RefusingBackend:
+    """Answers like ``backend``, but each request in ``refused`` fails with its own error."""
+
+    def __init__(self, backend, refused=()):
+        self.backend = backend
+        self.refused = {request: i for i, request in enumerate(refused)}
+        self.calls = []
+
+    def generate(self, prompt, n, *, greedy, temperature=1.0, seed=0, max_tokens=256):
+        request = (prompt, n, greedy, temperature, seed, max_tokens)
+        self.calls.append(request)
+        if request in self.refused:
+            raise BackendError(f"refused request {self.refused[request]}")
+        return self.backend.generate(
+            prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
+        )
+
+
+BLOCK_CFG = SamplingConfig(k=2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def block_world(small_world):
+    """``small_world``, a noisy backend for it, and every request its dialogs' sampling makes."""
+    scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
+    recorder = RefusingBackend(scripted)
+    dialogs = [contexts_of(dialog) for dialog in small_world.dialogs]
+    sample_dialogs(recorder, dialogs, BLOCK_CFG, small_world.ontology)
+    return small_world, scripted, dialogs, sorted(set(recorder.calls))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_sampling_equals_sampling_one_request_at_a_time(block_world, data):
+    world, scripted, dialogs, requests = block_world
+    refused = data.draw(st.lists(st.sampled_from(requests), max_size=6, unique=True))
+    backend = RefusingBackend(scripted, refused)
+    block = sample_dialogs(backend, dialogs, BLOCK_CFG, world.ontology)
+    # One call per distinct request, however many dialogs share it.
+    assert len(backend.calls) == len(set(backend.calls))
+    for contexts, result in zip(dialogs, block, strict=True):
+        try:
+            expected = [sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts]
+        except (BackendError, IncompleteSamples) as exc:
+            assert (type(result), str(result)) == (type(exc), str(exc))
+        else:
+            assert result == expected
