@@ -5,80 +5,4 @@ success against user goals and an entity database, detects success-critical
 subgoals by single-turn replacement, and emits SFT / preference-pair datasets.
 """
 
-from .backends import (
-    ErrorInjectionConfig,
-    ErrorKind,
-    GeneratorBackend,
-    HttpBackend,
-    Injection,
-    ScriptedBackend,
-    stable_seed,
-)
-from .corpus import Corpus, load_corpus, load_predictions, save_corpus
-from .errors import (
-    BackendError,
-    CorpusError,
-    IncompleteSamples,
-    LengthMismatch,
-    MissingGoal,
-    NotInGoal,
-    PipelineError,
-    UnknownDomain,
-    UnknownSlot,
-)
-from .evaluate import (
-    DomainOutcome,
-    EvalReport,
-    combined,
-    corpus_bleu,
-    dialog_success,
-    domain_outcome,
-    evaluate_corpus,
-)
-from .iteration import (
-    IterationConfig,
-    IterationReport,
-    LoopHistory,
-    TrainMode,
-    run_iteration,
-    should_stop,
-    subsample_goals,
-)
-from .model import (
-    Database,
-    Dialog,
-    DialogAct,
-    DialogContext,
-    DomainSchema,
-    GoalEntry,
-    Ontology,
-    SubgoalKind,
-    SystemTurn,
-    Turn,
-    UserGoal,
-    contexts_of,
-    query,
-    replace_turn,
-)
-from .sampling import SampledTurnSet, SamplingConfig, TurnCompletion, sample_turn
-from .subgoals import (
-    CandidateGroup,
-    PairPolicy,
-    SubgoalSample,
-    assemble_candidates,
-    detect_subgoals,
-    emit_dpo,
-    emit_sft,
-    label_success,
-)
-from .synthetic import build_world
-from .verbalize import (
-    parse_act_response,
-    parse_state,
-    serialize_act_prompt,
-    serialize_state_prompt,
-    verbalize_acts,
-    verbalize_state,
-)
-
 __version__ = "0.1.0"

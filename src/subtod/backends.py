@@ -178,20 +178,21 @@ class ScriptedBackend:
         self.world = world
         self.noise = noise or ErrorInjectionConfig()
         self.seed = seed
-        self._sites: dict[str, tuple[Dialog, int]] = {}
+        # State prompt -> (dialog, turn, site index) of its first dialog.
+        self._sites: dict[str, tuple[Dialog, int, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
             for t, context in enumerate(contexts_of(dialog)):
                 prompt = serialize_state_prompt(context).text
-                first, first_t = self._sites.setdefault(prompt, (dialog, t))
+                first, first_t, _ = self._sites.setdefault(prompt, (dialog, t, len(self._sites)))
                 if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
                     raise ValueError(
                         f"dialogs {first.id!r} (turn {first_t}) and {dialog.id!r} (turn {t}) "
                         "share a context but not its gold system turn"
                     )
-        # Per-site values, filled on first use: the injection per (site,
-        # stage, n) and the verbalized gold acts per site.
-        self._injections: dict[tuple[str, SubgoalKind, int], Injection | None] = {}
-        self._gold_acts: dict[str, str] = {}
+        # Per-site values keyed by site index, filled on first use: the
+        # injection per (site, stage, n) and the verbalized gold acts per site.
+        self._injections: dict[tuple[int, SubgoalKind, int], Injection | None] = {}
+        self._gold_acts: dict[int, str] = {}
         self._value_pool: dict[tuple[str, str], list[str]] = {}
         for domain, entities in world.database.tables.items():
             for entity in entities:
@@ -199,6 +200,9 @@ class ScriptedBackend:
                     pool = self._value_pool.setdefault((domain, slot), [])
                     if value not in pool:
                         pool.append(value)
+
+    def close(self) -> None:
+        """Nothing to release; callers may close any backend they built."""
 
     # -- generation ------------------------------------------------------
 
@@ -222,19 +226,19 @@ class ScriptedBackend:
         site = self._sites.get(state_key)
         if site is None:
             raise BackendError("prompt does not match any known dialog context", prompt=prompt)
-        dialog, turn = site
+        dialog, turn, index = site
         system = dialog.turns[turn].system
         if stage is SubgoalKind.STATE:
             if greedy:
                 return [state_text(system.state)] * n
-            injection = self._injection(state_key, dialog, turn, stage, n)
+            injection = self._injection(index, dialog, turn, stage, n)
             return [self._sampled_state(dialog, system, i, injection) for i in range(1, n + 1)]
-        acts = self._gold_acts.get(state_key)
+        acts = self._gold_acts.get(index)
         if acts is None:
-            acts = self._gold_acts[state_key] = verbalize_acts(system.acts)
+            acts = self._gold_acts[index] = verbalize_acts(system.acts)
         if greedy:
             return [verbalized_turn_text(acts, system.response)] * n
-        injection = self._injection(state_key, dialog, turn, stage, n)
+        injection = self._injection(index, dialog, turn, stage, n)
         return [self._sampled_turn(dialog, turn, acts, i, injection) for i in range(1, n + 1)]
 
     def _sampled_state(
@@ -258,10 +262,10 @@ class ScriptedBackend:
         return self.world.goals.get(dialog.goal_id) or self.world.dev_goals.get(dialog.goal_id)
 
     def _injection(
-        self, state_key: str, dialog: Dialog, turn: int, stage: SubgoalKind, n: int
+        self, index: int, dialog: Dialog, turn: int, stage: SubgoalKind, n: int
     ) -> Injection | None:
-        """``_site_injection`` for the site of ``state_key``, decided once."""
-        key = (state_key, stage, n)
+        """``_site_injection`` for site ``index``, decided once."""
+        key = (index, stage, n)
         if key not in self._injections:
             self._injections[key] = self._site_injection(dialog, turn, stage, n)
         return self._injections[key]

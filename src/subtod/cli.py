@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .backends import ErrorInjectionConfig, GeneratorBackend, HttpBackend, ScriptedBackend
@@ -27,8 +28,10 @@ from .corpus import (
 )
 from .errors import BackendError, PipelineError
 from .evaluate import evaluate_corpus
-# build_group and map_goals are unused here; bench/tracer.py patches them by name.
+# build_group, map_goals, detect_subgoals, emit_sft and emit_dpo are unused
+# here; bench/tracer.py patches them by name.
 from .iteration import (  # noqa: F401
+    DetectEmit,
     IterationConfig,
     IterationReport,
     TrainMode,
@@ -39,7 +42,7 @@ from .iteration import (  # noqa: F401
     staged_outputs,
     write_jsonl,
 )
-from .subgoals import CandidateGroup, PairPolicy, detect_subgoals, emit_dpo, emit_sft
+from .subgoals import CandidateGroup, PairPolicy, detect_subgoals, emit_dpo, emit_sft  # noqa: F401
 from .synthetic import build_world
 
 BACKEND_URL_ENV = "SUIT_BACKEND_URL"
@@ -116,8 +119,7 @@ def _iteration_config(args, **emission) -> IterationConfig:
 
 def cmd_sample(args) -> int:
     corpus = load_corpus(args.corpus)
-    backend = _make_backend(args, corpus)
-    with staged_outputs(args.out) as staging:
+    with closing(_make_backend(args, corpus)) as backend, staged_outputs(args.out) as staging:
         path = staging / "candidates.jsonl"
         path.touch()
 
@@ -152,18 +154,10 @@ def cmd_detect(args) -> int:
     """Detect subgoals one candidates line at a time; goal ids must strictly ascend."""
     corpus = load_corpus(args.corpus)
     dialog_map = corpus.dialog_map()
-    pair_policy = PairPolicy(args.pair_policy)
-    written = {
-        name: 0
-        for mode, name in (("sft", "sft.jsonl"), ("dpo", "dpo.jsonl"))
-        if args.mode in (mode, "both")
-    }
-    seen: set[tuple[str, str, str]] = set()
-    n_samples = 0
+    modes = [TrainMode.SFT, TrainMode.DPO] if args.mode == "both" else [TrainMode(args.mode)]
     previous = None
     with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
-        for name in written:
-            (staging / name).touch()
+        stage = DetectEmit(corpus.database, staging, modes, PairPolicy(args.pair_policy))
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -176,33 +170,26 @@ def cmd_detect(args) -> int:
                     f"{previous!r}; detect needs strictly ascending goal ids, as sample writes them"
                 )
             previous = goal_id
-            group = CandidateGroup(
-                goal_id=goal_id,
-                goal=corpus.goals[goal_id],
-                source=dialog_map[goal_id],
-                candidates=tuple(dialog_from_dict(c) for c in entry["candidates"]),
-                labels=tuple(bool(c["success"]) for c in entry["candidates"]),
+            stage(
+                CandidateGroup(
+                    goal_id=goal_id,
+                    goal=corpus.goals[goal_id],
+                    source=dialog_map[goal_id],
+                    candidates=tuple(dialog_from_dict(c) for c in entry["candidates"]),
+                    labels=tuple(bool(c["success"]) for c in entry["candidates"]),
+                )
             )
-            samples = detect_subgoals(group, corpus.database)
-            n_samples += len(samples)
-            for name in written:
-                if name == "sft.jsonl":
-                    records = emit_sft(samples)
-                else:
-                    records = emit_dpo(samples, pair_policy, seen)
-                write_jsonl(staging / name, records)
-                written[name] += len(records)
-    _print_json({"n_subgoal_samples": n_samples, "written": written})
+    _print_json({"n_subgoal_samples": sum(stage.kind_counts.values()), "written": stage.written})
     return 0
 
 
 def cmd_iterate(args) -> int:
     corpus = load_corpus(args.corpus)
-    backend = _make_backend(args, corpus)
-    cfg = _iteration_config(
-        args, train_mode=TrainMode(args.mode), pair_policy=PairPolicy(args.pair_policy)
-    )
-    report = run_iteration(corpus, cfg, backend)
+    with closing(_make_backend(args, corpus)) as backend:
+        cfg = _iteration_config(
+            args, train_mode=TrainMode(args.mode), pair_policy=PairPolicy(args.pair_policy)
+        )
+        report = run_iteration(corpus, cfg, backend)
     _print_json(report.to_dict())
     if report.n_goals_sampled == 0 and report.skipped:
         return 3
@@ -218,7 +205,8 @@ def cmd_stats(args) -> int:
     max_bucket = max(r.k * r.k + 1 for r in reports)
     headers = ["iter", "mode", "goals", "success", "unsuccess"]
     headers += [str(b) for b in range(max_bucket + 1)]
-    headers += ["state", "act_response"]
+    # The paper stops iterating once dev COMBINED no longer improves.
+    headers += ["state", "act_response", "combined"]
     rows = []
     for report in reports:
         row = [
@@ -232,6 +220,7 @@ def cmd_stats(args) -> int:
         row += [
             str(report.n_subgoal_samples.get("state", 0)),
             str(report.n_subgoal_samples.get("act_response", 0)),
+            f"{report.dev_eval['combined']:.2f}" if report.dev_eval else "-",
         ]
         rows.append(row)
     widths = [

@@ -21,7 +21,7 @@ import os
 import random
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -149,20 +149,6 @@ class IterationReport:
         )
 
 
-@dataclass
-class LoopHistory:
-    """Dev-set COMBINED per iteration, in strictly increasing iteration order."""
-
-    entries: list[tuple[int, float]] = field(default_factory=list)
-
-    def record(self, iteration_index: int, combined: float) -> None:
-        if self.entries and iteration_index <= self.entries[-1][0]:
-            raise ValueError(
-                f"iteration {iteration_index} does not follow {self.entries[-1][0]}"
-            )
-        self.entries.append((iteration_index, float(combined)))
-
-
 def subsample_goals(goal_ids: Iterable[str], fraction: float, seed: int) -> list[str]:
     """Draw ceil(fraction * N) goal ids uniformly without replacement."""
     if not 0 < fraction <= 1:
@@ -171,20 +157,6 @@ def subsample_goals(goal_ids: Iterable[str], fraction: float, seed: int) -> list
     n = math.ceil(fraction * len(ids))
     rng = random.Random(seed)
     return sorted(rng.sample(ids, n))
-
-
-def should_stop(history: LoopHistory | Sequence) -> bool:
-    """True when the latest dev COMBINED no longer improves on the previous one."""
-    entries = history.entries if isinstance(history, LoopHistory) else list(history)
-    if not entries:
-        raise ValueError("history must contain at least one entry")
-    if len(entries) < 2:
-        return False
-
-    def combined_of(entry) -> float:
-        return float(entry[1]) if isinstance(entry, (tuple, list)) else float(entry)
-
-    return combined_of(entries[-1]) <= combined_of(entries[-2])
 
 
 def predict_greedy(
@@ -334,28 +306,54 @@ def process_goals(
     return results, skipped
 
 
+class DetectEmit:
+    """The detect/emit stage: detect one labeled group's subgoals and append its records.
+
+    Each call runs ``detect_subgoals`` on the group and appends ``emit_sft``
+    or ``emit_dpo`` records to ``<mode>.jsonl`` in ``out_dir`` for every
+    mode in ``modes``; the files are created up front, so a run without
+    records still writes them. ``seen`` keeps ``PairPolicy.ALL``
+    deduplicating across goals, ``kind_counts`` counts subgoal samples per
+    fragment kind and ``written`` records per file name.
+    """
+
+    def __init__(
+        self, db: Database, out_dir: Path, modes: Sequence[TrainMode], pair_policy: PairPolicy
+    ):
+        self.db = db
+        self.pair_policy = pair_policy
+        self.paths = {mode: out_dir / f"{mode.value}.jsonl" for mode in modes}
+        self.seen: set[tuple[str, str, str]] = set()
+        self.kind_counts = {kind.value: 0 for kind in SubgoalKind}
+        self.written = {path.name: 0 for path in self.paths.values()}
+        for path in self.paths.values():
+            path.touch()
+
+    def __call__(self, group: CandidateGroup) -> None:
+        samples = detect_subgoals(group, self.db)
+        for sample in samples:
+            self.kind_counts[sample.kind.value] += 1
+        for mode, path in self.paths.items():
+            if mode is TrainMode.SFT:
+                records = emit_sft(samples)
+            else:
+                records = emit_dpo(samples, self.pair_policy, self.seen)
+            write_jsonl(path, records)
+            self.written[path.name] += len(records)
+
+
 def run_iteration(
     corpus: Corpus, cfg: IterationConfig, backend: GeneratorBackend
 ) -> IterationReport:
-    kind_counts = {kind.value: 0 for kind in SubgoalKind}
-    seen: set[tuple[str, str, str]] = set()
-    data_name = "sft.jsonl" if cfg.train_mode is TrainMode.SFT else "dpo.jsonl"
+    """``process_goals`` with the detect/emit stage, then the dev evaluation and the report."""
     with staged_outputs(cfg.out_dir) as staging:
-        data_path = staging / data_name
-        data_path.touch()
+        stage = DetectEmit(corpus.database, staging, [cfg.train_mode], cfg.pair_policy)
 
-        def emit(group: CandidateGroup) -> tuple[int, int]:
-            samples = detect_subgoals(group, corpus.database)
-            for sample in samples:
-                kind_counts[sample.kind.value] += 1
-            if cfg.train_mode is TrainMode.SFT:
-                records = emit_sft(samples)
-            else:
-                records = emit_dpo(samples, cfg.pair_policy, seen)
-            write_jsonl(data_path, records)
+        def detect(group: CandidateGroup) -> tuple[int, int]:
+            stage(group)
             return sum(group.labels), len(group.labels)
 
-        counts, skipped = process_goals(corpus, cfg, backend, emit)
+        counts, skipped = process_goals(corpus, cfg, backend, detect)
 
         dev_eval = None
         if corpus.dev_dialogs:
@@ -376,9 +374,9 @@ def run_iteration(
             n_dialogs_successful=n_successful,
             n_dialogs_unsuccessful=sum(n for _, n in counts.values()) - n_successful,
             histogram=histogram,
-            n_subgoal_samples=kind_counts,
+            n_subgoal_samples=stage.kind_counts,
             skipped=tuple(skipped),
-            files=(data_name,),
+            files=tuple(stage.written),
             dev_eval=dev_eval,
         )
         (staging / "report.json").write_text(

@@ -53,7 +53,7 @@ class TurnCompletion:
 
 @dataclass
 class SampledTurnSet:
-    """Deduplicated generations for one turn, greedy variant first when present.
+    """Deduplicated generations for one turn, greedy variant first.
 
     ``states`` holds distinct states, and ``completions[i]`` distinct
     completions for state ``i``, so distinct indices mean distinct fragments.
@@ -61,7 +61,6 @@ class SampledTurnSet:
 
     states: list[BeliefState]
     completions: dict[int, list[TurnCompletion]]
-    has_greedy: bool
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -212,12 +211,7 @@ def sample_dialogs(
                         spots.append(completion)
                 completions[idx] = spots
             turn_sets.append(
-                SampledTurnSet(
-                    states=states,
-                    completions=completions,
-                    has_greedy=True,
-                    diagnostics=diagnostics,
-                )
+                SampledTurnSet(states=states, completions=completions, diagnostics=diagnostics)
             )
         results.append(turn_sets)
     return results

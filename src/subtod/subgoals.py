@@ -74,7 +74,6 @@ class SubgoalSample:
     negatives: tuple[SystemTurn, ...]
     goal_id: str
     dialog_id: str
-    negative_ids: tuple[str, ...]
     turn: int
 
 
@@ -91,8 +90,8 @@ def assemble_candidates(
     """Build the k*k+1 candidate dialogs for one goal, duplicates dropped.
 
     Generation lists are greedy-first, so sampled choice a at a turn maps to
-    list slot a (or a+1 when a greedy entry leads the list), clamped to
-    whatever survived deduplication. The all-greedy dialog always comes first.
+    list slot a+1, clamped to whatever survived deduplication. The all-greedy
+    dialog always comes first.
     """
     if len(samples) != len(source.turns):
         raise IncompleteSamples(
@@ -108,10 +107,9 @@ def assemble_candidates(
     for number, (a, b) in enumerate(choices):
         indices = []
         for turn_set in samples:
-            base = 1 if turn_set.has_greedy else 0
-            state_idx = 0 if number == 0 else min(base + a, len(turn_set.states) - 1)
+            state_idx = 0 if number == 0 else min(1 + a, len(turn_set.states) - 1)
             spots = turn_set.completions[state_idx]
-            cont_idx = 0 if number == 0 else min(base + b, len(spots) - 1)
+            cont_idx = 0 if number == 0 else min(1 + b, len(spots) - 1)
             indices.append((state_idx, cont_idx))
         key = tuple(indices)
         if key in picked:
@@ -174,7 +172,6 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
             original = winner.turns[t].system
             for kind in (SubgoalKind.STATE, SubgoalKind.ACT_RESPONSE):
                 negatives: list[SystemTurn] = []
-                negative_ids: list[str] = []
                 for other in failed:
                     if t >= len(other.turns):
                         continue
@@ -183,7 +180,6 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
                         continue
                     if not splices.success(t, kind, fragment):
                         negatives.append(fragment)
-                        negative_ids.append(other.id)
                 if negatives:
                     samples.append(
                         SubgoalSample(
@@ -193,7 +189,6 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
                             negatives=tuple(negatives),
                             goal_id=group.goal_id,
                             dialog_id=winner.id,
-                            negative_ids=tuple(negative_ids),
                             turn=t,
                         )
                     )

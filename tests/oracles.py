@@ -215,10 +215,24 @@ def plain_tables(db):
     return {domain: [dict(e) for e in rows] for domain, rows in db.tables.items()}
 
 
-def detect_flip_set(samples):
-    """Library detection output as the oracle's quadruple set."""
-    flips = set()
+def detect_flips(group, samples):
+    """Library detection output as the oracle's quadruples, in detection order.
+
+    A sample lists, in loser id order, the same-turn system turn of each
+    unsuccessful candidate whose fragment broke the winner. The losers are
+    recovered from those turns, and the list must hold exactly one turn per
+    recovered loser.
+    """
+    losers = sorted(group.unsuccessful(), key=lambda d: d.id)
+    flips = []
     for sample in samples:
-        for loser_id in sample.negative_ids:
-            flips.add((sample.dialog_id, sample.turn, sample.kind.value, loser_id))
+        t = sample.turn
+        matched = [d for d in losers if t < len(d.turns) and d.turns[t].system in sample.negatives]
+        assert [d.turns[t].system for d in matched] == list(sample.negatives)
+        flips += [(sample.dialog_id, t, sample.kind.value, d.id) for d in matched]
     return flips
+
+
+def detect_flip_set(group, samples):
+    """``detect_flips`` as a set."""
+    return set(detect_flips(group, samples))

@@ -107,7 +107,7 @@ def test_c3_detection_equals_exhaustive_oracle():
         group = build_group(source, goal, backends[i % 4], sampling, 2, db)
         assert len(group.candidates) <= 5
         assert all(len(d.turns) <= 6 for d in group.candidates)
-        got = detect_flip_set(detect_subgoals(group, db))
+        got = detect_flip_set(group, detect_subgoals(group, db))
         want = oracle_detect(
             [plain_dialog(d) for d in group.candidates],
             list(group.labels),
@@ -233,7 +233,7 @@ def test_c5_planted_error_sites_are_recovered_exactly():
             db,
         )
         assert group.labels == (True, False), source.id
-        got = detect_flip_set(detect_subgoals(group, db))
+        got = detect_flip_set(group, detect_subgoals(group, db))
         want = {(source.id, t, kind.value, loser.id)}
         tp += len(got & want)
         fp += len(got - want)

@@ -68,6 +68,8 @@ def test_bench_job_runs_and_counts(tiny_corpus, tmp_path, commands, trace):
         metrics = result["layers"]["metrics"]
         assert metrics["subgoals.candidates"] > 0
         assert metrics["backends.calls"] > 0
+        assert metrics["subgoals.records"] > 0
+        assert metrics["subgoals.detect_s"] > 0
     else:
         assert result["candidates"] > 0
         assert result["calls"] > 0

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: flows, output files, exit codes."""
 
+import gc
 import json
 import os
 import re
 import socket
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,25 @@ def test_iterate_over_http_matches_scripted(corpus10, tmp_path, capsys,
             assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes(), flags
 
 
+def test_http_runs_close_their_connections(corpus10, tmp_path, capsys, keep_alive_server,
+                                           monkeypatch):
+    """The CLI closes the HTTP backend it built: no socket is left to the collector."""
+    _, path = corpus10
+    monkeypatch.delenv("SUIT_BACKEND_URL", raising=False)
+    keep_alive_server.serve_backend(ScriptedBackend(load_corpus(path)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for command in ("iterate", "sample"):
+            assert main([
+                command, "--corpus", path, "--out", str(tmp_path / command),
+                "--backend", "http", "--url", keep_alive_server.url, "--goal-fraction", "0.3",
+            ]) == 0
+            gc.collect()
+    capsys.readouterr()
+    unclosed = [str(w.message) for w in caught if "unclosed" in str(w.message)]
+    assert unclosed == []
+
+
 def test_warm_memos_do_not_leak_between_runs(small_world, lodge_world, tmp_path, capsys):
     """A run after another corpus's run writes what a run in a fresh process writes.
 
@@ -327,7 +348,7 @@ def test_stats_renders_sorted_fixed_width_rows(corpus10, tmp_path, capsys):
     header = lines[0].split()
     assert header == [
         "iter", "mode", "goals", "success", "unsuccess",
-        "0", "1", "2", "3", "4", "5", "state", "act_response",
+        "0", "1", "2", "3", "4", "5", "state", "act_response", "combined",
     ]
     first_row = lines[1].split()
     second_row = lines[2].split()
@@ -338,6 +359,21 @@ def test_stats_renders_sorted_fixed_width_rows(corpus10, tmp_path, capsys):
     stored = json.loads((tmp_path / "iter0" / "report.json").read_text())
     assert first_row[2] == str(stored["n_goals_sampled"])
     assert first_row[3] == str(stored["n_dialogs_successful"])
+    assert first_row[-1] == f"{stored['dev_eval']['combined']:.2f}"
+    assert float(first_row[-1]) > 0
+
+
+def test_stats_shows_a_dash_without_a_dev_evaluation(tmp_path, capsys):
+    out = tmp_path / "nodev"
+    world = build_world(4, seed=3, dev_goals=0)
+    save_corpus(world, tmp_path / "corpus.json")
+    assert main(["iterate", "--corpus", str(tmp_path / "corpus.json"), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["dev_eval"] is None
+    capsys.readouterr()
+    assert main(["stats", "--report", str(out / "report.json")]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "combined"
+    assert row.split()[-1] == "-"
 
 
 def test_stats_missing_report_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Iteration driver: subsampling, stopping, worker parity, report round trips."""
+"""Iteration driver: subsampling, worker parity, report round trips."""
 
 import json
 import sys
@@ -14,13 +14,11 @@ from subtod.model import contexts_of
 from subtod.iteration import (
     IterationConfig,
     IterationReport,
-    LoopHistory,
     TrainMode,
     build_group,
     map_goals,
     predict_greedy,
     run_iteration,
-    should_stop,
     subsample_goals,
     write_jsonl,
 )
@@ -57,26 +55,6 @@ def test_subsample_rejects_out_of_range_fractions():
         subsample_goals(["a"], 0.0, seed=0)
     with pytest.raises(ValueError, match="fraction"):
         subsample_goals(["a"], 1.5, seed=0)
-
-
-def test_should_stop_compares_the_last_two_entries():
-    assert should_stop([(0, 100.0)]) is False
-    assert should_stop([(0, 100.0), (1, 101.2)]) is False
-    assert should_stop([(0, 100.0), (1, 99.0)]) is True
-    assert should_stop([(0, 100.0), (1, 100.0)]) is True
-    assert should_stop([100.0, 101.2, 101.0]) is True
-    with pytest.raises(ValueError, match="at least one entry"):
-        should_stop([])
-
-
-def test_loop_history_requires_increasing_iterations():
-    history = LoopHistory()
-    history.record(0, 100.0)
-    history.record(2, 101.0)
-    assert should_stop(history) is False
-    with pytest.raises(ValueError, match="does not follow"):
-        history.record(2, 102.0)
-    assert history.entries == [(0, 100.0), (2, 101.0)]
 
 
 def test_run_iteration_on_a_clean_world(small_world, tmp_path):

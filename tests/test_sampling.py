@@ -60,7 +60,6 @@ def test_identical_generations_collapse_to_singletons():
             acts=(DialogAct("hotel", "inform", "area"),), response="it is in the north."
         )
     ]
-    assert turn_set.has_greedy is True
     assert turn_set.diagnostics == []
 
 

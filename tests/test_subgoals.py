@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import detect as oracle_detect
-from oracles import detect_flip_set, plain_dialog, plain_goal, plain_schemas, plain_tables
+from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, plain_schemas, plain_tables
 from subtod.backends import ScriptedBackend
 from subtod.errors import IncompleteSamples
 from subtod.evaluate import SpliceEvaluator, dialog_success
@@ -75,7 +75,6 @@ def test_assemble_collapses_exact_duplicates():
         SampledTurnSet(
             states=[turn.system.state],
             completions={0: [completion]},
-            has_greedy=True,
         )
     ]
     candidates = assemble_candidates(source, samples, 2)
@@ -94,7 +93,7 @@ def test_assemble_clamps_to_whatever_survived_dedup():
         turns=(Turn(user="hi", system=SystemTurn(state=s0, acts=(), response="greedy answer.")),),
     )
     samples = [
-        SampledTurnSet(states=[s0, s1], completions={0: [c0], 1: [c1, c2]}, has_greedy=True)
+        SampledTurnSet(states=[s0, s1], completions={0: [c0], 1: [c1, c2]})
     ]
     candidates = assemble_candidates(source, samples, 2)
     assert len(candidates) == 2
@@ -127,11 +126,10 @@ def test_unlabeled_groups_refuse_to_split():
 
 def test_detection_finds_the_three_planted_sites(db3, mixed_group):
     samples = detect_subgoals(mixed_group, db3)
-    sites = [(s.turn, s.kind, s.negative_ids) for s in samples]
-    assert sites == [
-        (1, SubgoalKind.STATE, ("cand-o",)),
-        (2, SubgoalKind.ACT_RESPONSE, ("cand-j",)),
-        (3, SubgoalKind.ACT_RESPONSE, ("cand-u",)),
+    assert detect_flips(mixed_group, samples) == [
+        ("cand-w", 1, "state", "cand-o"),
+        ("cand-w", 2, "act_response", "cand-j"),
+        ("cand-w", 3, "act_response", "cand-u"),
     ]
     winner = mixed_group.candidates[0]
     for sample in samples:
@@ -211,7 +209,7 @@ def test_detection_matches_the_exhaustive_oracle(db3):
     nonempty = 0
     for _ in range(40):
         group = _random_group(rng, db3)
-        flips = detect_flip_set(detect_subgoals(group, db3))
+        flips = detect_flip_set(group, detect_subgoals(group, db3))
         expected = oracle_detect(
             [plain_dialog(d) for d in group.candidates],
             list(group.labels),
@@ -263,7 +261,7 @@ def test_sft_target_verbalizes_a_train_state():
     )
     sample = SubgoalSample(
         context=context, kind=SubgoalKind.STATE, positive=positive, negatives=(),
-        goal_id="g", dialog_id="d", negative_ids=(), turn=0,
+        goal_id="g", dialog_id="d", turn=0,
     )
     [record] = emit_sft([sample])
     assert record["target"] == (
@@ -296,7 +294,6 @@ def test_dpo_all_emits_distinct_pairs_only(db3, mixed_group):
     widened = dataclasses.replace(
         sample,
         negatives=(sample.negatives[0], other, sample.negatives[0]),
-        negative_ids=("cand-u", "cand-x", "cand-y"),
     )
     all_records = emit_dpo([widened], PairPolicy.ALL)
     assert len(all_records) == 2
@@ -568,10 +565,7 @@ def candidate_groups(draw):
 @given(group=candidate_groups())
 def test_detection_equals_naive_splice_loop(group):
     samples = detect_subgoals(group, SPLICE_DB)
-    found = [
-        (s.dialog_id, s.turn, s.kind.value, loser) for s in samples for loser in s.negative_ids
-    ]
-    assert found == _naive_detect(group, SPLICE_DB)
+    assert detect_flips(group, samples) == _naive_detect(group, SPLICE_DB)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -589,10 +583,9 @@ def _naive_assemble(source, samples, k):
     for number, (a, b) in enumerate(choices):
         turns = []
         for t, turn_set in enumerate(samples):
-            base = 1 if turn_set.has_greedy else 0
-            state_idx = 0 if number == 0 else min(base + a, len(turn_set.states) - 1)
+            state_idx = 0 if number == 0 else min(1 + a, len(turn_set.states) - 1)
             spots = turn_set.completions[state_idx]
-            completion = spots[0 if number == 0 else min(base + b, len(spots) - 1)]
+            completion = spots[0 if number == 0 else min(1 + b, len(spots) - 1)]
             system = SystemTurn(
                 state=turn_set.states[state_idx],
                 acts=completion.acts,
@@ -628,7 +621,6 @@ def turn_sets(draw):
     return SampledTurnSet(
         states=[{"hotel": {"area": area}} for area in areas],
         completions=completions,
-        has_greedy=draw(st.booleans()),
     )
 
 
