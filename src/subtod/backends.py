@@ -182,7 +182,7 @@ class ScriptedBackend:
         self._sites: dict[str, tuple[Dialog, int, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
             for t, context in enumerate(contexts_of(dialog)):
-                prompt = serialize_state_prompt(context).text
+                prompt = serialize_state_prompt(context)
                 first, first_t, _ = self._sites.setdefault(prompt, (dialog, t, len(self._sites)))
                 if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
                     raise ValueError(

@@ -39,10 +39,10 @@ from .model import (
     Turn,
     UserGoal,
 )
+from .verbalize import SPECIAL_TOKENS
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z]+)_([a-z0-9_ ]+)\]")
 _BRACKET_RE = re.compile(r"\[[^\[\]\s]+\]")
-_SPECIAL_TOKENS = {"[C]", "[U]", "[R]", "[B]", "[A]"}
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def _validate(corpus: Corpus, errors: list[str]) -> None:
                     elif act.act not in ontology.domains[act.domain].acts:
                         errors.append(f"{where}: act verb {act.act!r} not in {act.domain!r}'s acts")
                 for token in _BRACKET_RE.findall(turn.system.response):
-                    if token in _SPECIAL_TOKENS:
+                    if token in SPECIAL_TOKENS:
                         errors.append(f"{where}: special token {token} in response")
                         continue
                     match = _PLACEHOLDER_RE.fullmatch(token)

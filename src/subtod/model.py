@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .errors import NotInGoal, UnknownDomain, UnknownSlot
+from .errors import UnknownDomain, UnknownSlot
 
 # domain -> slot -> value
 BeliefState = dict[str, dict[str, str]]

@@ -16,7 +16,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .backends import GeneratorBackend, stable_seed
+from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seed
 from .errors import BackendError, IncompleteSamples, PipelineError
 from .model import BeliefState, DialogAct, DialogContext, Ontology
 from .verbalize import (
@@ -32,7 +32,6 @@ class SamplingConfig:
     k: int = 2
     temperature: float = 1.0
     seed: int = 0
-    max_tokens: int = 256
 
     def __post_init__(self):
         if self.k < 1:
@@ -77,7 +76,7 @@ def generation_request(prompt: str, stage: str, cfg: SamplingConfig, *, greedy: 
         greedy,
         cfg.temperature,
         stable_seed(cfg.seed, prompt, tag),
-        cfg.max_tokens,
+        DEFAULT_MAX_TOKENS,
     )
 
 
@@ -144,7 +143,7 @@ def sample_dialogs(
     # The ``greedy`` flag of each request per prompt, greedy first.
     draws: tuple[bool, ...] = (True,) if greedy_only else (True, False)
     state_prompts = [
-        [serialize_state_prompt(context).text for context in contexts] for contexts in dialogs
+        [serialize_state_prompt(context) for context in contexts] for contexts in dialogs
     ]
     state_requests = [
         [

@@ -33,7 +33,7 @@ from .model import (
     replace_turn,  # noqa: F401  unused here; bench/tracer.py patches it by name
 )
 from .sampling import SampledTurnSet
-from .verbalize import serialize_act_prompt, serialize_state_prompt, state_text, turn_text
+from .verbalize import act_prompt_text, serialize_state_prompt, state_text, turn_text
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,17 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
     return samples
 
 
-def _prompt_and_text(sample: SubgoalSample, fragment: SystemTurn) -> tuple[str, str]:
+def _prompt(sample: SubgoalSample) -> str:
+    prompt = serialize_state_prompt(sample.context)
     if sample.kind is SubgoalKind.STATE:
-        prompt = serialize_state_prompt(sample.context).text
-        return prompt, state_text(fragment.state)
-    prompt = serialize_act_prompt(sample.context, sample.positive.state).text
-    return prompt, turn_text(fragment.acts, fragment.response)
+        return prompt
+    return act_prompt_text(prompt, sample.positive.state)
+
+
+def _text(kind: SubgoalKind, fragment: SystemTurn) -> str:
+    if kind is SubgoalKind.STATE:
+        return state_text(fragment.state)
+    return turn_text(fragment.acts, fragment.response)
 
 
 def _record_key(record: dict) -> tuple:
@@ -211,11 +216,10 @@ def emit_sft(samples: list[SubgoalSample]) -> list[dict]:
     """One prompt/target record per sample, sorted for stable file output."""
     records = []
     for sample in samples:
-        prompt, target = _prompt_and_text(sample, sample.positive)
         records.append(
             {
-                "prompt": prompt,
-                "target": target,
+                "prompt": _prompt(sample),
+                "target": _text(sample.kind, sample.positive),
                 "kind": sample.kind.value,
                 "goal_id": sample.goal_id,
                 "dialog_id": sample.dialog_id,
@@ -242,10 +246,10 @@ def emit_dpo(
     records = []
     seen = set() if seen is None else seen
     for sample in samples:
-        prompt, chosen = _prompt_and_text(sample, sample.positive)
+        prompt, chosen = _prompt(sample), _text(sample.kind, sample.positive)
         negatives = sample.negatives[:1] if pair_policy is PairPolicy.FIRST else sample.negatives
         for negative in negatives:
-            _, rejected = _prompt_and_text(sample, negative)
+            rejected = _text(sample.kind, negative)
             if pair_policy is PairPolicy.ALL:
                 key = (prompt, chosen, rejected)
                 if key in seen:

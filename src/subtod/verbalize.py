@@ -20,52 +20,24 @@ states (lowercase slots, clean values); the reverse composition canonicalizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, NamedTuple, Sequence
 
-from .model import BeliefState, DialogAct, DialogContext, SubgoalKind
+from .model import BeliefState, DialogAct, DialogContext
 
 TOKEN_CONTEXT = "[C]"
 TOKEN_USER = "[U]"
 TOKEN_RESPONSE = "[R]"
 TOKEN_STATE = "[B]"
 TOKEN_ACTS = "[A]"
+SPECIAL_TOKENS = frozenset({TOKEN_CONTEXT, TOKEN_USER, TOKEN_RESPONSE, TOKEN_STATE, TOKEN_ACTS})
 
 BOOKING_PREFIX = "booking"
 
 # Distinct generated texts (with their vocabulary) whose parse is kept. The
 # parsers are pure and their results are never mutated (see ``model``), so
-# one parse serves every goal and ``--workers`` thread that meets the text.
+# one parse serves every goal that meets the text.
 PARSE_MEMO_SIZE = 4096
-
-DEFAULT_DOMAINS = frozenset(
-    {"attraction", "hospital", "hotel", "police", "restaurant", "taxi", "train"}
-)
-DEFAULT_ACT_VERBS = frozenset(
-    {
-        "inform",
-        "request",
-        "recommend",
-        "select",
-        "book",
-        "offer",
-        "offerbook",
-        "nooffer",
-        "nobook",
-        "general",
-        "greet",
-        "bye",
-        "welcome",
-        "reqmore",
-    }
-)
-
-
-@dataclass(frozen=True)
-class Prompt:
-    text: str
-    stage: SubgoalKind
 
 
 class ParsedState(NamedTuple):
@@ -83,23 +55,17 @@ def _clean(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def serialize_state_prompt(context: DialogContext) -> Prompt:
+def serialize_state_prompt(context: DialogContext) -> str:
     """``[C]`` + alternating ``[U]``/``[R]`` history + the current ``[U]``."""
     parts = [TOKEN_CONTEXT]
     for pair in context.pairs:
         parts.extend([TOKEN_USER, _clean(pair.user), TOKEN_RESPONSE, _clean(pair.system.response)])
     parts.extend([TOKEN_USER, _clean(context.user)])
-    return Prompt(text=" ".join(p for p in parts if p), stage=SubgoalKind.STATE)
-
-
-def serialize_act_prompt(context: DialogContext, state: BeliefState) -> Prompt:
-    """State prompt extended with a trailing ``[B]`` segment."""
-    text = act_prompt_text(serialize_state_prompt(context).text, state)
-    return Prompt(text=text, stage=SubgoalKind.ACT_RESPONSE)
+    return " ".join(p for p in parts if p)
 
 
 def act_prompt_text(state_prompt: str, state: BeliefState) -> str:
-    """The act/response prompt text from its context's state prompt text."""
+    """The act/response prompt: the context's state prompt plus a ``[B]`` segment."""
     verbalized = verbalize_state(state)
     text = f"{state_prompt} {TOKEN_STATE}"
     return f"{text} {verbalized}" if verbalized else text
@@ -117,10 +83,11 @@ def verbalize_state(state: BeliefState) -> str:
     return " ".join(parts)
 
 
-def parse_state(text: str, *, domains: Collection[str] = DEFAULT_DOMAINS) -> ParsedState:
+def parse_state(text: str, *, domains: Collection[str]) -> ParsedState:
     """Parse a verbalized state; skips malformed clauses with diagnostics.
 
-    An empty string parses to an empty state. A leading ``[B]`` token is
+    ``domains`` is the vocabulary, the corpus ontology's domain names. An
+    empty string parses to an empty state. A leading ``[B]`` token is
     tolerated so raw generations can be fed in directly. Parses are memoized
     per text and vocabulary: every caller that parses the same text gets the
     same ``ParsedState``, whose state must therefore not be mutated.
@@ -199,14 +166,16 @@ def verbalize_acts(acts: Sequence[DialogAct]) -> str:
 def parse_act_response(
     text: str,
     *,
-    domains: Collection[str] = DEFAULT_DOMAINS,
-    verbs: Collection[str] = DEFAULT_ACT_VERBS,
+    domains: Collection[str],
+    verbs: Collection[str],
 ) -> ParsedActResponse:
     """Split ``[A] <acts> [R] <response>`` and parse the act clauses.
 
-    Missing tokens degrade instead of failing: without ``[R]`` the whole text
-    becomes the response and no acts are returned. Memoized like
-    ``parse_state``; the result is shared between callers.
+    ``domains`` and ``verbs`` are the vocabulary, the corpus ontology's
+    domain names and act verbs. Missing tokens degrade instead of failing:
+    without ``[R]`` the whole text becomes the response and no acts are
+    returned. Memoized like ``parse_state``; the result is shared between
+    callers.
     """
     return _parse_act_response(text, frozenset(domains), frozenset(verbs))
 

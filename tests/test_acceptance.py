@@ -24,8 +24,6 @@ from subtod.sampling import SamplingConfig
 from subtod.subgoals import CandidateGroup, PairPolicy, detect_subgoals, emit_dpo, label_success
 from subtod.synthetic import build_world
 from subtod.verbalize import (
-    DEFAULT_ACT_VERBS,
-    DEFAULT_DOMAINS,
     parse_act_response,
     parse_state,
     turn_text,
@@ -37,6 +35,9 @@ from test_verbalize import (
     EXACT_STATE_STRINGS,
     LENIENT_ACT_STRINGS,
     LENIENT_STATE_STRINGS,
+    MULTIWOZ,
+    MULTIWOZ_ACT_VERBS,
+    MULTIWOZ_DOMAINS,
 )
 
 # Reported MultiWOZ 2.2 leaderboard rows as (bleu, inform, success,
@@ -129,6 +130,7 @@ def test_c4_every_rejected_fragment_breaks_the_dialog():
     db = world.database
     backend = ScriptedBackend(world, ErrorInjectionConfig(rate=0.5), seed=3)
     sampling = SamplingConfig(k=2, seed=17)
+    domains, verbs = world.ontology.domains, world.ontology.act_verbs()
 
     n_pairs = 0
     for source in world.dialogs:
@@ -140,12 +142,12 @@ def test_c4_every_rejected_fragment_breaks_the_dialog():
             winner = by_id[record["dialog_id"]]
             if record["kind"] == "state":
                 kind = SubgoalKind.STATE
-                parsed = parse_state(record["rejected"])
+                parsed = parse_state(record["rejected"], domains=domains)
                 assert parsed.diagnostics == ()
                 fragment = SystemTurn(state=parsed.state, acts=(), response="")
             else:
                 kind = SubgoalKind.ACT_RESPONSE
-                parsed = parse_act_response(record["rejected"])
+                parsed = parse_act_response(record["rejected"], domains=domains, verbs=verbs)
                 fragment = SystemTurn(state={}, acts=parsed.acts, response=parsed.response)
             patched = replace_turn(winner, record["turn"], kind, fragment)
             assert not dialog_success(patched, goal, db), record
@@ -307,8 +309,8 @@ _RT_RESPONSES = (
 
 def test_c7_round_trip_parsing():
     rng = random.Random(97)
-    domains = sorted(DEFAULT_DOMAINS)
-    verbs = sorted(DEFAULT_ACT_VERBS)
+    domains = sorted(MULTIWOZ_DOMAINS)
+    verbs = sorted(MULTIWOZ_ACT_VERBS)
     for _ in range(10_000):
         state = {
             domain: {
@@ -317,7 +319,7 @@ def test_c7_round_trip_parsing():
             }
             for domain in rng.sample(domains, rng.randrange(0, 4))
         }
-        parsed = parse_state(verbalize_state(state))
+        parsed = parse_state(verbalize_state(state), domains=MULTIWOZ_DOMAINS)
         assert parsed.state == state
         assert parsed.diagnostics == ()
 
@@ -331,24 +333,25 @@ def test_c7_round_trip_parsing():
             for _ in range(rng.randrange(0, 6))
         )
         response = rng.choice(_RT_RESPONSES)
-        again = parse_act_response(turn_text(acts, response))
+        again = parse_act_response(turn_text(acts, response), **MULTIWOZ)
         assert again.acts == acts
         assert again.response == response
 
     for text in EXACT_STATE_STRINGS:
-        parsed = parse_state(text)
+        parsed = parse_state(text, domains=MULTIWOZ_DOMAINS)
         assert parsed.diagnostics == ()
         assert verbalize_state(parsed.state) == text
     for text in EXACT_ACT_STRINGS:
-        parsed = parse_act_response(f"[A] {text} [R] ok.")
+        parsed = parse_act_response(f"[A] {text} [R] ok.", **MULTIWOZ)
         assert parsed.diagnostics == ()
         assert verbalize_acts(parsed.acts) == text
     for text in LENIENT_STATE_STRINGS:
-        first = parse_state(text)
-        assert parse_state(verbalize_state(first.state)).state == first.state
+        first = parse_state(text, domains=MULTIWOZ_DOMAINS)
+        again = parse_state(verbalize_state(first.state), domains=MULTIWOZ_DOMAINS)
+        assert again.state == first.state
     for text in LENIENT_ACT_STRINGS:
-        first = parse_act_response(f"[A] {text} [R] ok.")
-        again = parse_act_response(turn_text(first.acts, first.response))
+        first = parse_act_response(f"[A] {text} [R] ok.", **MULTIWOZ)
+        again = parse_act_response(turn_text(first.acts, first.response), **MULTIWOZ)
         assert again.acts == first.acts
         assert again.response == first.response
 

@@ -24,12 +24,17 @@ from subtod.errors import BackendError
 from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
 from subtod.model import SubgoalKind, contexts_of, normalize_value, placeholder
 from subtod.sampling import SamplingConfig, answer_wave, generation_request, sample_turn
+from subtod.synthetic import default_ontology
 from subtod.verbalize import (
+    act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_act_prompt,
     serialize_state_prompt,
 )
+
+# The vocabulary of the synthetic worlds' ontology, which the parses below read.
+DOMAINS = frozenset(default_ontology().domains)
+VERBS = default_ontology().act_verbs()
 
 
 _REQUEST_FIELDS = ("prompt", "n", "greedy", "temperature", "seed", "max_tokens")
@@ -40,12 +45,12 @@ def _norm_state(state):
 
 
 def _state_prompt(dialog, t):
-    return serialize_state_prompt(contexts_of(dialog)[t]).text
+    return serialize_state_prompt(contexts_of(dialog)[t])
 
 
 def _act_prompt(dialog, t, state=None):
     state = dialog.turns[t].system.state if state is None else state
-    return serialize_act_prompt(contexts_of(dialog)[t], state).text
+    return act_prompt_text(_state_prompt(dialog, t), state)
 
 
 def _requested_in(goal, response):
@@ -100,10 +105,10 @@ def test_scripted_greedy_returns_the_ground_truth(small_world):
     out = backend.generate(_state_prompt(dialog, 0), 3, greedy=True)
     assert len(out) == 3
     assert len(set(out)) == 1
-    assert parse_state(out[0]).state == system.state
+    assert parse_state(out[0], domains=DOMAINS).state == system.state
 
     acts = backend.generate(_act_prompt(dialog, 0), 2, greedy=True)
-    parsed = parse_act_response(acts[0])
+    parsed = parse_act_response(acts[0], domains=DOMAINS, verbs=VERBS)
     assert parsed.acts == system.acts
     assert parsed.response == system.response
     assert acts[0] == acts[1]
@@ -116,7 +121,8 @@ def test_scripted_act_prompt_resolves_by_context_not_state(small_world):
     dialog = small_world.dialogs[0]
     wrong_state = {"hotel": {"area": "nowhere"}}
     out = backend.generate(_act_prompt(dialog, 0, wrong_state), 1, greedy=True)
-    assert parse_act_response(out[0]).response == dialog.turns[0].system.response
+    parsed = parse_act_response(out[0], domains=DOMAINS, verbs=VERBS)
+    assert parsed.response == dialog.turns[0].system.response
 
 
 def test_scripted_sampled_states_vary_case_but_not_meaning(small_world):
@@ -129,7 +135,7 @@ def test_scripted_sampled_states_vary_case_but_not_meaning(small_world):
     assert sampled[0] != sampled[1]
     for text in sampled:
         assert text != greedy
-        assert _norm_state(parse_state(text).state) == _norm_state(ground)
+        assert _norm_state(parse_state(text, domains=DOMAINS).state) == _norm_state(ground)
 
 
 def test_scripted_sampled_responses_add_neutral_tails(small_world):
@@ -139,7 +145,7 @@ def test_scripted_sampled_responses_add_neutral_tails(small_world):
     sampled = backend.generate(_act_prompt(dialog, 0), 6, greedy=False)
     assert len(set(sampled)) == 6
     for text in sampled:
-        parsed = parse_act_response(text)
+        parsed = parse_act_response(text, domains=DOMAINS, verbs=VERBS)
         assert parsed.acts == system.acts
         assert parsed.response.startswith(system.response)
 
@@ -198,7 +204,7 @@ def test_planted_wrong_value_hits_one_sample(small_world):
     backend = ScriptedBackend(small_world, noise)
     ground = dialog.turns[t].system.state
     sampled = backend.generate(_state_prompt(dialog, t), 2, greedy=False)
-    corrupted = parse_state(sampled[0]).state
+    corrupted = parse_state(sampled[0], domains=DOMAINS).state
     assert corrupted[domain]["area"] != ground[domain]["area"]
     assert normalize_value(corrupted[domain]["area"]) != "dontcare"
     untouched = {d: {s: v for s, v in slots.items() if (d, s) != (domain, "area")}
@@ -206,7 +212,7 @@ def test_planted_wrong_value_hits_one_sample(small_world):
     expected = {d: {s: v for s, v in slots.items() if (d, s) != (domain, "area")}
                 for d, slots in ground.items()}
     assert untouched == expected
-    assert _norm_state(parse_state(sampled[1]).state) == _norm_state(ground)
+    assert _norm_state(parse_state(sampled[1], domains=DOMAINS).state) == _norm_state(ground)
     assert backend.generate(_state_prompt(dialog, t), 1, greedy=True) != [sampled[0]]
 
 
@@ -220,10 +226,10 @@ def test_planted_drop_slot_removes_it(small_world):
     )
     backend = ScriptedBackend(small_world, noise)
     sampled = backend.generate(_state_prompt(dialog, t), 2, greedy=False)
-    dropped = parse_state(sampled[1]).state
+    dropped = parse_state(sampled[1], domains=DOMAINS).state
     assert "pricerange" not in dropped.get(domain, {})
     ground = dialog.turns[t].system.state
-    assert _norm_state(parse_state(sampled[0]).state) == _norm_state(ground)
+    assert _norm_state(parse_state(sampled[0], domains=DOMAINS).state) == _norm_state(ground)
 
 
 def test_planted_swap_reverses_the_route(small_world):
@@ -236,7 +242,8 @@ def test_planted_swap_reverses_the_route(small_world):
     )
     backend = ScriptedBackend(small_world, noise)
     swapped = parse_state(
-        backend.generate(_state_prompt(dialog, t), 1, greedy=False)[0]
+        backend.generate(_state_prompt(dialog, t), 1, greedy=False)[0],
+        domains=DOMAINS,
     ).state
     ground = dialog.turns[t].system.state
     assert swapped["train"]["departure"] == ground["train"]["destination"]
@@ -255,7 +262,8 @@ def test_planted_omission_strips_a_requested_slot(small_world):
     )
     backend = ScriptedBackend(small_world, noise)
     parsed = parse_act_response(
-        backend.generate(_act_prompt(dialog, t), 1, greedy=False)[0]
+        backend.generate(_act_prompt(dialog, t), 1, greedy=False)[0],
+        domains=DOMAINS, verbs=VERBS,
     )
     before = _requested_in(goal, system.response)
     after = [tok for tok in before if tok in parsed.response]
@@ -276,7 +284,8 @@ def test_noise_rate_one_corrupts_exactly_one_sample_per_state_site(small_world):
                 continue
             sampled = backend.generate(_state_prompt(dialog, t), 2, greedy=False)
             ground = _norm_state(turn.system.state)
-            bad = [s for s in sampled if _norm_state(parse_state(s).state) != ground]
+            states = [parse_state(s, domains=DOMAINS).state for s in sampled]
+            bad = [state for state in states if _norm_state(state) != ground]
             assert len(bad) == 1
             checked += 1
     assert checked >= 8
@@ -414,7 +423,7 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
     def run(i):
         results[i] = sample_turn(remote, contexts[i], cfg, small_world.ontology)
 
-    # Two goal threads share the client, as under --workers 2.
+    # Two threads share the client, as library callers may.
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
     for thread in threads:
         thread.start()
@@ -484,12 +493,13 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server
     cfg = SamplingConfig(k=2, seed=4)
     context = contexts_of(dialog)[1]
     greedy_state = parse_state(
-        scripted.generate(serialize_state_prompt(context).text, 1, greedy=True)[0]
+        scripted.generate(serialize_state_prompt(context), 1, greedy=True)[0],
+        domains=DOMAINS,
     ).state
     # The first request of the turn's act/response wave fails at once, while
     # the rest of the wave is still held by the server.
     failing = generation_request(
-        serialize_act_prompt(context, greedy_state).text, "turn", cfg, greedy=True
+        act_prompt_text(serialize_state_prompt(context), greedy_state), "turn", cfg, greedy=True
     )
     healthy = _scripted_answer(scripted)
     held, seen = _held(healthy)
@@ -541,15 +551,19 @@ def test_state_wave_failure_still_meets_an_earlier_turns_act_failure_first(
     contexts = contexts_of(dialog)
     assert len(contexts) >= 3
     greedy_state = parse_state(
-        scripted.generate(serialize_state_prompt(contexts[1]).text, 1, greedy=True)[0]
+        scripted.generate(serialize_state_prompt(contexts[1]), 1, greedy=True)[0],
+        domains=DOMAINS,
     ).state
     # Turn 1's greedy act/response request, then turn 2's greedy state request.
     failures = {
         generation_request(
-            serialize_act_prompt(contexts[1], greedy_state).text, "turn", cfg, greedy=True
+            act_prompt_text(serialize_state_prompt(contexts[1]), greedy_state),
+            "turn",
+            cfg,
+            greedy=True,
         ): 404,
         generation_request(
-            serialize_state_prompt(contexts[2]).text, "state", cfg, greedy=True
+            serialize_state_prompt(contexts[2]), "state", cfg, greedy=True
         ): 400,
     }
     healthy = _scripted_answer(scripted)
@@ -588,7 +602,7 @@ def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
     goals_of = {}
     for dialog in small_world.dialogs:
         for context in contexts_of(dialog):
-            goals_of.setdefault(serialize_state_prompt(context).text, set()).add(dialog.goal_id)
+            goals_of.setdefault(serialize_state_prompt(context), set()).add(dialog.goal_id)
     # A state prompt that two goals of the single block share; its greedy request fails.
     prompt = min(p for p, goals in goals_of.items() if len(goals) > 1)
     failing = generation_request(prompt, "state", sampling, greedy=True)

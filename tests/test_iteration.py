@@ -25,7 +25,8 @@ from subtod.iteration import (
 from subtod import verbalize
 from subtod.sampling import SamplingConfig
 from subtod.subgoals import PairPolicy
-from subtod.verbalize import DEFAULT_ACT_VERBS, DEFAULT_DOMAINS, serialize_state_prompt
+from subtod.verbalize import serialize_state_prompt
+from test_verbalize import MULTIWOZ_ACT_VERBS, MULTIWOZ_DOMAINS
 
 
 def test_iteration_config_validates_its_knobs(tmp_path):
@@ -176,8 +177,8 @@ def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
     )
     assert group.candidates[0].turns == dialog.turns
     assert predict_greedy(backend, [dialog], cfg, lodge_world.ontology) == [dialog]
-    # The parsers' default vocabulary would drop the lodge clauses.
-    assert "lodge" not in DEFAULT_DOMAINS and "suggest" not in DEFAULT_ACT_VERBS
+    # A MultiWOZ vocabulary would drop the lodge clauses.
+    assert "lodge" not in MULTIWOZ_DOMAINS and "suggest" not in MULTIWOZ_ACT_VERBS
 
 
 def test_write_jsonl_format(tmp_path):
@@ -208,7 +209,7 @@ def test_a_run_that_dies_mid_stream_leaves_the_previous_outputs_whole(
     # context: earlier blocks' records are appended before it dies.
     monkeypatch.setattr(iteration, "BLOCK_SIZE", 2)
     fifth = small_world.dialog_map()[sorted(small_world.goals)[4]]
-    doomed = serialize_state_prompt(contexts_of(fifth)[-1]).text
+    doomed = serialize_state_prompt(contexts_of(fifth)[-1])
     make_backend = cli._make_backend
 
     def dying_backend(args, corpus):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import detect as oracle_detect
 from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, plain_schemas, plain_tables
+from subtod import subgoals
 from subtod.backends import ScriptedBackend
 from subtod.errors import IncompleteSamples
 from subtod.evaluate import SpliceEvaluator, dialog_success
@@ -39,7 +40,7 @@ from subtod.subgoals import (
     emit_sft,
     label_success,
 )
-from subtod.verbalize import serialize_act_prompt, serialize_state_prompt
+from subtod.verbalize import act_prompt_text, serialize_state_prompt
 
 
 def test_assemble_builds_k_squared_plus_one_candidates(small_world):
@@ -232,7 +233,7 @@ def test_sft_records_for_the_mixed_group(db3, mixed_group):
         (3, "act_response"),
     ]
     state_record = records[0]
-    assert state_record["prompt"] == serialize_state_prompt(contexts_of(winner)[1]).text
+    assert state_record["prompt"] == serialize_state_prompt(contexts_of(winner)[1])
     assert state_record["target"] == (
         "[B] hotel area: north; internet: yes; pricerange: moderate;"
     )
@@ -240,9 +241,9 @@ def test_sft_records_for_the_mixed_group(db3, mixed_group):
     assert state_record["dialog_id"] == "cand-w"
 
     addr_record = records[1]
-    assert addr_record["prompt"] == serialize_act_prompt(
-        contexts_of(winner)[2], winner.turns[2].system.state
-    ).text
+    assert addr_record["prompt"] == act_prompt_text(
+        serialize_state_prompt(contexts_of(winner)[2]), winner.turns[2].system.state
+    )
     assert addr_record["target"] == (
         "[A] hotel inform ADDRESS; [R] the address is [hotel_address]."
     )
@@ -285,7 +286,7 @@ def test_dpo_first_pairs_each_site_with_its_first_flip(db3, mixed_group):
     )
     assert by_turn[3]["rejected"] == "[A] [R] you are welcome, goodbye!"
     winner = mixed_group.candidates[0]
-    assert by_turn[1]["prompt"] == serialize_state_prompt(contexts_of(winner)[1]).text
+    assert by_turn[1]["prompt"] == serialize_state_prompt(contexts_of(winner)[1])
 
 
 def test_dpo_all_emits_distinct_pairs_only(db3, mixed_group):
@@ -304,6 +305,29 @@ def test_dpo_all_emits_distinct_pairs_only(db3, mixed_group):
     first_records = emit_dpo([widened], PairPolicy.FIRST)
     assert len(first_records) == 1
     assert first_records[0]["rejected"] == "[A] [R] you are welcome, goodbye!"
+
+
+def test_dpo_builds_each_sample_prompt_once(db3, mixed_group, monkeypatch):
+    # One more negative per sample, distinct from the others in both fragments.
+    samples = [
+        dataclasses.replace(
+            sample,
+            negatives=sample.negatives
+            + (dataclasses.replace(sample.negatives[0], state={}, response="so long!"),),
+        )
+        for sample in detect_subgoals(mixed_group, db3)
+    ]
+    assert all(len(sample.negatives) >= 2 for sample in samples)
+    built = []
+
+    def counting_serialize(context):
+        built.append(context)
+        return serialize_state_prompt(context)
+
+    monkeypatch.setattr(subgoals, "serialize_state_prompt", counting_serialize)
+    records = emit_dpo(samples, PairPolicy.ALL, set())
+    assert len(records) == sum(len(sample.negatives) for sample in samples)
+    assert built == [sample.context for sample in samples]
 
 
 def test_emission_order_ignores_input_order(db3, mixed_group):

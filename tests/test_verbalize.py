@@ -2,24 +2,48 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtod.model import DialogAct, DialogContext, SubgoalKind, SystemTurn, Turn
+from subtod.model import DialogAct, DialogContext, SystemTurn, Turn
 from subtod.verbalize import (
-    DEFAULT_ACT_VERBS,
-    DEFAULT_DOMAINS,
     _parse_act_response,
     _parse_state,
+    act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_act_prompt,
     serialize_state_prompt,
     state_text,
     turn_text,
     verbalize_acts,
     verbalize_state,
 )
+
+# The MultiWOZ domain names and act verbs, the vocabulary the parser tests
+# and the round-trip properties here and in c7 draw from.
+MULTIWOZ_DOMAINS = frozenset(
+    {"attraction", "hospital", "hotel", "police", "restaurant", "taxi", "train"}
+)
+MULTIWOZ_ACT_VERBS = frozenset(
+    {
+        "inform",
+        "request",
+        "recommend",
+        "select",
+        "book",
+        "offer",
+        "offerbook",
+        "nooffer",
+        "nobook",
+        "general",
+        "greet",
+        "bye",
+        "welcome",
+        "reqmore",
+    }
+)
+MULTIWOZ = {"domains": MULTIWOZ_DOMAINS, "verbs": MULTIWOZ_ACT_VERBS}
 
 TRAIN_STATE_TEXT = "train departure: london liverpool street; destination: cambridge;"
 TRAIN_STATE = {"train": {"departure": "london liverpool street", "destination": "cambridge"}}
@@ -62,8 +86,7 @@ def test_state_prompt_with_empty_history():
     prompt = serialize_state_prompt(
         _context("I'm looking for a restaurant with mediterranean food.")
     )
-    assert prompt.text == "[C] [U] i'm looking for a restaurant with mediterranean food."
-    assert prompt.stage is SubgoalKind.STATE
+    assert prompt == "[C] [U] i'm looking for a restaurant with mediterranean food."
 
 
 def test_state_prompt_history_has_one_response_token_per_pair():
@@ -72,9 +95,9 @@ def test_state_prompt_history_has_one_response_token_per_pair():
         system=SystemTurn(state={}, acts=(), response="how about [restaurant_name]?"),
     )
     prompt = serialize_state_prompt(_context("book it please", [pair]))
-    assert prompt.text.count("[R]") == 1
-    assert prompt.text.count("[U]") == 2
-    assert prompt.text.startswith("[C] [U] any area is fine [R] how about")
+    assert prompt.count("[R]") == 1
+    assert prompt.count("[U]") == 2
+    assert prompt.startswith("[C] [U] any area is fine [R] how about")
 
 
 def test_state_prompt_token_split_recovers_the_context():
@@ -86,7 +109,7 @@ def test_state_prompt_token_split_recovers_the_context():
         for i in range(3)
     ]
     prompt = serialize_state_prompt(_context("final question?", pairs))
-    body = prompt.text.removeprefix("[C] [U] ")
+    body = prompt.removeprefix("[C] [U] ")
     chunks = body.split(" [U] ")
     *history, current = chunks
     assert current == "final question?"
@@ -96,54 +119,55 @@ def test_state_prompt_token_split_recovers_the_context():
         assert response == f"system reply {i}."
 
 
+def _act_prompt(context, state):
+    return act_prompt_text(serialize_state_prompt(context), state)
+
+
 def test_act_prompt_with_empty_state_ends_with_the_state_token():
-    prompt = serialize_act_prompt(_context("hello"), {})
-    assert prompt.text.endswith(" [B]")
-    assert prompt.stage is SubgoalKind.ACT_RESPONSE
+    prompt = _act_prompt(_context("hello"), {})
+    assert prompt.endswith(" [B]")
 
 
 def test_act_prompt_carries_the_verbalized_state():
-    prompt = serialize_act_prompt(_context("when does it leave?"), TRAIN_STATE)
-    assert prompt.text.endswith(f" [B] {TRAIN_STATE_TEXT}")
+    prompt = _act_prompt(_context("when does it leave?"), TRAIN_STATE)
+    assert prompt.endswith(f" [B] {TRAIN_STATE_TEXT}")
 
 
 def test_act_prompt_extends_the_state_prompt():
     context = _context("when does it leave?")
-    assert serialize_act_prompt(context, TRAIN_STATE).text.startswith(
-        serialize_state_prompt(context).text
-    )
+    assert _act_prompt(context, TRAIN_STATE).startswith(serialize_state_prompt(context))
 
 
 def test_parse_state_reads_domain_prefixed_clauses():
-    parsed = parse_state(TRAIN_STATE_TEXT)
+    parsed = parse_state(TRAIN_STATE_TEXT, domains=MULTIWOZ_DOMAINS)
     assert parsed.state == TRAIN_STATE
     assert parsed.diagnostics == ()
 
 
 def test_parse_state_empty_and_token_prefixed():
-    assert parse_state("").state == {}
-    assert parse_state("[B]").state == {}
-    assert parse_state(f"[B] {TRAIN_STATE_TEXT}").state == TRAIN_STATE
+    assert parse_state("", domains=MULTIWOZ_DOMAINS).state == {}
+    assert parse_state("[B]", domains=MULTIWOZ_DOMAINS).state == {}
+    assert parse_state(f"[B] {TRAIN_STATE_TEXT}", domains=MULTIWOZ_DOMAINS).state == TRAIN_STATE
 
 
 def test_parse_state_keeps_colons_inside_values():
-    parsed = parse_state("train leaveat: 08:45;")
+    parsed = parse_state("train leaveat: 08:45;", domains=MULTIWOZ_DOMAINS)
     assert parsed.state == {"train": {"leaveat": "08:45"}}
     assert verbalize_state(parsed.state) == "train leaveat: 08:45;"
 
 
 def test_parse_state_diagnostics_for_malformed_clauses():
-    parsed = parse_state("no separator here; hotel; hotel area: ;")
+    parsed = parse_state("no separator here; hotel; hotel area: ;", domains=MULTIWOZ_DOMAINS)
     assert parsed.state == {}
     notes = "\n".join(parsed.diagnostics)
     assert "without separator" in notes
     assert "without a value" in notes
 
-    orphan = parse_state("area: north;")
+    orphan = parse_state("area: north;", domains=MULTIWOZ_DOMAINS)
     assert orphan.state == {}
     assert any("before any domain" in d for d in orphan.diagnostics)
 
-    headless = parse_state("hotel : x;")
+    headless = parse_state("hotel : x;", domains=MULTIWOZ_DOMAINS)
     assert headless.state == {}
     assert any("without a slot name" in d for d in headless.diagnostics)
 
@@ -160,17 +184,17 @@ def test_verbalize_state_sorts_domains_and_slots():
 
 def test_exact_state_strings_survive_verbatim():
     for text in EXACT_STATE_STRINGS:
-        parsed = parse_state(text)
+        parsed = parse_state(text, domains=MULTIWOZ_DOMAINS)
         assert parsed.diagnostics == ()
         assert verbalize_state(parsed.state) == text
 
 
 def test_lenient_state_strings_round_trip_as_structures():
     for text in LENIENT_STATE_STRINGS:
-        first = parse_state(text)
-        again = parse_state(verbalize_state(first.state))
+        first = parse_state(text, domains=MULTIWOZ_DOMAINS)
+        again = parse_state(verbalize_state(first.state), domains=MULTIWOZ_DOMAINS)
         assert again.state == first.state
-    taxi = parse_state(LENIENT_STATE_STRINGS[0]).state
+    taxi = parse_state(LENIENT_STATE_STRINGS[0], domains=MULTIWOZ_DOMAINS).state
     assert taxi["taxi"]["departure"] == "corpus christi"
     assert taxi["attraction"] == {"type": "college"}
     assert taxi["hotel"]["name"] == "university arms hotel"
@@ -179,7 +203,8 @@ def test_lenient_state_strings_round_trip_as_structures():
 def test_parse_acts_reads_booking_prefix_and_sticky_domain():
     parsed = parse_act_response(
         "[A] booking hotel inform NAME; inform PRICE; "
-        "[R] [hotel_name] is [hotel_price]. would you like me to book it for you?"
+        "[R] [hotel_name] is [hotel_price]. would you like me to book it for you?",
+        **MULTIWOZ,
     )
     assert parsed.acts == (
         DialogAct("hotel", "inform", "name", booking=True),
@@ -190,26 +215,28 @@ def test_parse_acts_reads_booking_prefix_and_sticky_domain():
 
 
 def test_parse_acts_without_response_token_degrades():
-    parsed = parse_act_response("hello")
+    parsed = parse_act_response("hello", **MULTIWOZ)
     assert parsed.acts == ()
     assert parsed.response == "hello"
     assert any("[R]" in d for d in parsed.diagnostics)
 
 
 def test_parse_acts_reports_missing_act_token_and_unknown_verbs():
-    parsed = parse_act_response("hotel inform AREA; hotel shout AREA; [R] ok.")
+    parsed = parse_act_response("hotel inform AREA; hotel shout AREA; [R] ok.", **MULTIWOZ)
     assert parsed.acts == (DialogAct("hotel", "inform", "area"),)
     notes = "\n".join(parsed.diagnostics)
     assert "[A]" in notes
     assert "unknown act verb" in notes
 
-    orphan = parse_act_response("[A] inform AREA; [R] ok.")
+    orphan = parse_act_response("[A] inform AREA; [R] ok.", **MULTIWOZ)
     assert orphan.acts == ()
     assert any("before any domain" in d for d in orphan.diagnostics)
 
 
 def test_parse_acts_bare_verb_inherits_the_running_domain():
-    parsed = parse_act_response("[A] attraction inform NAME; general [R] anything else?")
+    parsed = parse_act_response(
+        "[A] attraction inform NAME; general [R] anything else?", **MULTIWOZ
+    )
     assert parsed.acts == (
         DialogAct("attraction", "inform", "name"),
         DialogAct("attraction", "general", None),
@@ -218,15 +245,15 @@ def test_parse_acts_bare_verb_inherits_the_running_domain():
 
 def test_exact_act_strings_survive_verbatim():
     for text in EXACT_ACT_STRINGS:
-        parsed = parse_act_response(f"[A] {text} [R] ok.")
+        parsed = parse_act_response(f"[A] {text} [R] ok.", **MULTIWOZ)
         assert parsed.diagnostics == ()
         assert verbalize_acts(parsed.acts) == text
 
 
 def test_lenient_act_strings_round_trip_as_structures():
     for text in LENIENT_ACT_STRINGS:
-        first = parse_act_response(f"[A] {text} [R] ok.")
-        again = parse_act_response(turn_text(first.acts, first.response))
+        first = parse_act_response(f"[A] {text} [R] ok.", **MULTIWOZ)
+        again = parse_act_response(turn_text(first.acts, first.response), **MULTIWOZ)
         assert again.acts == first.acts
         assert again.response == first.response
 
@@ -251,7 +278,7 @@ _VALUES = (
 
 def random_state(rng):
     state = {}
-    for domain in rng.sample(sorted(DEFAULT_DOMAINS), rng.randrange(0, 4)):
+    for domain in rng.sample(sorted(MULTIWOZ_DOMAINS), rng.randrange(0, 4)):
         state[domain] = {
             slot: rng.choice(_VALUES)
             for slot in rng.sample(_SLOTS, rng.randrange(1, 5))
@@ -262,8 +289,8 @@ def random_state(rng):
 def random_acts(rng):
     return tuple(
         DialogAct(
-            domain=rng.choice(sorted(DEFAULT_DOMAINS)),
-            act=rng.choice(sorted(DEFAULT_ACT_VERBS)),
+            domain=rng.choice(sorted(MULTIWOZ_DOMAINS)),
+            act=rng.choice(sorted(MULTIWOZ_ACT_VERBS)),
             slot=rng.choice((None,) + _SLOTS),
             booking=rng.random() < 0.3,
         )
@@ -275,7 +302,7 @@ def test_random_states_round_trip():
     rng = random.Random(13)
     for _ in range(300):
         state = random_state(rng)
-        parsed = parse_state(verbalize_state(state))
+        parsed = parse_state(verbalize_state(state), domains=MULTIWOZ_DOMAINS)
         assert parsed.state == state
         assert parsed.diagnostics == ()
 
@@ -285,7 +312,7 @@ def test_random_acts_round_trip():
     for _ in range(300):
         acts = random_acts(rng)
         response = rng.choice(("ok.", "the [hotel_phone] is here; call anytime.", "done"))
-        parsed = parse_act_response(turn_text(acts, response))
+        parsed = parse_act_response(turn_text(acts, response), **MULTIWOZ)
         assert parsed.acts == acts
         assert parsed.response == response
 
@@ -294,13 +321,22 @@ def test_parse_memo_is_keyed_by_the_vocabulary():
     acts_text = "[A] lodge suggest NAME; [R] ok."
     lodge = {"domains": frozenset({"lodge"}), "verbs": frozenset({"suggest"})}
     for _ in range(2):
-        assert parse_act_response(acts_text).acts == ()
+        assert parse_act_response(acts_text, **MULTIWOZ).acts == ()
         suggest = DialogAct("lodge", "suggest", "name")
         assert parse_act_response(acts_text, **lodge).acts == (suggest,)
-        assert parse_state("lodge area: north;").state == {}
+        assert parse_state("lodge area: north;", domains=MULTIWOZ_DOMAINS).state == {}
         assert parse_state("lodge area: north;", domains=lodge["domains"]).state == {
             "lodge": {"area": "north"}
         }
+
+
+def test_parsers_have_no_default_vocabulary():
+    with pytest.raises(TypeError, match="domains"):
+        parse_state(TRAIN_STATE_TEXT)
+    with pytest.raises(TypeError, match="domains"):
+        parse_act_response("[A] hotel inform AREA; [R] ok.")
+    with pytest.raises(TypeError, match="verbs"):
+        parse_act_response("[A] hotel inform AREA; [R] ok.", domains=MULTIWOZ_DOMAINS)
 
 
 def test_parsers_take_any_collection_as_vocabulary():
@@ -337,10 +373,12 @@ def test_memoized_parsers_equal_their_originals(text, domains, verbs):
     unmemoized_state = _parse_state.__wrapped__
     unmemoized_turn = _parse_act_response.__wrapped__
     for _ in range(2):
-        assert parse_state(text) == unmemoized_state(text, DEFAULT_DOMAINS)
+        assert parse_state(text, domains=MULTIWOZ_DOMAINS) == unmemoized_state(
+            text, MULTIWOZ_DOMAINS
+        )
         assert parse_state(text, domains=domains) == unmemoized_state(text, domains)
-        assert parse_act_response(text) == unmemoized_turn(
-            text, DEFAULT_DOMAINS, DEFAULT_ACT_VERBS
+        assert parse_act_response(text, **MULTIWOZ) == unmemoized_turn(
+            text, MULTIWOZ_DOMAINS, MULTIWOZ_ACT_VERBS
         )
         assert parse_act_response(text, domains=domains, verbs=verbs) == unmemoized_turn(
             text, domains, verbs
