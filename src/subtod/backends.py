@@ -497,8 +497,6 @@ class HttpBackend:
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
-        self.url = url
-        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self._max_in_flight = max_in_flight

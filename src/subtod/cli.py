@@ -153,7 +153,6 @@ def cmd_sample(args) -> int:
 def cmd_detect(args) -> int:
     """Detect subgoals one candidates line at a time; goal ids must strictly ascend."""
     corpus = load_corpus(args.corpus)
-    dialog_map = corpus.dialog_map()
     modes = [TrainMode.SFT, TrainMode.DPO] if args.mode == "both" else [TrainMode(args.mode)]
     previous = None
     with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
@@ -164,19 +163,24 @@ def cmd_detect(args) -> int:
                 continue
             entry = json.loads(line)
             goal_id = entry["goal_id"]
+            where = f"{args.candidates} line {number}"
             if previous is not None and goal_id <= previous:
                 raise ValueError(
-                    f"{args.candidates} line {number}: goal id {goal_id!r} does not follow "
-                    f"{previous!r}; detect needs strictly ascending goal ids, as sample writes them"
+                    f"{where}: goal id {goal_id!r} does not follow {previous!r}; "
+                    "detect needs strictly ascending goal ids, as sample writes them"
                 )
+            if goal_id not in corpus.goals:
+                raise ValueError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
             previous = goal_id
+            labels = tuple(c["success"] for c in entry["candidates"])
+            if not all(isinstance(label, bool) for label in labels):
+                raise ValueError(f'{where}: a candidate\'s "success" is not true or false')
             stage(
                 CandidateGroup(
                     goal_id=goal_id,
                     goal=corpus.goals[goal_id],
-                    source=dialog_map[goal_id],
                     candidates=tuple(dialog_from_dict(c) for c in entry["candidates"]),
-                    labels=tuple(bool(c["success"]) for c in entry["candidates"]),
+                    labels=labels,
                 )
             )
     _print_json({"n_subgoal_samples": sum(stage.kind_counts.values()), "written": stage.written})

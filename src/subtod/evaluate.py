@@ -41,8 +41,6 @@ class DomainOutcome:
     domain: str
     inform: bool
     success: bool
-    # Names of the entities offered at the last offer turn.
-    offered: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,10 @@ def _offer_constraints(db: Database, domain: str, state: BeliefState) -> dict[st
 
 def _inform(
     db: Database, domain: str, constraints: Mapping[str, str], goal_names: frozenset[str]
-) -> tuple[bool, tuple[str, ...]]:
-    """INFORM at an offer turn whose belief has ``constraints``, and the names it offers."""
+) -> bool:
+    """INFORM at an offer turn whose belief has ``constraints``."""
     name_slot = db.ontology.schema(domain).name_slot
-    offered = tuple(e.get(name_slot, "") for e in query(db, domain, constraints))
-    return any(name in goal_names for name in offered), offered
+    return any(e.get(name_slot, "") in goal_names for e in query(db, domain, constraints))
 
 
 def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) -> DomainOutcome:
@@ -96,7 +93,6 @@ def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) ->
     entry = goal.domains[domain]
     schema = db.ontology.schema(domain)
 
-    offered: tuple[str, ...] = ()
     if not schema.entity_bearing:
         # Nothing to look up for e.g. taxi; the booked ride always "informs".
         inform = True
@@ -110,13 +106,13 @@ def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) ->
             inform = not entry.constraints
         else:
             constraints = _offer_constraints(db, domain, dialog.turns[offer_turn].system.state)
-            inform, offered = _inform(db, domain, constraints, _goal_names(db, domain, entry))
+            inform = _inform(db, domain, constraints, _goal_names(db, domain, entry))
 
     success = inform and all(
         any(placeholder(domain, slot) in turn.system.response for turn in dialog.turns)
         for slot in entry.requests
     )
-    return DomainOutcome(domain=domain, inform=inform, success=success, offered=offered)
+    return DomainOutcome(domain=domain, inform=inform, success=success)
 
 
 def dialog_success(dialog: Dialog, goal: UserGoal, db: Database) -> bool:
@@ -172,7 +168,7 @@ class SpliceEvaluator:
             if names is None:
                 names = _goal_names(self.db, domain, self.goal.domains[domain])
                 self._goal_names[domain] = names
-            inform = self._informs[key] = _inform(self.db, domain, constraints, names)[0]
+            inform = self._informs[key] = _inform(self.db, domain, constraints, names)
         return inform
 
     def splices(self, dialog: Dialog) -> DialogSplices:

@@ -35,7 +35,6 @@ from .model import (
     Dialog,
     Ontology,
     SubgoalKind,
-    SystemTurn,
     Turn,
     UserGoal,
     contexts_of,
@@ -179,15 +178,7 @@ def predict_greedy(
     for source, source_contexts in zip(sources, contexts):
         turns = []
         for context, turn_set in zip(source_contexts, turn_sets):
-            greedy = turn_set.completions[0][0]
-            turns.append(
-                Turn(
-                    user=context.user,
-                    system=SystemTurn(
-                        state=turn_set.states[0], acts=greedy.acts, response=greedy.response
-                    ),
-                )
-            )
+            turns.append(Turn(user=context.user, system=turn_set[0][0]))
         predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=tuple(turns)))
     return predicted
 
@@ -227,7 +218,6 @@ def label_candidates(
     group = CandidateGroup(
         goal_id=source.goal_id,
         goal=goal,
-        source=source,
         candidates=tuple(assemble_candidates(source, turn_sets, k)),
     )
     return label_success(group, db)

@@ -13,12 +13,12 @@ concurrently.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seed
 from .errors import BackendError, IncompleteSamples, PipelineError
-from .model import BeliefState, DialogAct, DialogContext, Ontology
+from .model import BeliefState, DialogContext, Ontology, SystemTurn
 from .verbalize import (
     act_prompt_text,
     parse_act_response,
@@ -44,23 +44,10 @@ class SamplingConfig:
 Request = tuple[str, int, bool, float, int, int]
 
 
-@dataclass(frozen=True)
-class TurnCompletion:
-    acts: tuple[DialogAct, ...]
-    response: str
-
-
-@dataclass
-class SampledTurnSet:
-    """Deduplicated generations for one turn, greedy variant first.
-
-    ``states`` holds distinct states, and ``completions[i]`` distinct
-    completions for state ``i``, so distinct indices mean distinct fragments.
-    """
-
-    states: list[BeliefState]
-    completions: dict[int, list[TurnCompletion]]
-    diagnostics: list[str] = field(default_factory=list)
+# Deduplicated generations for one turn: per distinct state (greedy first),
+# the distinct system turns sampled for it (greedy first), all sharing that
+# state. Distinct indices are distinct fragments.
+SampledTurnSet = list[list[SystemTurn]]
 
 
 def generation_request(prompt: str, stage: str, cfg: SamplingConfig, *, greedy: bool) -> Request:
@@ -155,33 +142,30 @@ def sample_dialogs(
     ]
     state_answers = answer_wave(backend, [r for requests in state_requests for r in requests])
 
-    # Per dialog: (state prompt, distinct states, diagnostics) of each context
-    # sampled before the first failure, that failure, and the turn requests.
+    # Per dialog: (state prompt, distinct states) of each context sampled
+    # before the first failure, that failure, and the turn requests.
     partial = []
     for contexts, prompts, requests in zip(dialogs, state_prompts, state_requests):
         state_replies, error = _replies_until_failure(state_answers, requests)
-        sampled: list[tuple[str, list[BeliefState], list[str]]] = []
+        sampled: list[tuple[str, list[BeliefState]]] = []
         for at, context in enumerate(contexts):
             replies = state_replies[at * len(draws) : (at + 1) * len(draws)]
             if len(replies) < len(draws):
                 break
-            diagnostics: list[str] = []
             states: list[BeliefState] = []
-            for pos, raw in enumerate(raw for reply in replies for raw in reply):
-                parsed = parse_state(raw, domains=domains)
-                for note in parsed.diagnostics:
-                    diagnostics.append(f"state sample {pos}: {note}")
-                if parsed.state not in states:
-                    states.append(parsed.state)
+            for raw in (raw for reply in replies for raw in reply):
+                state = parse_state(raw, domains=domains).state
+                if state not in states:
+                    states.append(state)
             if not states:
                 error = IncompleteSamples(
                     f"no usable states for goal {context.goal_id} turn {context.turn_index}"
                 )
                 break
-            sampled.append((prompts[at], states, diagnostics))
+            sampled.append((prompts[at], states))
         turn_requests = [
             generation_request(act_prompt_text(state_prompt, state), "turn", cfg, greedy=greedy)
-            for state_prompt, states, _ in sampled
+            for state_prompt, states in sampled
             for state in states
             for greedy in draws
         ]
@@ -196,22 +180,17 @@ def sample_dialogs(
             continue
         replies = iter(turn_replies)
         turn_sets = []
-        for _, states, diagnostics in sampled:
-            completions: dict[int, list[TurnCompletion]] = {}
-            for idx in range(len(states)):
-                spots: list[TurnCompletion] = []
-                raw_turns = [raw for _ in draws for raw in next(replies)]
-                for pos, raw in enumerate(raw_turns):
+        for _, states in sampled:
+            turn_set: SampledTurnSet = []
+            for state in states:
+                turns: list[SystemTurn] = []
+                for raw in (raw for _ in draws for raw in next(replies)):
                     parsed = parse_act_response(raw, domains=domains, verbs=verbs)
-                    for note in parsed.diagnostics:
-                        diagnostics.append(f"turn sample {pos} (state {idx}): {note}")
-                    completion = TurnCompletion(acts=parsed.acts, response=parsed.response)
-                    if completion not in spots:
-                        spots.append(completion)
-                completions[idx] = spots
-            turn_sets.append(
-                SampledTurnSet(states=states, completions=completions, diagnostics=diagnostics)
-            )
+                    turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
+                    if turn not in turns:
+                        turns.append(turn)
+                turn_set.append(turns)
+            turn_sets.append(turn_set)
         results.append(turn_sets)
     return results
 

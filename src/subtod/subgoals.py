@@ -47,7 +47,6 @@ class CandidateGroup:
 
     goal_id: str
     goal: UserGoal
-    source: Dialog
     candidates: tuple[Dialog, ...]
     labels: tuple[bool, ...] = ()
     splices: tuple[DialogSplices, ...] = field(default=(), compare=False, repr=False)
@@ -100,33 +99,27 @@ def assemble_candidates(
         )
     choices = [(0, 0)] + [((j - 1) // k, (j - 1) % k) for j in range(1, k * k + 1)]
     dialogs: list[Dialog] = []
-    # Per-turn (state, completion) indices of each kept dialog; distinct
+    # Per-turn (state, system turn) indices of each kept dialog; distinct
     # indices are distinct fragments (see ``SampledTurnSet``), so equal
     # index tuples are exactly equal dialogs.
     picked: set[tuple[tuple[int, int], ...]] = set()
     for number, (a, b) in enumerate(choices):
         indices = []
         for turn_set in samples:
-            state_idx = 0 if number == 0 else min(1 + a, len(turn_set.states) - 1)
-            spots = turn_set.completions[state_idx]
-            cont_idx = 0 if number == 0 else min(1 + b, len(spots) - 1)
+            state_idx = 0 if number == 0 else min(1 + a, len(turn_set) - 1)
+            cont_idx = 0 if number == 0 else min(1 + b, len(turn_set[state_idx]) - 1)
             indices.append((state_idx, cont_idx))
         key = tuple(indices)
         if key in picked:
             continue
         picked.add(key)
-        turns = []
-        for t, (turn_set, (state_idx, cont_idx)) in enumerate(zip(samples, key)):
-            completion = turn_set.completions[state_idx][cont_idx]
-            system = SystemTurn(
-                state=turn_set.states[state_idx],
-                acts=completion.acts,
-                response=completion.response,
-            )
-            turns.append(Turn(user=source.turns[t].user, system=system))
+        turns = tuple(
+            Turn(user=turn.user, system=turn_set[state_idx][cont_idx])
+            for turn, turn_set, (state_idx, cont_idx) in zip(source.turns, samples, key)
+        )
         suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
         dialogs.append(
-            Dialog(id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=tuple(turns))
+            Dialog(id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=turns)
         )
     return dialogs
 

@@ -161,7 +161,6 @@ def mixed_group(db3):
     group = CandidateGroup(
         goal_id="g-1",
         goal=goal,
-        source=winner,
         candidates=(winner, loser_state, loser_addr, loser_phone),
     )
     return label_success(group, db3)

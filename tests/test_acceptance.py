@@ -229,8 +229,7 @@ def test_c5_planted_error_sites_are_recovered_exactly():
         )
         group = label_success(
             CandidateGroup(
-                goal_id=source.goal_id, goal=goal, source=source,
-                candidates=(source, loser),
+                goal_id=source.goal_id, goal=goal, candidates=(source, loser),
             ),
             db,
         )

@@ -434,7 +434,7 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
     assert results == [
         sample_turn(scripted, context, cfg, small_world.ontology) for context in contexts
     ]
-    assert any(len(result.states) > 1 for result in results)
+    assert any(len(result) > 1 for result in results)
     # Sequential calls would peak at 2, one per thread; the waves fill max_in_flight.
     assert seen["peak"] == 3
     assert len(completion_server.payloads) == len(calls)

@@ -203,6 +203,45 @@ def test_detect_requires_strictly_ascending_goal_ids(corpus10, tmp_path, capsys)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def _staged_candidates(corpus10, tmp_path):
+    """``sample``'s candidates file for ``corpus10``, the detect command line, and its out dir."""
+    _, path = corpus10
+    out = tmp_path / "staged"
+    flags = ["--goal-fraction", "1.0", "--seed", "9", "--noise-rate", "0.5"]
+    assert main(["sample", "--corpus", path, "--out", str(out), *flags]) == 0
+    detect = ["detect", "--corpus", path, "--mode", "both", "--out", str(out)]
+    return out / "candidates.jsonl", detect, out
+
+
+def test_detect_rejects_a_goal_id_outside_the_corpus(corpus10, tmp_path, capsys):
+    candidates, detect, out = _staged_candidates(corpus10, tmp_path)
+    capsys.readouterr()
+    lines = candidates.read_text(encoding="utf-8").splitlines(keepends=True)
+    entry = json.loads(lines[-1])
+    entry["goal_id"] = "zz-unknown"
+    bad_file = tmp_path / "unknown.jsonl"
+    bad_file.write_text("".join([*lines[:-1], json.dumps(entry) + "\n"]), encoding="utf-8")
+    assert main([*detect, "--candidates", str(bad_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad_file} line {len(lines)}: goal id 'zz-unknown' is not a goal of the corpus" in err
+    assert not (out / "sft.jsonl").exists()
+
+
+def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path, capsys):
+    candidates, detect, out = _staged_candidates(corpus10, tmp_path)
+    capsys.readouterr()
+    lines = candidates.read_text(encoding="utf-8").splitlines(keepends=True)
+    entry = json.loads(lines[1])
+    for candidate in entry["candidates"]:
+        candidate["success"] = "false"
+    bad_file = tmp_path / "strings.jsonl"
+    bad_file.write_text("".join([lines[0], json.dumps(entry) + "\n", *lines[2:]]), encoding="utf-8")
+    assert main([*detect, "--candidates", str(bad_file)]) == 2
+    err = capsys.readouterr().err
+    assert f'{bad_file} line 2: a candidate\'s "success" is not true or false' in err
+    assert not (out / "sft.jsonl").exists()
+
+
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):
     _, path = corpus10
     out = tmp_path / "iter0"

@@ -1,4 +1,4 @@
-"""Per-turn sampling: dedup, greedy-first ordering, and diagnostics."""
+"""Per-turn sampling: dedup, greedy-first ordering, and degraded replies."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from subtod.errors import BackendError, IncompleteSamples
 from subtod.backends import ErrorInjectionConfig, ScriptedBackend
-from subtod.model import DialogAct, DialogContext, contexts_of
-from subtod.sampling import SamplingConfig, TurnCompletion, sample_dialogs, sample_turn
+from subtod.model import DialogAct, DialogContext, SystemTurn, contexts_of
+from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
 from subtod.synthetic import default_ontology
 
 STATE_NORTH = "[B] hotel area: north;"
@@ -53,33 +53,32 @@ def test_identical_generations_collapse_to_singletons():
     backend = FakeBackend(STATE_NORTH, [STATE_NORTH, STATE_NORTH],
                           TURN_BASE, [TURN_BASE, TURN_BASE])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
-    assert turn_set.states == [{"hotel": {"area": "north"}}]
-    assert list(turn_set.completions) == [0]
-    assert turn_set.completions[0] == [
-        TurnCompletion(
-            acts=(DialogAct("hotel", "inform", "area"),), response="it is in the north."
+    assert [turns[0].state for turns in turn_set] == [{"hotel": {"area": "north"}}]
+    assert turn_set[0] == [
+        SystemTurn(
+            state={"hotel": {"area": "north"}},
+            acts=(DialogAct("hotel", "inform", "area"),),
+            response="it is in the north.",
         )
     ]
-    assert turn_set.diagnostics == []
 
 
 def test_distinct_generations_all_survive():
     backend = FakeBackend(STATE_NORTH, [STATE_SOUTH, STATE_WEST],
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
-    assert [s["hotel"]["area"] for s in turn_set.states] == ["north", "south", "west"]
-    assert set(turn_set.completions) == {0, 1, 2}
-    for spots in turn_set.completions.values():
-        assert len(spots) == 3
-        assert spots[0].response == "it is in the north."
+    assert [turns[0].state["hotel"]["area"] for turns in turn_set] == ["north", "south", "west"]
+    for turns in turn_set:
+        assert len(turns) == 3
+        assert turns[0].response == "it is in the north."
 
 
 def test_dedup_keeps_the_greedy_variant_first():
     backend = FakeBackend(STATE_NORTH, [STATE_NORTH, STATE_SOUTH],
                           TURN_BASE, [TURN_BASE, TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
-    assert [s["hotel"]["area"] for s in turn_set.states] == ["north", "south"]
-    assert [c.response for c in turn_set.completions[0]] == [
+    assert [turns[0].state["hotel"]["area"] for turns in turn_set] == ["north", "south"]
+    assert [turn.response for turn in turn_set[0]] == [
         "it is in the north.",
         "what price range?",
     ]
@@ -99,15 +98,15 @@ def test_call_plan_and_distinct_stage_seeds():
     assert len(set(prompts[2:])) == 3  # one act prompt per distinct state
 
 
-def test_unparseable_generations_surface_as_diagnostics():
+def test_unparseable_generations_degrade_to_empty_state_and_bare_response():
     backend = FakeBackend(STATE_NORTH, ["utter garbage", STATE_SOUTH],
                           TURN_BASE, ["there is no response token", TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
-    assert {} in turn_set.states  # garbage state degrades to empty
-    notes = "\n".join(turn_set.diagnostics)
-    assert "state sample 1" in notes
-    assert "turn sample 1" in notes
-    assert "[R]" in notes
+    assert {} in [turns[0].state for turns in turn_set]  # garbage state degrades to empty
+    # A reply without [R] becomes a turn with no acts and the whole text as its response.
+    for turns in turn_set:
+        bare = [turn for turn in turns if turn.response == "there is no response token"]
+        assert [turn.acts for turn in bare] == [()]
 
 
 def test_empty_backend_output_raises():
@@ -124,12 +123,11 @@ def test_scripted_world_yields_full_turn_sets(small_world):
     dialog = small_world.dialogs[0]
     context = contexts_of(dialog)[0]
     turn_set = sample_turn(backend, context, SamplingConfig(k=2, seed=1), small_world.ontology)
-    assert len(turn_set.states) == 3
-    assert turn_set.states[0] == dialog.turns[0].system.state
-    for idx in range(3):
-        assert len(turn_set.completions[idx]) == 3
-        assert turn_set.completions[idx][0].response == dialog.turns[0].system.response
-    assert turn_set.diagnostics == []
+    assert len(turn_set) == 3
+    assert turn_set[0][0].state == dialog.turns[0].system.state
+    for turns in turn_set:
+        assert len(turns) == 3
+        assert turns[0].response == dialog.turns[0].system.response
 
 
 def test_sampled_turn_set_is_deterministic(small_world):
@@ -138,8 +136,7 @@ def test_sampled_turn_set_is_deterministic(small_world):
     cfg = SamplingConfig(k=2, seed=8)
     first = sample_turn(backend, context, cfg, small_world.ontology)
     second = sample_turn(ScriptedBackend(small_world), context, cfg, small_world.ontology)
-    assert first.states == second.states
-    assert first.completions == second.completions
+    assert first == second
 
 
 class RefusingBackend:

@@ -29,7 +29,7 @@ from subtod.model import (
     placeholder,
     replace_turn,
 )
-from subtod.sampling import SampledTurnSet, SamplingConfig, TurnCompletion, sample_turn
+from subtod.sampling import SamplingConfig, sample_turn
 from subtod.subgoals import (
     CandidateGroup,
     PairPolicy,
@@ -71,13 +71,7 @@ def test_assemble_collapses_exact_duplicates():
         ),
     )
     source = Dialog(id="d-x", goal_id="g-x", turns=(turn,))
-    completion = TurnCompletion(acts=turn.system.acts, response=turn.system.response)
-    samples = [
-        SampledTurnSet(
-            states=[turn.system.state],
-            completions={0: [completion]},
-        )
-    ]
+    samples = [[[turn.system]]]
     candidates = assemble_candidates(source, samples, 2)
     assert [c.id for c in candidates] == ["d-x/cand-0-0"]
 
@@ -85,17 +79,15 @@ def test_assemble_collapses_exact_duplicates():
 def test_assemble_clamps_to_whatever_survived_dedup():
     s0 = {"hotel": {"area": "north"}}
     s1 = {"hotel": {"area": "south"}}
-    c0 = TurnCompletion(acts=(), response="greedy answer.")
-    c1 = TurnCompletion(acts=(), response="alternate answer.")
-    c2 = TurnCompletion(acts=(), response="third answer.")
+    c0 = SystemTurn(state=s0, acts=(), response="greedy answer.")
+    c1 = SystemTurn(state=s1, acts=(), response="alternate answer.")
+    c2 = SystemTurn(state=s1, acts=(), response="third answer.")
     source = Dialog(
         id="d-x",
         goal_id="g-x",
         turns=(Turn(user="hi", system=SystemTurn(state=s0, acts=(), response="greedy answer.")),),
     )
-    samples = [
-        SampledTurnSet(states=[s0, s1], completions={0: [c0], 1: [c1, c2]})
-    ]
+    samples = [[[c0], [c1, c2]]]
     candidates = assemble_candidates(source, samples, 2)
     assert len(candidates) == 2
     assert candidates[0].turns[0].system.state == s0
@@ -118,7 +110,7 @@ def test_mixed_group_is_labeled_one_winner_three_losers(mixed_group):
 
 def test_unlabeled_groups_refuse_to_split():
     group = CandidateGroup(
-        goal_id="g", goal=UserGoal(domains={}), source=None, candidates=()
+        goal_id="g", goal=UserGoal(domains={}), candidates=()
     )
     stripped = dataclasses.replace(group, candidates=(None,), labels=())
     with pytest.raises(ValueError, match="not labeled yet"):
@@ -147,7 +139,7 @@ def test_detection_finds_the_three_planted_sites(db3, mixed_group):
 def test_detection_needs_at_least_one_failure(db3, mixed_group):
     winner = mixed_group.candidates[0]
     group = CandidateGroup(
-        goal_id="g-1", goal=mixed_group.goal, source=winner, candidates=(winner,)
+        goal_id="g-1", goal=mixed_group.goal, candidates=(winner,)
     )
     assert detect_subgoals(label_success(group, db3), db3) == []
 
@@ -200,7 +192,7 @@ def _random_group(rng, db3):
             turns = turns[:3]
         candidates.append(Dialog(id=f"c-{i}", goal_id="g-r", turns=turns))
     group = CandidateGroup(
-        goal_id="g-r", goal=goal, source=candidates[0], candidates=tuple(candidates)
+        goal_id="g-r", goal=goal, candidates=tuple(candidates)
     )
     return label_success(group, db3)
 
@@ -580,7 +572,7 @@ def candidate_groups(draw):
             systems = systems[:-1]
         candidates.append(_dialog(f"c-{i}", systems))
     group = CandidateGroup(
-        goal_id="g-s", goal=goal, source=candidates[0], candidates=tuple(candidates)
+        goal_id="g-s", goal=goal, candidates=tuple(candidates)
     )
     return label_success(group, SPLICE_DB)
 
@@ -607,14 +599,9 @@ def _naive_assemble(source, samples, k):
     for number, (a, b) in enumerate(choices):
         turns = []
         for t, turn_set in enumerate(samples):
-            state_idx = 0 if number == 0 else min(1 + a, len(turn_set.states) - 1)
-            spots = turn_set.completions[state_idx]
-            completion = spots[0 if number == 0 else min(1 + b, len(spots) - 1)]
-            system = SystemTurn(
-                state=turn_set.states[state_idx],
-                acts=completion.acts,
-                response=completion.response,
-            )
+            state_idx = 0 if number == 0 else min(1 + a, len(turn_set) - 1)
+            spots = turn_set[state_idx]
+            system = spots[0 if number == 0 else min(1 + b, len(spots) - 1)]
             turns.append(Turn(user=source.turns[t].user, system=system))
         suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
         candidate = Dialog(
@@ -627,10 +614,11 @@ def _naive_assemble(source, samples, k):
 
 @st.composite
 def turn_sets(draw):
-    """Turn sets with distinct states, and distinct completions per state."""
+    """Turn sets with distinct states, and distinct system turns per state."""
     areas = draw(st.lists(st.sampled_from(("north", "south", "east")), min_size=1, unique=True))
-    completions = {}
-    for idx in range(len(areas)):
+    turn_set = []
+    for area in areas:
+        state = {"hotel": {"area": area}}
         pairs = draw(
             st.lists(
                 st.tuples(
@@ -641,11 +629,10 @@ def turn_sets(draw):
                 unique=True,
             )
         )
-        completions[idx] = [TurnCompletion(acts=acts, response=text) for acts, text in pairs]
-    return SampledTurnSet(
-        states=[{"hotel": {"area": area}} for area in areas],
-        completions=completions,
-    )
+        turn_set.append(
+            [SystemTurn(state=state, acts=acts, response=text) for acts, text in pairs]
+        )
+    return turn_set
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -653,3 +640,12 @@ def turn_sets(draw):
 def test_assembly_equals_naive_equality_dedup(samples, k):
     source = _dialog("src", [_sys({}, "") for _ in samples])
     assert assemble_candidates(source, samples, k) == _naive_assemble(source, samples, k)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(samples=st.lists(turn_sets(), min_size=1, max_size=4), k=st.integers(1, 3))
+def test_candidates_share_the_sampled_system_turns(samples, k):
+    source = _dialog("src", [_sys({}, "") for _ in samples])
+    for candidate in assemble_candidates(source, samples, k):
+        for turn, turn_set in zip(candidate.turns, samples, strict=True):
+            assert any(turn.system is system for turns in turn_set for system in turns)
