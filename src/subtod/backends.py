@@ -47,7 +47,7 @@ from .model import (
 )
 from .verbalize import (
     TOKEN_STATE,
-    serialize_state_prompt,
+    state_prompts,
     state_text,
     turn_text,
     verbalize_acts,
@@ -181,8 +181,7 @@ class ScriptedBackend:
         # State prompt -> (dialog, turn, site index) of its first dialog.
         self._sites: dict[str, tuple[Dialog, int, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
-            for t, context in enumerate(contexts_of(dialog)):
-                prompt = serialize_state_prompt(context)
+            for t, prompt in enumerate(state_prompts(contexts_of(dialog))):
                 first, first_t, _ = self._sites.setdefault(prompt, (dialog, t, len(self._sites)))
                 if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
                     raise ValueError(

@@ -214,9 +214,15 @@ def _validate(corpus: Corpus, errors: list[str]) -> None:
         for dialog in split:
             for t, turn in enumerate(dialog.turns):
                 where = f"dialog {dialog.id!r} turn {t}"
-                for domain in turn.system.state:
+                for domain, slots in turn.system.state.items():
                     if domain not in ontology.domains:
                         errors.append(f"{where}: belief state names unknown domain {domain!r}")
+                        continue
+                    for slot in slots:
+                        if slot not in ontology.domains[domain].informable:
+                            errors.append(
+                                f"{where}: belief state slot {slot!r} not informable for {domain!r}"
+                            )
                 for act in turn.system.acts:
                     if act.domain not in ontology.domains:
                         errors.append(f"{where}: act names unknown domain {act.domain!r}")

@@ -5,8 +5,10 @@ or ``dpo.jsonl`` plus ``report.json`` into the output directory, and the next
 iteration points its backend at whatever model was trained on those files.
 Goals run in sorted goal id order, ``BLOCK_SIZE`` at a time: each block is
 sampled in one wave of distinct state requests and one of distinct
-act/response requests, and its records are appended to the output before the
-next block starts, so memory grows with a block rather than with the run.
+act/response requests, for the state prompts no earlier block has sampled,
+and its records are appended to the output before the next block starts. So
+memory grows with a block and with the turn sets kept for later goals,
+rather than with the run.
 Outputs are staged and replace the previous run's files only when the run
 succeeds. A goal whose generation fails is skipped whole and listed in the
 report rather than contributing a partial candidate group.
@@ -57,10 +59,9 @@ from .subgoals import (
     emit_sft,
     label_success,
 )
-from .verbalize import parse_act_response, parse_state  # noqa: F401
+from .verbalize import parse_act_response, parse_state, state_prompts  # noqa: F401
 
-# Goals sampled together in one pair of request waves; a run holds one
-# block's turn sets at a time.
+# Goals sampled together in one pair of request waves.
 BLOCK_SIZE = 32
 
 T = TypeVar("T")
@@ -168,18 +169,20 @@ def predict_greedy(
 
     Contexts are ground-truth prefixes, so the state requests of all dialogs
     form one wave and the act/response requests, built from the parsed
-    states, a second. Replies are parsed with ``ontology``'s vocabulary.
+    states, a second. Replies are parsed with ``ontology``'s vocabulary. The
+    first dialog that fails raises its error.
     """
     contexts = [contexts_of(source) for source in sources]
-    turn_sets = iter(
-        sample_turns(backend, [c for cs in contexts for c in cs], cfg, ontology, greedy_only=True)
-    )
+    results = sample_dialogs(backend, contexts, cfg, ontology, greedy_only=True)
     predicted = []
-    for source, source_contexts in zip(sources, contexts):
-        turns = []
-        for context, turn_set in zip(source_contexts, turn_sets):
-            turns.append(Turn(user=context.user, system=turn_set[0][0]))
-        predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=tuple(turns)))
+    for source, source_contexts, turn_sets in zip(sources, contexts, results):
+        if isinstance(turn_sets, PipelineError):
+            raise turn_sets
+        turns = tuple(
+            Turn(user=context.user, system=turn_set[0][0])
+            for context, turn_set in zip(source_contexts, turn_sets)
+        )
+        predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=turns))
     return predicted
 
 
@@ -262,23 +265,37 @@ def process_goals(
     """Label the iteration's goals ``BLOCK_SIZE`` at a time, in sorted order, and ``handle`` each.
 
     Each group goes to ``handle`` as soon as it is labeled, before the next
-    goal's group is built; a block's turn sets are released goal by goal.
-    Returns ``handle``'s result per goal, in goal order, and the skipped
-    goals, sorted. A goal is skipped with the error ``build_group`` on it
-    alone would raise; a failed request that several goals share skips each
-    of them.
+    goal's group is built. A state prompt's turn set is sampled once per run:
+    it is kept across blocks until the block that holds the last goal using
+    it has been sampled, then dropped. A failure is not kept, so a later
+    block that needs a failed request sends it again. Returns ``handle``'s
+    result per goal, in goal order, and the skipped goals, sorted. A goal is
+    skipped with the error ``build_group`` on it alone would raise; a failed
+    request that several goals of one block share skips each of them.
     """
     goal_ids = subsample_goals(
         corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
     )
     sampling = cfg.sampling()
     dialog_map = corpus.dialog_map()
+    prompts = {goal_id: state_prompts(contexts_of(dialog_map[goal_id])) for goal_id in goal_ids}
+    # The last goal, in goal order, whose dialog has each state prompt.
+    last_goal = {prompt: goal_id for goal_id in goal_ids for prompt in prompts[goal_id]}
+    known: dict[str, SampledTurnSet] = {}
     results: dict[str, T] = {}
     skipped: list[tuple[str, str]] = []
     for start in range(0, len(goal_ids), BLOCK_SIZE):
         block = goal_ids[start : start + BLOCK_SIZE]
+        block_prompts = [prompts.pop(goal_id) for goal_id in block]
         contexts = [contexts_of(dialog_map[goal_id]) for goal_id in block]
-        sampled = dict(zip(block, sample_dialogs(backend, contexts, sampling, corpus.ontology)))
+        outcomes = sample_dialogs(
+            backend, contexts, sampling, corpus.ontology, prompts=block_prompts, known=known
+        )
+        sampled = dict(zip(block, outcomes))
+        for goal_id, goal_prompts in zip(block, block_prompts):
+            for prompt in goal_prompts:
+                if last_goal[prompt] == goal_id:
+                    known.pop(prompt, None)
 
         def process(goal_id: str) -> T:
             turn_sets = sampled.pop(goal_id)

@@ -1,13 +1,13 @@
 """Per-turn candidate sampling.
 
-For each dialog context, draw a greedy belief state plus ``k`` sampled ones,
-then for every distinct surviving state draw a greedy act/response completion
-plus ``k`` sampled ones. Duplicates are removed early (keeping the first
-occurrence, so the greedy variant survives any tie) because identical
-fragments can only produce identical downstream dialogs. The requests of each
-stage, across all contexts of all dialogs sampled together, form one wave
-with one call per distinct request, which a backend that can prefetch sends
-concurrently.
+For each distinct dialog context, that is each distinct state prompt, draw a
+greedy belief state plus ``k`` sampled ones, then for every distinct
+surviving state draw a greedy act/response completion plus ``k`` sampled ones.
+Duplicates are removed early (keeping the first occurrence, so the greedy
+variant survives any tie) because identical fragments can only produce
+identical downstream dialogs. The requests of each stage, across all dialogs
+sampled together, form one wave with one call per distinct request, which a
+backend that can prefetch sends concurrently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .verbalize import (
     act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_state_prompt,
+    state_prompts,
 )
 
 
@@ -111,87 +111,114 @@ def sample_dialogs(
     cfg: SamplingConfig,
     ontology: Ontology,
     *,
+    prompts: Sequence[Sequence[str]] | None = None,
+    known: dict[str, SampledTurnSet] | None = None,
     greedy_only: bool = False,
 ) -> list[list[SampledTurnSet] | BackendError | IncompleteSamples]:
     """Sample several dialogs' contexts in two waves: all states, then every distinct state's acts.
 
+    A context's turn set depends only on its state prompt, so each distinct
+    prompt is sampled once. ``prompts`` are the dialogs' state prompts
+    (``state_prompts`` of each dialog's contexts when not given). ``known``
+    maps prompts already sampled, by calls with the same ``cfg``,
+    ``ontology`` and ``greedy_only``, to their turn sets: those are reused,
+    and every prompt this call samples without a failure is added to it.
+
     Contexts are ground-truth prefixes, so no request waits on another
     context's replies, and each wave holds every distinct request of every
-    dialog (``answer_wave``): dialogs that share a request share its reply.
-    Each entry is one dialog's turn sets, or the error that sampling its
-    contexts alone raises: the first failure in context order, a context's
-    state requests before its act/response requests. A failed state request
-    therefore still lets the act/response requests of the contexts before it
-    run. ``greedy_only`` draws only the greedy state and completion; otherwise
+    other prompt (``answer_wave``). Each entry is one dialog's turn sets, or
+    the error that sampling its contexts alone raises: the first failure in
+    context order, a context's state requests before its act/response
+    requests. A prompt's act/response requests go out only if some dialog
+    reaches it with no state-stage failure before, so a failed state request
+    still lets the act/response requests of the contexts before it run.
+    ``greedy_only`` draws only the greedy state and completion; otherwise
     each prompt gets the greedy request and the ``k``-sample one. Replies are
     parsed with ``ontology``'s domains and act verbs.
     """
     domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
     # The ``greedy`` flag of each request per prompt, greedy first.
     draws: tuple[bool, ...] = (True,) if greedy_only else (True, False)
-    state_prompts = [
-        [serialize_state_prompt(context) for context in contexts] for contexts in dialogs
-    ]
-    state_requests = [
-        [
-            generation_request(prompt, "state", cfg, greedy=greedy)
-            for prompt in prompts
-            for greedy in draws
-        ]
-        for prompts in state_prompts
-    ]
-    state_answers = answer_wave(backend, [r for requests in state_requests for r in requests])
+    if prompts is None:
+        prompts = [state_prompts(contexts) for contexts in dialogs]
+    if known is None:
+        known = {}
+    state_requests = {
+        prompt: [generation_request(prompt, "state", cfg, greedy=greedy) for greedy in draws]
+        for prompt in dict.fromkeys(prompt for ps in prompts for prompt in ps)
+        if prompt not in known
+    }
+    state_answers = answer_wave(backend, [r for rs in state_requests.values() for r in rs])
 
-    # Per dialog: (state prompt, distinct states) of each context sampled
-    # before the first failure, that failure, and the turn requests.
-    partial = []
-    for contexts, prompts, requests in zip(dialogs, state_prompts, state_requests):
+    # Per new prompt: its distinct states, none if no reply parses, or the
+    # failure of its state requests.
+    states_of: dict[str, list[BeliefState] | BackendError] = {}
+    for prompt, requests in state_requests.items():
         state_replies, error = _replies_until_failure(state_answers, requests)
-        sampled: list[tuple[str, list[BeliefState]]] = []
-        for at, context in enumerate(contexts):
-            replies = state_replies[at * len(draws) : (at + 1) * len(draws)]
-            if len(replies) < len(draws):
-                break
-            states: list[BeliefState] = []
-            for raw in (raw for reply in replies for raw in reply):
-                state = parse_state(raw, domains=domains).state
-                if state not in states:
-                    states.append(state)
-            if not states:
-                error = IncompleteSamples(
-                    f"no usable states for goal {context.goal_id} turn {context.turn_index}"
-                )
-                break
-            sampled.append((prompts[at], states))
-        turn_requests = [
-            generation_request(act_prompt_text(state_prompt, state), "turn", cfg, greedy=greedy)
-            for state_prompt, states in sampled
-            for state in states
-            for greedy in draws
-        ]
-        partial.append((sampled, error, turn_requests))
-    turn_answers = answer_wave(backend, [r for _, _, requests in partial for r in requests])
+        if error is not None:
+            states_of[prompt] = error
+            continue
+        states = states_of[prompt] = []
+        for raw in (raw for reply in state_replies for raw in reply):
+            state = parse_state(raw, domains=domains).state
+            if state not in states:
+                states.append(state)
 
-    results: list[list[SampledTurnSet] | BackendError | IncompleteSamples] = []
-    for sampled, error, requests in partial:
-        turn_replies, turn_error = _replies_until_failure(turn_answers, requests)
-        if turn_error is not None or error is not None:
-            results.append(turn_error or error)
+    # The act/response requests of every new prompt that some dialog reaches.
+    turn_requests: dict[str, list[Request]] = {}
+    for dialog_prompts in prompts:
+        for prompt in dialog_prompts:
+            if prompt in known or prompt in turn_requests:
+                continue
+            states = states_of[prompt]
+            if isinstance(states, BackendError) or not states:
+                break
+            turn_requests[prompt] = [
+                generation_request(act_prompt, "turn", cfg, greedy=greedy)
+                for act_prompt in [act_prompt_text(prompt, state) for state in states]
+                for greedy in draws
+            ]
+    turn_answers = answer_wave(backend, [r for rs in turn_requests.values() for r in rs])
+
+    turn_errors: dict[str, BackendError] = {}
+    for prompt, requests in turn_requests.items():
+        turn_replies, error = _replies_until_failure(turn_answers, requests)
+        if error is not None:
+            turn_errors[prompt] = error
             continue
         replies = iter(turn_replies)
+        turn_set: SampledTurnSet = []
+        for state in states_of[prompt]:
+            turns: list[SystemTurn] = []
+            for raw in (raw for _ in draws for raw in next(replies)):
+                parsed = parse_act_response(raw, domains=domains, verbs=verbs)
+                turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
+                if turn not in turns:
+                    turns.append(turn)
+            turn_set.append(turns)
+        known[prompt] = turn_set
+
+    results: list[list[SampledTurnSet] | BackendError | IncompleteSamples] = []
+    for contexts, dialog_prompts in zip(dialogs, prompts):
         turn_sets = []
-        for _, states in sampled:
-            turn_set: SampledTurnSet = []
-            for state in states:
-                turns: list[SystemTurn] = []
-                for raw in (raw for _ in draws for raw in next(replies)):
-                    parsed = parse_act_response(raw, domains=domains, verbs=verbs)
-                    turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
-                    if turn not in turns:
-                        turns.append(turn)
-                turn_set.append(turns)
-            turn_sets.append(turn_set)
-        results.append(turn_sets)
+        for context, prompt in zip(contexts, dialog_prompts):
+            if prompt in known:
+                turn_sets.append(known[prompt])
+                continue
+            states = states_of[prompt]
+            if isinstance(states, BackendError):
+                results.append(states)
+            elif not states:
+                results.append(
+                    IncompleteSamples(
+                        f"no usable states for goal {context.goal_id} turn {context.turn_index}"
+                    )
+                )
+            else:
+                results.append(turn_errors[prompt])
+            break
+        else:
+            results.append(turn_sets)
     return results
 
 

@@ -21,7 +21,7 @@ states (lowercase slots, clean values); the reverse composition canonicalizes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .model import BeliefState, DialogAct, DialogContext
 
@@ -55,13 +55,34 @@ def _clean(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+def _spaced(*parts: str) -> str:
+    return " ".join(filter(None, parts))
+
+
+def state_prompts(contexts: Iterable[DialogContext]) -> list[str]:
+    """Each context's state prompt: ``[C]``, the ``[U]``/``[R]`` history, the current ``[U]``.
+
+    The encoded history carries over from one context to the next while the
+    next's history extends it, so the contexts of one dialog in turn order
+    (``contexts_of``) are encoded in one walk of its turns.
+    """
+    prompts = []
+    history, encoded = TOKEN_CONTEXT, ()
+    for context in contexts:
+        pairs = context.pairs
+        if pairs[: len(encoded)] != encoded:
+            history, encoded = TOKEN_CONTEXT, ()
+        for pair in pairs[len(encoded) :]:
+            user, response = _clean(pair.user), _clean(pair.system.response)
+            history = _spaced(history, TOKEN_USER, user, TOKEN_RESPONSE, response)
+        encoded = pairs
+        prompts.append(_spaced(history, TOKEN_USER, _clean(context.user)))
+    return prompts
+
+
 def serialize_state_prompt(context: DialogContext) -> str:
-    """``[C]`` + alternating ``[U]``/``[R]`` history + the current ``[U]``."""
-    parts = [TOKEN_CONTEXT]
-    for pair in context.pairs:
-        parts.extend([TOKEN_USER, _clean(pair.user), TOKEN_RESPONSE, _clean(pair.system.response)])
-    parts.extend([TOKEN_USER, _clean(context.user)])
-    return " ".join(p for p in parts if p)
+    """The state prompt of one context: ``state_prompts`` of ``[context]``."""
+    return state_prompts([context])[0]
 
 
 def act_prompt_text(state_prompt: str, state: BeliefState) -> str:
@@ -132,7 +153,7 @@ def _parse_state(text: str, domains: frozenset[str]) -> ParsedState:
 
 def state_text(state: BeliefState) -> str:
     """Full generation text for the state stage: ``[B] <verbalized state>``."""
-    return " ".join(p for p in (TOKEN_STATE, verbalize_state(state)) if p)
+    return _spaced(TOKEN_STATE, verbalize_state(state))
 
 
 def turn_text(acts: Sequence[DialogAct], response: str) -> str:
@@ -142,7 +163,7 @@ def turn_text(acts: Sequence[DialogAct], response: str) -> str:
 
 def verbalized_turn_text(acts: str, response: str) -> str:
     """``turn_text`` for acts already verbalized by ``verbalize_acts``."""
-    return " ".join(p for p in (TOKEN_ACTS, acts, TOKEN_RESPONSE, response) if p)
+    return _spaced(TOKEN_ACTS, acts, TOKEN_RESPONSE, response)
 
 
 def verbalize_acts(acts: Sequence[DialogAct]) -> str:

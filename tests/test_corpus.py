@@ -218,6 +218,10 @@ ONTOLOGY_DRIFT = {
         lambda turn: turn["state"].update({"spa": {"area": "north"}}),
         "belief state names unknown domain 'spa'",
     ),
+    "state slot": (
+        lambda turn: turn["state"]["hotel"].update({"stars": "4"}),
+        "belief state slot 'stars' not informable for 'hotel'",
+    ),
 }
 
 

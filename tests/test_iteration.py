@@ -1,12 +1,13 @@
 """Iteration driver: subsampling, worker parity, report round trips."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from subtod import cli, iteration, subgoals
+from subtod import cli, iteration, sampling, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
 from subtod.corpus import save_corpus
 from subtod.evaluate import SpliceEvaluator
@@ -23,9 +24,10 @@ from subtod.iteration import (
     write_jsonl,
 )
 from subtod import verbalize
-from subtod.sampling import SamplingConfig
+from subtod.sampling import SamplingConfig, generation_request
 from subtod.subgoals import PairPolicy
-from subtod.verbalize import serialize_state_prompt
+from subtod.synthetic import build_world
+from subtod.verbalize import serialize_state_prompt, state_prompts, state_text
 from test_verbalize import MULTIWOZ_ACT_VERBS, MULTIWOZ_DOMAINS
 
 
@@ -258,3 +260,112 @@ def test_an_iterate_run_builds_one_splice_evaluator_per_goal(small_world, tmp_pa
     assert report.n_dialogs_unsuccessful > 0
     assert sum(report.n_subgoal_samples.values()) > 0
     assert len(built) == report.n_goals_sampled == len(small_world.goals)
+
+
+@pytest.fixture(scope="module")
+def shared_world():
+    """40 goals whose templated dialogs repeat ten contexts across goals."""
+    return build_world(40, seed=7, dev_goals=3)
+
+
+def _goals_by_prompt(world):
+    """The goals whose dialog has each state prompt, in goal order."""
+    goals = {}
+    dialogs = world.dialog_map()
+    for goal_id in sorted(world.goals):
+        for prompt in state_prompts(contexts_of(dialogs[goal_id])):
+            goals.setdefault(prompt, []).append(goal_id)
+    return goals
+
+
+class RecordingBackend:
+    """Answers like ``backend`` and records each request.
+
+    A request in ``refusals`` fails as many times as it maps to.
+    """
+
+    def __init__(self, backend, refusals=()):
+        self.backend = backend
+        self.refusals = dict(refusals)
+        self.calls = []
+
+    def generate(self, prompt, n, *, greedy, temperature=1.0, seed=0, max_tokens=256):
+        request = (prompt, n, greedy, temperature, seed, max_tokens)
+        self.calls.append(request)
+        if self.refusals.get(request):
+            self.refusals[request] -= 1
+            raise BackendError("refused")
+        return self.backend.generate(
+            prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
+        )
+
+
+def test_a_run_sends_each_distinct_request_once(shared_world, tmp_path, monkeypatch):
+    # Without dev dialogs, whose greedy rollout samples on its own.
+    world = dataclasses.replace(shared_world, dev_dialogs=(), dev_goals={})
+    assert any(len(goals) > 1 for goals in _goals_by_prompt(world).values())
+    act_prompts = []
+    act_prompt_text = sampling.act_prompt_text
+
+    def recorded_act_prompt_text(state_prompt, state):
+        act_prompts.append((state_prompt, state_text(state)))
+        return act_prompt_text(state_prompt, state)
+
+    monkeypatch.setattr(sampling, "act_prompt_text", recorded_act_prompt_text)
+    # Goals that share a context sit in different blocks.
+    monkeypatch.setattr(iteration, "BLOCK_SIZE", 1)
+    backend = RecordingBackend(ScriptedBackend(world, ErrorInjectionConfig(rate=0.5), seed=3))
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3, out_dir=tmp_path)
+    report = run_iteration(world, cfg, backend)
+    assert report.n_goals_sampled == len(world.goals)
+    assert len(backend.calls) == len(set(backend.calls))
+    assert act_prompts
+    assert len(act_prompts) == len(set(act_prompts))
+
+
+def test_a_failed_shared_request_is_sent_again_by_a_later_block(
+    shared_world, tmp_path, monkeypatch
+):
+    world = dataclasses.replace(shared_world, dev_dialogs=(), dev_goals={})
+    prompt, goals = next(
+        (prompt, goals) for prompt, goals in _goals_by_prompt(world).items() if len(goals) > 1
+    )
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3, out_dir=tmp_path)
+    refused = generation_request(prompt, "state", cfg.sampling(), greedy=True)
+    backend = RecordingBackend(ScriptedBackend(world), {refused: 1})
+    # The first goal with the context has a block to itself.
+    monkeypatch.setattr(iteration, "BLOCK_SIZE", 1)
+    report = run_iteration(world, cfg, backend)
+    assert [goal_id for goal_id, _ in report.skipped] == goals[:1]
+    assert report.n_goals_sampled == len(world.goals) - 1
+    assert backend.calls.count(refused) == 2
+
+
+def test_outputs_do_not_depend_on_the_block_size(shared_world, tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.json"
+    save_corpus(shared_world, corpus)
+    flags = ["--corpus", str(corpus), "--goal-fraction", "1.0", "--seed", "5",
+             "--noise-rate", "0.5"]
+    outputs = {}
+    for size in (1, 3, 32, len(shared_world.goals)):
+        monkeypatch.setattr(iteration, "BLOCK_SIZE", size)
+        direct, staged = tmp_path / f"iterate-{size}", tmp_path / f"staged-{size}"
+        assert cli.main(["iterate", *flags, "--out", str(direct), "--mode", "dpo",
+                         "--pair-policy", "all"]) == 0
+        assert cli.main(["sample", *flags, "--out", str(staged)]) == 0
+        assert cli.main(["detect", "--corpus", str(corpus), "--candidates",
+                         str(staged / "candidates.jsonl"), "--mode", "both",
+                         "--pair-policy", "all", "--out", str(staged)]) == 0
+        capsys.readouterr()
+        outputs[size] = {
+            f"{kind}/{path.name}": path.read_bytes()
+            for kind, out in (("iterate", direct), ("staged", staged))
+            for path in out.iterdir()
+        }
+    first = outputs[1]
+    assert set(first) == {
+        "iterate/dpo.jsonl", "iterate/report.json",
+        "staged/candidates.jsonl", "staged/sft.jsonl", "staged/dpo.jsonl",
+    }
+    assert first["iterate/dpo.jsonl"] and first["staged/sft.jsonl"]
+    assert all(output == first for output in outputs.values())

@@ -186,3 +186,28 @@ def test_block_sampling_equals_sampling_one_request_at_a_time(block_world, data)
             assert (type(result), str(result)) == (type(exc), str(exc))
         else:
             assert result == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocks_that_share_a_memo_equal_sampling_one_request_at_a_time(block_world, data):
+    world, scripted, dialogs, requests = block_world
+    refused = data.draw(st.lists(st.sampled_from(requests), max_size=6, unique=True))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(dialogs)), min_size=1, max_size=3)))
+    backend = RefusingBackend(scripted, refused)
+    known = {}
+    results = []
+    for start, end in zip([0, *cuts], [*cuts, len(dialogs)]):
+        sent = len(backend.calls)
+        block = dialogs[start:end]
+        results += sample_dialogs(backend, block, BLOCK_CFG, world.ontology, known=known)
+        # One call per distinct request of the block; a failed one is sent again later.
+        block_calls = backend.calls[sent:]
+        assert len(block_calls) == len(set(block_calls))
+    for contexts, result in zip(dialogs, results, strict=True):
+        try:
+            expected = [sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts]
+        except (BackendError, IncompleteSamples) as exc:
+            assert (type(result), str(result)) == (type(exc), str(exc))
+        else:
+            assert result == expected

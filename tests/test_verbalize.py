@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtod.model import DialogAct, DialogContext, SystemTurn, Turn
+from subtod.model import DialogAct, DialogContext, SystemTurn, Turn, contexts_of
 from subtod.verbalize import (
     _parse_act_response,
     _parse_state,
@@ -14,6 +14,7 @@ from subtod.verbalize import (
     parse_act_response,
     parse_state,
     serialize_state_prompt,
+    state_prompts,
     state_text,
     turn_text,
     verbalize_acts,
@@ -117,6 +118,28 @@ def test_state_prompt_token_split_recovers_the_context():
         user, _, response = chunk.partition(" [R] ")
         assert user == f"user turn {i} please"
         assert response == f"system reply {i}."
+
+
+def _token_by_token(context):
+    """The state prompt spelled one token at a time, empty texts dropped."""
+    def clean(text):
+        return " ".join(text.lower().split())
+
+    parts = ["[C]"]
+    for pair in context.pairs:
+        parts += ["[U]", clean(pair.user), "[R]", clean(pair.system.response)]
+    parts += ["[U]", clean(context.user)]
+    return " ".join(part for part in parts if part)
+
+
+def test_state_prompts_of_contexts_in_any_order_match_token_by_token_encoding(small_world):
+    silent = Turn(user="  Okay ", system=SystemTurn(state={}, acts=(), response=""))
+    dialogs = [*small_world.dialogs[:4], small_world.dialogs[0]]
+    contexts = [c for dialog in dialogs for c in contexts_of(dialog)]
+    contexts += [_context("", [silent]), _context("And  then?", [silent, silent])]
+    for order in (contexts, contexts[::-1], contexts[1::2] + contexts[::2]):
+        assert state_prompts(order) == [_token_by_token(c) for c in order]
+    assert [serialize_state_prompt(c) for c in contexts] == state_prompts(contexts)
 
 
 def _act_prompt(context, state):
