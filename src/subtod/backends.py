@@ -4,17 +4,17 @@ The scripted backend answers the exact prompts built from its corpus's dialog
 contexts. Greedy requests return the ground-truth state or act/response pair
 verbatim; sampled requests return deterministic variations that are textually
 distinct but evaluation-neutral (value casing for states, a politeness tail
-for responses), unless an error injection turns a specific site into a
-genuinely wrong generation. Everything is derived from the construction seed,
-so outputs are bit-identical across runs and worker counts; the per-request
-``seed`` argument is accepted for interface parity and ignored.
+for responses). With a noise rate, a site may instead receive one genuinely
+wrong generation: whether it does, its error, the sample that carries it and
+the slot it hits all come from the construction seed. So outputs are
+bit-identical across runs and worker counts; the per-request ``seed``
+argument is accepted for interface parity and ignored.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import http.client
@@ -39,7 +39,6 @@ from .model import (
     BeliefState,
     Dialog,
     SubgoalKind,
-    SystemTurn,
     UserGoal,
     contexts_of,
     normalize_value,
@@ -100,35 +99,20 @@ STATE_ERRORS = (
 
 @dataclass(frozen=True)
 class Injection:
-    """One planted error at a (dialog, turn, kind) site.
+    """The error one site receives.
 
-    ``sample`` is the 1-based sampled-generation index that receives the
-    error; greedy generations are never corrupted.
+    ``sample`` is the 1-based sampled-generation index that carries it;
+    greedy generations are never corrupted.
     """
 
-    dialog_id: str
-    turn: int
-    kind: SubgoalKind
     error: ErrorKind
-    sample: int = 1
-    slot: str | None = None
+    sample: int
 
 
 @dataclass(frozen=True)
 class ErrorInjectionConfig:
-    injections: tuple[Injection, ...] = ()
-    # Probability that a site (dialog, turn, kind) gets one random injection.
+    # Probability that a site (dialog, turn, kind) gets one seeded injection.
     rate: float = 0.0
-
-    def lookup(self, dialog_id: str, turn: int, kind: SubgoalKind) -> Injection | None:
-        for injection in self.injections:
-            if (
-                injection.dialog_id == dialog_id
-                and injection.turn == turn
-                and injection.kind == kind
-            ):
-                return injection
-        return None
 
 
 def _case_variant_value(value: str, i: int) -> str:
@@ -231,7 +215,7 @@ class ScriptedBackend:
             if greedy:
                 return [state_text(system.state)] * n
             injection = self._injection(index, dialog, turn, stage, n)
-            return [self._sampled_state(dialog, system, i, injection) for i in range(1, n + 1)]
+            return [self._sampled_state(dialog, turn, i, injection) for i in range(1, n + 1)]
         acts = self._gold_acts.get(index)
         if acts is None:
             acts = self._gold_acts[index] = verbalize_acts(system.acts)
@@ -240,18 +224,17 @@ class ScriptedBackend:
         injection = self._injection(index, dialog, turn, stage, n)
         return [self._sampled_turn(dialog, turn, acts, i, injection) for i in range(1, n + 1)]
 
-    def _sampled_state(
-        self, dialog: Dialog, system: SystemTurn, i: int, injection: Injection | None
-    ) -> str:
+    def _sampled_state(self, dialog: Dialog, turn: int, i: int, injection: Injection | None) -> str:
+        state = dialog.turns[turn].system.state
         if injection is not None and injection.sample == i:
-            return state_text(self._apply_state_error(dialog, system.state, injection))
-        return state_text(self._neutral_state(system.state, i))
+            return state_text(self._apply_state_error(dialog, turn, state, injection))
+        return state_text(self._neutral_state(state, i))
 
     def _sampled_turn(
         self, dialog: Dialog, turn: int, gold_acts: str, i: int, injection: Injection | None
     ) -> str:
         if injection is not None and injection.sample == i:
-            return turn_text(*self._apply_response_error(dialog, turn, injection))
+            return turn_text(*self._apply_response_error(dialog, turn))
         response = _response_variant(dialog.turns[turn].system.response, i)
         return verbalized_turn_text(gold_acts, response)
 
@@ -272,9 +255,6 @@ class ScriptedBackend:
     def _site_injection(
         self, dialog: Dialog, turn: int, stage: SubgoalKind, n: int
     ) -> Injection | None:
-        planted = self.noise.lookup(dialog.id, turn, stage)
-        if planted is not None:
-            return planted
         if self.noise.rate <= 0.0:
             return None
         rng = random.Random(stable_seed(self.seed, dialog.id, turn, stage.value))
@@ -291,13 +271,7 @@ class ScriptedBackend:
             if not self._requested_tokens(goal, dialog.turns[turn].system.response):
                 return None
             error = ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE
-        return Injection(
-            dialog_id=dialog.id,
-            turn=turn,
-            kind=stage,
-            error=error,
-            sample=rng.randrange(1, n + 1),
-        )
+        return Injection(error=error, sample=rng.randrange(1, n + 1))
 
     def _requested_tokens(self, goal: UserGoal, response: str) -> list[str]:
         tokens = []
@@ -319,14 +293,11 @@ class ScriptedBackend:
         return out
 
     def _apply_state_error(
-        self, dialog: Dialog, state: BeliefState, injection: Injection
+        self, dialog: Dialog, turn: int, state: BeliefState, injection: Injection
     ) -> BeliefState:
+        """``state`` with ``injection``'s error; the state is not empty."""
         out = _copy_state(state)
-        if not out:
-            return out
-        rng = random.Random(
-            stable_seed(self.seed, dialog.id, injection.turn, "err", injection.sample)
-        )
+        rng = random.Random(stable_seed(self.seed, dialog.id, turn, "err", injection.sample))
         domains = sorted(out)
         if injection.error is ErrorKind.SWAP_DEPARTURE_DESTINATION:
             for domain in domains:
@@ -337,17 +308,10 @@ class ScriptedBackend:
                         slots["departure"],
                     )
                     return out
-            # No route to swap anywhere; degrade to a wrong value.
-            injection = dataclasses.replace(injection, error=ErrorKind.WRONG_VALUE)
-        if injection.slot is not None:
-            domain = next((d for d in domains if injection.slot in out[d]), None)
-            slot = injection.slot if domain is not None else None
-        else:
-            domain = slot = None
-        if domain is None:
-            domain = domains[rng.randrange(len(domains))]
-            ordered = sorted(out[domain])
-            slot = ordered[rng.randrange(len(ordered))]
+            # No route to swap anywhere; a wrong value instead.
+        domain = domains[rng.randrange(len(domains))]
+        ordered = sorted(out[domain])
+        slot = ordered[rng.randrange(len(ordered))]
         slots = out[domain]
         if injection.error is ErrorKind.DROP_SLOT:
             del slots[slot]
@@ -363,21 +327,10 @@ class ScriptedBackend:
         slots[slot] = pool[rng.randrange(len(pool))] if pool else f"not {slots[slot]}"
         return out
 
-    def _apply_response_error(self, dialog: Dialog, turn: int, injection: Injection):
+    def _apply_response_error(self, dialog: Dialog, turn: int):
+        """The gold turn without one requested slot's placeholder and act; the site has one."""
         system = dialog.turns[turn].system
-        goal = self._goal_of(dialog)
-        if injection.slot is not None:
-            domains = goal.domain_names() if goal else tuple(self.world.ontology.domain_names())
-            tokens = [
-                placeholder(d, injection.slot)
-                for d in domains
-                if placeholder(d, injection.slot) in system.response
-            ]
-        else:
-            tokens = self._requested_tokens(goal, system.response) if goal else []
-        if not tokens:
-            # Nothing requested to omit here; fall back to a distinct variant.
-            return system.acts, _response_variant(system.response, injection.sample)
+        tokens = self._requested_tokens(self._goal_of(dialog), system.response)
         rng = random.Random(stable_seed(self.seed, dialog.id, turn, "omit"))
         token = tokens[rng.randrange(len(tokens))]
         response = _strip_placeholder(system.response, token)

@@ -22,6 +22,7 @@ from .corpus import (
     Corpus,
     dialog_from_dict,
     dialog_to_dict,
+    expect_type,
     load_corpus,
     load_predictions,
     save_corpus,
@@ -146,6 +147,7 @@ def cmd_sample(args) -> int:
         }
     )
     if not counts and skipped:
+        print(f"error: backend failure: every goal was skipped: {skipped[0][1]}", file=sys.stderr)
         return 3
     return 0
 
@@ -161,25 +163,29 @@ def cmd_detect(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
-            goal_id = entry["goal_id"]
             where = f"{args.candidates} line {number}"
+            entry = expect_type(json.loads(line), dict, where)
+            goal_id = entry["goal_id"]
+            if not isinstance(goal_id, str) or goal_id not in corpus.goals:
+                raise ValueError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
             if previous is not None and goal_id <= previous:
                 raise ValueError(
                     f"{where}: goal id {goal_id!r} does not follow {previous!r}; "
                     "detect needs strictly ascending goal ids, as sample writes them"
                 )
-            if goal_id not in corpus.goals:
-                raise ValueError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
             previous = goal_id
-            labels = tuple(c["success"] for c in entry["candidates"])
+            candidates = expect_type(entry["candidates"], list, f"{where}: candidates", item=dict)
+            labels = tuple(c["success"] for c in candidates)
             if not all(isinstance(label, bool) for label in labels):
                 raise ValueError(f'{where}: a candidate\'s "success" is not true or false')
             stage(
                 CandidateGroup(
                     goal_id=goal_id,
                     goal=corpus.goals[goal_id],
-                    candidates=tuple(dialog_from_dict(c) for c in entry["candidates"]),
+                    candidates=tuple(
+                        dialog_from_dict(c, f"{where}: candidates[{i}]")
+                        for i, c in enumerate(candidates)
+                    ),
                     labels=labels,
                 )
             )
@@ -196,6 +202,8 @@ def cmd_iterate(args) -> int:
         report = run_iteration(corpus, cfg, backend)
     _print_json(report.to_dict())
     if report.n_goals_sampled == 0 and report.skipped:
+        print(f"error: backend failure: every goal was skipped: {report.skipped[0][1]}",
+              file=sys.stderr)
         return 3
     return 0
 

@@ -65,6 +65,28 @@ class Corpus:
         return {d.id: [t.system.response for t in d.turns] for d in self.dev_dialogs}
 
 
+_JSON_NAMES = {dict: "an object", list: "an array"}
+
+
+def expect_type(value, kind: type, where: str, *path, item: type | None = None):
+    """``value``, if it is a ``kind`` whose items are all ``item``s.
+
+    ``kind`` and ``item`` are ``dict`` (a JSON object) or ``list`` (an array);
+    a dict's items are its values. Otherwise raises ``CorpusError`` naming
+    the place: ``where``, each key or index in ``path``, then the bad item's.
+    The place is spelled out only on failure, so callers pass its parts.
+    """
+    if item is not None and isinstance(value, kind):
+        for key, entry in value.items() if kind is dict else enumerate(value):
+            if not isinstance(entry, item):
+                value, kind, path = entry, item, (*path, key)
+                break
+    if not isinstance(value, kind):
+        where += "".join(f"[{key!r}]" for key in path)
+        raise CorpusError(f"{where}: expected {_JSON_NAMES[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def goal_to_dict(goal: UserGoal) -> dict:
     return {
         domain: {
@@ -75,16 +97,14 @@ def goal_to_dict(goal: UserGoal) -> dict:
     }
 
 
-def goal_from_dict(data: Mapping) -> UserGoal:
-    return UserGoal(
-        domains={
-            domain: GoalEntry(
-                constraints=dict(entry.get("constraints", {})),
-                requests=frozenset(entry.get("requests", ())),
-            )
-            for domain, entry in data.items()
-        }
-    )
+def goal_from_dict(data: Mapping, where: str = "goal") -> UserGoal:
+    """The goal ``data`` describes; ``where`` names it in errors about its JSON types."""
+    domains = {}
+    for domain, entry in expect_type(data, dict, where, item=dict).items():
+        constraints = expect_type(entry.get("constraints", {}), dict, where, domain, "constraints")
+        requests = expect_type(entry.get("requests", []), list, where, domain, "requests")
+        domains[domain] = GoalEntry(constraints=dict(constraints), requests=frozenset(requests))
+    return UserGoal(domains=domains)
 
 
 def act_to_dict(act: DialogAct) -> dict:
@@ -121,20 +141,20 @@ def dialog_to_dict(dialog: Dialog) -> dict:
     }
 
 
-def dialog_from_dict(data: Mapping) -> Dialog:
-    dialog_id = data["id"]
-    turns = tuple(
-        Turn(
-            user=t["user"],
-            system=SystemTurn(
-                state={d: dict(s) for d, s in t.get("state", {}).items()},
-                acts=tuple(act_from_dict(a) for a in t.get("acts", ())),
-                response=t["response"],
-            ),
+def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
+    """The dialog ``data`` describes; ``where`` names it in errors about its JSON types."""
+    dialog_id = expect_type(data, dict, where)["id"]
+    turns = []
+    for i, t in enumerate(expect_type(data["turns"], list, where, "turns", item=dict)):
+        state = expect_type(t.get("state", {}), dict, where, "turns", i, "state", item=dict)
+        acts = expect_type(t.get("acts", []), list, where, "turns", i, "acts", item=dict)
+        system = SystemTurn(
+            state={d: dict(s) for d, s in state.items()},
+            acts=tuple(act_from_dict(a) for a in acts),
+            response=t["response"],
         )
-        for t in data["turns"]
-    )
-    return Dialog(id=dialog_id, goal_id=data.get("goal_id", dialog_id), turns=turns)
+        turns.append(Turn(user=t["user"], system=system))
+    return Dialog(id=dialog_id, goal_id=data.get("goal_id", dialog_id), turns=tuple(turns))
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -175,10 +195,10 @@ def _load_split(entries, errors) -> tuple[tuple[Dialog, ...], dict[str, UserGoal
         if "id" not in entry or "turns" not in entry:
             errors.append(f"dialog #{i}: missing id or turns")
             continue
-        dialog = dialog_from_dict(entry)
+        dialog = dialog_from_dict(entry, f"dialog {entry['id']!r}")
         dialogs.append(dialog)
         if "goal" in entry:
-            goals[dialog.goal_id] = goal_from_dict(entry["goal"])
+            goals[dialog.goal_id] = goal_from_dict(entry["goal"], f"dialog {dialog.id!r}['goal']")
         else:
             errors.append(f"dialog {dialog.id!r}: missing goal")
     return tuple(dialogs), goals
@@ -242,12 +262,16 @@ def _validate(corpus: Corpus, errors: list[str]) -> None:
 
 
 def corpus_from_dict(data: Mapping) -> Corpus:
-    errors: list[str] = []
-    for key in ("ontology", "database", "dialogs"):
-        if key not in data:
-            errors.append(f"corpus missing top-level key {key!r}")
-    if errors:
-        raise CorpusError("; ".join(errors))
+    expect_type(data, dict, "corpus")
+    missing = [key for key in ("ontology", "database", "dialogs") if key not in data]
+    if missing:
+        raise CorpusError("; ".join(f"corpus missing top-level key {key!r}" for key in missing))
+    expect_type(data["ontology"], dict, "corpus", "ontology", item=dict)
+    tables = expect_type(data["database"], dict, "corpus", "database", item=list)
+    for domain, table in tables.items():
+        expect_type(table, list, "corpus", "database", domain, item=dict)
+    for key in ("dialogs", "dev_dialogs"):
+        expect_type(data.get(key, []), list, "corpus", key, item=dict)
 
     ontology = Ontology(
         domains={
@@ -265,9 +289,10 @@ def corpus_from_dict(data: Mapping) -> Corpus:
         ontology=ontology,
         tables={
             domain: tuple(dict(e) for e in entities)
-            for domain, entities in data["database"].items()
+            for domain, entities in tables.items()
         },
     )
+    errors: list[str] = []
     dialogs, goals = _load_split(data["dialogs"], errors)
     dev_dialogs, dev_goals = _load_split(data.get("dev_dialogs", ()), errors)
     corpus = Corpus(
@@ -298,6 +323,7 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    if "dialogs" not in data:
+    if "dialogs" not in expect_type(data, dict, str(path)):
         raise CorpusError("predictions file missing top-level key 'dialogs'")
-    return [dialog_from_dict(entry) for entry in data["dialogs"]]
+    entries = expect_type(data["dialogs"], list, str(path), "dialogs")
+    return [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]

@@ -116,6 +116,8 @@ class IterationReport:
     skipped: tuple[tuple[str, str], ...]
     files: tuple[str, ...]
     dev_eval: Mapping | None
+    # (dev dialog id, error) per dev dialog whose greedy requests failed.
+    dev_skipped: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +132,7 @@ class IterationReport:
             "skipped": [list(pair) for pair in self.skipped],
             "files": list(self.files),
             "dev_eval": self.dev_eval,
+            "dev_skipped": [list(pair) for pair in self.dev_skipped],
         }
 
     @staticmethod
@@ -146,6 +149,7 @@ class IterationReport:
             skipped=tuple((gid, why) for gid, why in data.get("skipped", ())),
             files=tuple(data.get("files", ())),
             dev_eval=data.get("dev_eval"),
+            dev_skipped=tuple((did, why) for did, why in data.get("dev_skipped", ())),
         )
 
 
@@ -164,26 +168,29 @@ def predict_greedy(
     sources: Sequence[Dialog],
     cfg: SamplingConfig,
     ontology: Ontology,
-) -> list[Dialog]:
+) -> tuple[list[Dialog], list[tuple[str, str]]]:
     """Greedy two-stage rollout over every source dialog's contexts.
 
     Contexts are ground-truth prefixes, so the state requests of all dialogs
     form one wave and the act/response requests, built from the parsed
-    states, a second. Replies are parsed with ``ontology``'s vocabulary. The
-    first dialog that fails raises its error.
+    states, a second. Replies are parsed with ``ontology``'s vocabulary.
+    Returns the predicted dialogs, in source order, and ``(dialog id,
+    error)`` for each source whose requests failed, sorted.
     """
     contexts = [contexts_of(source) for source in sources]
     results = sample_dialogs(backend, contexts, cfg, ontology, greedy_only=True)
     predicted = []
+    skipped = []
     for source, source_contexts, turn_sets in zip(sources, contexts, results):
         if isinstance(turn_sets, PipelineError):
-            raise turn_sets
+            skipped.append((source.id, str(turn_sets)))
+            continue
         turns = tuple(
             Turn(user=context.user, system=turn_set[0][0])
             for context, turn_set in zip(source_contexts, turn_sets)
         )
         predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=turns))
-    return predicted
+    return predicted, sorted(skipped)
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
@@ -362,9 +369,11 @@ def run_iteration(
 
         counts, skipped = process_goals(corpus, cfg, backend, detect)
 
+        predicted, dev_skipped = predict_greedy(
+            backend, corpus.dev_dialogs, cfg.sampling(), corpus.ontology
+        )
         dev_eval = None
-        if corpus.dev_dialogs:
-            predicted = predict_greedy(backend, corpus.dev_dialogs, cfg.sampling(), corpus.ontology)
+        if predicted:
             dev_eval = evaluate_corpus(
                 predicted, corpus.dev_goals, corpus.database, corpus.dev_references()
             ).to_dict()
@@ -385,6 +394,7 @@ def run_iteration(
             skipped=tuple(skipped),
             files=tuple(stage.written),
             dev_eval=dev_eval,
+            dev_skipped=tuple(dev_skipped),
         )
         (staging / "report.json").write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -14,7 +14,6 @@ from subtod.backends import (
     ErrorInjectionConfig,
     ErrorKind,
     HttpBackend,
-    Injection,
     ScriptedBackend,
     stable_seed,
 )
@@ -22,7 +21,7 @@ from subtod.cli import main
 from subtod.corpus import save_corpus
 from subtod.errors import BackendError
 from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
-from subtod.model import SubgoalKind, contexts_of, normalize_value, placeholder
+from subtod.model import contexts_of, normalize_value, placeholder
 from subtod.sampling import SamplingConfig, answer_wave, generation_request, sample_turn
 from subtod.synthetic import default_ontology
 from subtod.verbalize import (
@@ -62,31 +61,47 @@ def _requested_in(goal, response):
     ]
 
 
-def _find_omit_site(world):
-    for dialog in world.dialogs:
-        goal = world.goals[dialog.goal_id]
+def _slots(state):
+    return {(domain, slot) for domain, slots in state.items() for slot in slots}
+
+
+def _state_error(gold, state):
+    """The state error that turned ``gold`` into ``state``, told apart by the output alone."""
+    if _slots(state) != _slots(gold):
+        return ErrorKind.DROP_SLOT
+    for domain, slots in gold.items():
+        route = (slots.get("departure"), slots.get("destination"))
+        if None not in route and route[0] != route[1]:
+            if (state[domain]["departure"], state[domain]["destination"]) == route[::-1]:
+                return ErrorKind.SWAP_DEPARTURE_DESTINATION
+    return ErrorKind.WRONG_VALUE
+
+
+@pytest.fixture(scope="module")
+def seeded_errors(small_world):
+    """Every corrupted sample at noise rate 1.0, by the error its output shows.
+
+    Each entry starts with its site, ``(dialog id, turn, stage)``. State
+    errors go on with ``(gold, corrupted)`` normalized states, omissions with
+    ``(goal, gold system turn, parsed turn)``. Sites come from the seed only.
+    """
+    backend = ScriptedBackend(small_world, ErrorInjectionConfig(rate=1.0), seed=3)
+    found = {kind: [] for kind in ErrorKind}
+    for dialog in small_world.dialogs:
+        goal = small_world.goals[dialog.goal_id]
         for t, turn in enumerate(dialog.turns):
-            if _requested_in(goal, turn.system.response):
-                return dialog, t
-    raise AssertionError("no turn mentions a requested slot")
-
-
-def _find_swap_site(world):
-    for dialog in world.dialogs:
-        for t, turn in enumerate(dialog.turns):
-            slots = turn.system.state.get("train", {})
-            if "departure" in slots and "destination" in slots:
-                return dialog, t
-    raise AssertionError("no train turn carries both endpoints")
-
-
-def _find_slot_site(world, slot):
-    for dialog in world.dialogs:
-        for t, turn in enumerate(dialog.turns):
-            for domain in sorted(turn.system.state):
-                if slot in turn.system.state[domain]:
-                    return dialog, t, domain
-    raise AssertionError(f"no state carries slot {slot!r}")
+            system = turn.system
+            gold = _norm_state(system.state)
+            for text in backend.generate(_state_prompt(dialog, t), 3, greedy=False):
+                state = _norm_state(parse_state(text, domains=DOMAINS).state)
+                if state != gold:
+                    found[_state_error(gold, state)].append(((dialog.id, t, "state"), gold, state))
+            for text in backend.generate(_act_prompt(dialog, t), 3, greedy=False):
+                parsed = parse_act_response(text, domains=DOMAINS, verbs=VERBS)
+                if parsed.acts != system.acts or not parsed.response.startswith(system.response):
+                    omissions = found[ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE]
+                    omissions.append(((dialog.id, t, "act"), goal, system, parsed))
+    return found
 
 
 def test_stable_seed_is_deterministic_and_sensitive():
@@ -193,86 +208,44 @@ def test_scripted_refuses_conflicting_gold_for_a_shared_context(small_world, tmp
     assert "share a context but not its gold system turn" in capsys.readouterr().err
 
 
-def test_planted_wrong_value_hits_one_sample(small_world):
-    dialog, t, domain = _find_slot_site(small_world, "area")
-    noise = ErrorInjectionConfig(
-        injections=(
-            Injection(dialog.id, t, SubgoalKind.STATE, ErrorKind.WRONG_VALUE, sample=1,
-                      slot="area"),
-        )
-    )
-    backend = ScriptedBackend(small_world, noise)
-    ground = dialog.turns[t].system.state
-    sampled = backend.generate(_state_prompt(dialog, t), 2, greedy=False)
-    corrupted = parse_state(sampled[0], domains=DOMAINS).state
-    assert corrupted[domain]["area"] != ground[domain]["area"]
-    assert normalize_value(corrupted[domain]["area"]) != "dontcare"
-    untouched = {d: {s: v for s, v in slots.items() if (d, s) != (domain, "area")}
-                 for d, slots in corrupted.items()}
-    expected = {d: {s: v for s, v in slots.items() if (d, s) != (domain, "area")}
-                for d, slots in ground.items()}
-    assert untouched == expected
-    assert _norm_state(parse_state(sampled[1], domains=DOMAINS).state) == _norm_state(ground)
-    assert backend.generate(_state_prompt(dialog, t), 1, greedy=True) != [sampled[0]]
+def test_planted_wrong_value_hits_one_sample(seeded_errors):
+    sites = [entry[0] for entries in seeded_errors.values() for entry in entries]
+    assert len(sites) == len(set(sites))  # one corrupted sample per site
+    assert len(seeded_errors[ErrorKind.WRONG_VALUE]) >= 5
+    for _, gold, state in seeded_errors[ErrorKind.WRONG_VALUE]:
+        changed = [(d, s) for d, s in _slots(gold) if state[d][s] != gold[d][s]]
+        assert len(changed) == 1
+        domain, slot = changed[0]
+        assert state[domain][slot] != "dontcare"
 
 
-def test_planted_drop_slot_removes_it(small_world):
-    dialog, t, domain = _find_slot_site(small_world, "pricerange")
-    noise = ErrorInjectionConfig(
-        injections=(
-            Injection(dialog.id, t, SubgoalKind.STATE, ErrorKind.DROP_SLOT, sample=2,
-                      slot="pricerange"),
-        )
-    )
-    backend = ScriptedBackend(small_world, noise)
-    sampled = backend.generate(_state_prompt(dialog, t), 2, greedy=False)
-    dropped = parse_state(sampled[1], domains=DOMAINS).state
-    assert "pricerange" not in dropped.get(domain, {})
-    ground = dialog.turns[t].system.state
-    assert _norm_state(parse_state(sampled[0], domains=DOMAINS).state) == _norm_state(ground)
+def test_planted_drop_slot_removes_it(seeded_errors):
+    assert len(seeded_errors[ErrorKind.DROP_SLOT]) >= 5
+    for _, gold, state in seeded_errors[ErrorKind.DROP_SLOT]:
+        assert len(_slots(gold) - _slots(state)) == 1
+        assert _slots(state) < _slots(gold)
+        assert all(state[d][s] == gold[d][s] for d, s in _slots(state))
 
 
-def test_planted_swap_reverses_the_route(small_world):
-    dialog, t = _find_swap_site(small_world)
-    noise = ErrorInjectionConfig(
-        injections=(
-            Injection(dialog.id, t, SubgoalKind.STATE,
-                      ErrorKind.SWAP_DEPARTURE_DESTINATION, sample=1),
-        )
-    )
-    backend = ScriptedBackend(small_world, noise)
-    swapped = parse_state(
-        backend.generate(_state_prompt(dialog, t), 1, greedy=False)[0],
-        domains=DOMAINS,
-    ).state
-    ground = dialog.turns[t].system.state
-    assert swapped["train"]["departure"] == ground["train"]["destination"]
-    assert swapped["train"]["destination"] == ground["train"]["departure"]
+def test_planted_swap_reverses_the_route(seeded_errors):
+    assert len(seeded_errors[ErrorKind.SWAP_DEPARTURE_DESTINATION]) >= 5
+    for _, gold, state in seeded_errors[ErrorKind.SWAP_DEPARTURE_DESTINATION]:
+        changed = [d for d in gold if state[d] != gold[d]]
+        assert len(changed) == 1
+        slots = gold[changed[0]]
+        route = {"departure": slots["destination"], "destination": slots["departure"]}
+        assert state[changed[0]] == {**slots, **route}
 
 
-def test_planted_omission_strips_a_requested_slot(small_world):
-    dialog, t = _find_omit_site(small_world)
-    goal = small_world.goals[dialog.goal_id]
-    system = dialog.turns[t].system
-    noise = ErrorInjectionConfig(
-        injections=(
-            Injection(dialog.id, t, SubgoalKind.ACT_RESPONSE,
-                      ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE, sample=1),
-        )
-    )
-    backend = ScriptedBackend(small_world, noise)
-    parsed = parse_act_response(
-        backend.generate(_act_prompt(dialog, t), 1, greedy=False)[0],
-        domains=DOMAINS, verbs=VERBS,
-    )
-    before = _requested_in(goal, system.response)
-    after = [tok for tok in before if tok in parsed.response]
-    missing = set(before) - set(after)
-    assert len(missing) == 1
-    token = missing.pop()
-    domain, _, slot = token[1:-1].partition("_")
-    assert all(not (a.domain == domain and a.slot == slot) for a in parsed.acts)
-    assert set(parsed.acts) <= set(system.acts)
+def test_planted_omission_strips_a_requested_slot(seeded_errors):
+    assert len(seeded_errors[ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE]) >= 5
+    for _, goal, system, parsed in seeded_errors[ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE]:
+        before = _requested_in(goal, system.response)
+        missing = [tok for tok in before if tok not in parsed.response]
+        assert len(missing) == 1
+        domain, _, slot = missing[0][1:-1].partition("_")
+        assert set(parsed.acts) <= set(system.acts)
+        assert {(a.domain, a.slot) for a in set(system.acts) - set(parsed.acts)} == {(domain, slot)}
 
 
 def test_noise_rate_one_corrupts_exactly_one_sample_per_state_site(small_world):

@@ -242,6 +242,47 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
     assert not (out / "sft.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "case", ["ontology", "turn state", "candidates line", "candidate act", "prediction turns"]
+)
+def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
+    case, corpus10, tmp_path, capsys
+):
+    """Each case exits 2 with a message naming the place, never a TypeError or AttributeError."""
+    corpus, path = corpus10
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    dialog = dialog_to_dict(corpus.dialogs[0])
+    candidates = [{"goal_id": dialog["goal_id"], "candidates": [{**dialog, "success": True}]}]
+    predictions = {"dialogs": [dialog]}
+    if case == "ontology":
+        data["ontology"] = []
+        expected = "corpus['ontology']: expected an object, got []"
+    elif case == "turn state":
+        data["dialogs"][0]["turns"][0]["state"] = []
+        expected = f"dialog {dialog['id']!r}['turns'][0]['state']: expected an object, got []"
+    elif case == "candidates line":
+        candidates = [[1, 2]]
+        expected = "candidates.jsonl line 1: expected an object, got [1, 2]"
+    elif case == "candidate act":
+        candidates[0]["candidates"][0]["turns"][0]["acts"] = [1]
+        expected = "line 1: candidates[0]['turns'][0]['acts'][0]: expected an object, got 1"
+    else:
+        dialog["turns"] = "abc"
+        expected = "predictions.json['dialogs'][0]['turns']: expected an array, got \"abc\""
+    for name, value in (("corpus.json", data), ("predictions.json", predictions)):
+        (tmp_path / name).write_text(json.dumps(value), encoding="utf-8")
+    (tmp_path / "candidates.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in candidates), encoding="utf-8"
+    )
+    if case.startswith("candidate"):
+        command = ["detect", "--candidates", str(tmp_path / "candidates.jsonl"),
+                   "--out", str(tmp_path / "out")]
+    else:
+        command = ["evaluate", "--predictions", str(tmp_path / "predictions.json")]
+    assert main([*command, "--corpus", str(tmp_path / "corpus.json")]) == 2
+    assert expected in capsys.readouterr().err
+
+
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):
     _, path = corpus10
     out = tmp_path / "iter0"

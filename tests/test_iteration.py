@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from subtod import cli, iteration, sampling, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
 from subtod.corpus import save_corpus
-from subtod.evaluate import SpliceEvaluator
+from subtod.evaluate import SpliceEvaluator, evaluate_corpus
 from subtod.model import contexts_of
 from subtod.iteration import (
     IterationConfig,
@@ -163,7 +165,7 @@ def test_predict_greedy_reproduces_the_ground_truth(small_world):
     backend = ScriptedBackend(small_world)
     dialogs = list(small_world.dialogs[4:7])
     cfg = SamplingConfig(k=2, seed=0)
-    assert predict_greedy(backend, dialogs, cfg, small_world.ontology) == dialogs
+    assert predict_greedy(backend, dialogs, cfg, small_world.ontology) == (dialogs, [])
 
 
 def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
@@ -178,7 +180,7 @@ def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
         dialog, lodge_world.goals[dialog.goal_id], backend, cfg, 2, lodge_world.database
     )
     assert group.candidates[0].turns == dialog.turns
-    assert predict_greedy(backend, [dialog], cfg, lodge_world.ontology) == [dialog]
+    assert predict_greedy(backend, [dialog], cfg, lodge_world.ontology) == ([dialog], [])
     # A MultiWOZ vocabulary would drop the lodge clauses.
     assert "lodge" not in MULTIWOZ_DOMAINS and "suggest" not in MULTIWOZ_ACT_VERBS
 
@@ -299,6 +301,9 @@ class RecordingBackend:
             prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
         )
 
+    def close(self):
+        self.backend.close()
+
 
 def test_a_run_sends_each_distinct_request_once(shared_world, tmp_path, monkeypatch):
     # Without dev dialogs, whose greedy rollout samples on its own.
@@ -341,6 +346,47 @@ def test_a_failed_shared_request_is_sent_again_by_a_later_block(
     assert backend.calls.count(refused) == 2
 
 
+@pytest.mark.parametrize("failed", [1, 3])
+def test_a_failed_dev_request_skips_only_its_dev_dialog(
+    failed, shared_world, tmp_path, monkeypatch, capsys
+):
+    """A failed dev request skips that dev dialog; the run still writes its records and report."""
+    training = _goals_by_prompt(shared_world)
+    dev = shared_world.dev_dialogs
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3, out_dir=tmp_path)
+    refusals = {}
+    for dialog in dev[:failed]:
+        prompt = state_prompts(contexts_of(dialog))[-1]
+        assert prompt not in training
+        refusals[generation_request(prompt, "state", cfg.sampling(), greedy=True)] = 1
+    monkeypatch.setattr(
+        cli, "_make_backend",
+        lambda args, corpus: RecordingBackend(ScriptedBackend(corpus), refusals),
+    )
+    corpus = tmp_path / "corpus.json"
+    save_corpus(shared_world, corpus)
+    out = tmp_path / "out"
+    assert cli.main(["iterate", "--corpus", str(corpus), "--out", str(out),
+                     "--goal-fraction", "1.0", "--seed", "3"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report == json.loads(capsys.readouterr().out)
+    assert report["n_goals_sampled"] == len(shared_world.goals)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "sft.jsonl"]
+    assert report["dev_skipped"] == [[dialog.id, "refused"] for dialog in dev[:failed]]
+    predicted = dev[failed:]
+    if predicted:
+        # The scripted backend's greedy rollout is the ground truth.
+        assert report["dev_eval"] == evaluate_corpus(
+            predicted, shared_world.dev_goals, shared_world.database,
+            shared_world.dev_references(),
+        ).to_dict()
+    else:
+        assert report["dev_eval"] is None
+    assert IterationReport.from_dict(report).to_dict() == report
+    del report["dev_skipped"]  # as in a report written before the field existed
+    assert IterationReport.from_dict(report).dev_skipped == ()
+
+
 def test_outputs_do_not_depend_on_the_block_size(shared_world, tmp_path, monkeypatch, capsys):
     corpus = tmp_path / "corpus.json"
     save_corpus(shared_world, corpus)
@@ -369,3 +415,55 @@ def test_outputs_do_not_depend_on_the_block_size(shared_world, tmp_path, monkeyp
     }
     assert first["iterate/dpo.jsonl"] and first["staged/sft.jsonl"]
     assert all(output == first for output in outputs.values())
+
+
+def test_outputs_do_not_depend_on_hash_randomization(shared_world, tmp_path):
+    """Runs under two ``PYTHONHASHSEED`` values write the same bytes."""
+    corpus = tmp_path / "corpus.json"
+    save_corpus(shared_world, corpus)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        run = subprocess.run(
+            [sys.executable, "-m", "subtod.cli", "iterate", "--corpus", str(corpus),
+             "--out", str(out), "--goal-fraction", "1.0", "--seed", "5", "--noise-rate", "0.5",
+             "--mode", "dpo", "--pair-policy", "all"],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append({"stdout": run.stdout, **{p.name: p.read_bytes() for p in out.iterdir()}})
+    assert set(outputs[0]) == {"stdout", "dpo.jsonl", "report.json"}
+    assert outputs[0]["dpo.jsonl"]
+    assert outputs[0] == outputs[1]
+
+
+def test_a_goals_records_do_not_depend_on_the_other_goals(shared_world, tmp_path):
+    """With ``PairPolicy.FIRST``, a goal run alone gets the records it gets among every goal.
+
+    The paper detects subgoals per goal. Both runs build the backend from the
+    full corpus: ``ScriptedBackend`` answers a shared context from the first
+    corpus dialog that has it, so a one-goal corpus would change the noise.
+    """
+    world = dataclasses.replace(shared_world, dev_dialogs=(), dev_goals={})
+
+    def records(corpus, out):
+        backend = ScriptedBackend(world, ErrorInjectionConfig(rate=0.5), seed=3)
+        cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3, train_mode=TrainMode.DPO,
+                              out_dir=out, pair_policy=PairPolicy.FIRST)
+        run_iteration(corpus, cfg, backend)
+        by_goal = {}
+        for line in (out / "dpo.jsonl").read_text(encoding="utf-8").splitlines():
+            by_goal.setdefault(json.loads(line)["goal_id"], []).append(line)
+        return by_goal
+
+    together = records(world, tmp_path / "together")
+    assert len(together) >= 5
+    for dialog in world.dialogs:
+        goal_id = dialog.goal_id
+        alone = dataclasses.replace(world, dialogs=(dialog,), goals={goal_id: world.goals[goal_id]})
+        expected = {goal_id: together[goal_id]} if goal_id in together else {}
+        assert records(alone, tmp_path / goal_id) == expected
