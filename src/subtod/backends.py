@@ -45,7 +45,7 @@ from .model import (
     placeholder,
 )
 from .verbalize import (
-    TOKEN_STATE,
+    split_act_prompt,
     state_prompts,
     state_text,
     turn_text,
@@ -199,13 +199,8 @@ class ScriptedBackend:
         seed: int = 0,
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
-        marker = f" {TOKEN_STATE}"
-        if marker in prompt:
-            state_key = prompt.split(marker, 1)[0]
-            stage = SubgoalKind.ACT_RESPONSE
-        else:
-            state_key = prompt
-            stage = SubgoalKind.STATE
+        state_key, is_act_prompt = split_act_prompt(prompt)
+        stage = SubgoalKind.ACT_RESPONSE if is_act_prompt else SubgoalKind.STATE
         site = self._sites.get(state_key)
         if site is None:
             raise BackendError("prompt does not match any known dialog context", prompt=prompt)
@@ -273,13 +268,14 @@ class ScriptedBackend:
             error = ErrorKind.OMIT_REQUESTED_SLOT_IN_RESPONSE
         return Injection(error=error, sample=rng.randrange(1, n + 1))
 
-    def _requested_tokens(self, goal: UserGoal, response: str) -> list[str]:
+    def _requested_tokens(self, goal: UserGoal, response: str) -> list[tuple[str, str, str]]:
+        """``(placeholder, domain, slot)`` per requested slot whose placeholder ``response`` holds."""
         tokens = []
         for domain in goal.domain_names():
             for slot in sorted(goal.domains[domain].requests):
                 token = placeholder(domain, slot)
                 if token in response:
-                    tokens.append(token)
+                    tokens.append((token, domain, slot))
         return tokens
 
     def _neutral_state(self, state: BeliefState, i: int) -> BeliefState:
@@ -332,9 +328,8 @@ class ScriptedBackend:
         system = dialog.turns[turn].system
         tokens = self._requested_tokens(self._goal_of(dialog), system.response)
         rng = random.Random(stable_seed(self.seed, dialog.id, turn, "omit"))
-        token = tokens[rng.randrange(len(tokens))]
+        token, domain, slot = tokens[rng.randrange(len(tokens))]
         response = _strip_placeholder(system.response, token)
-        domain, _, slot = token[1:-1].partition("_")
         acts = tuple(a for a in system.acts if not (a.domain == domain and a.slot == slot))
         return acts, response
 

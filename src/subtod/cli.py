@@ -106,6 +106,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _iteration_config(args, **emission) -> IterationConfig:
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     return IterationConfig(
         k=args.k,
         goal_fraction=args.goal_fraction,
@@ -113,7 +115,6 @@ def _iteration_config(args, **emission) -> IterationConfig:
         out_dir=args.out,
         iteration_index=args.iteration,
         temperature=args.temperature,
-        workers=args.workers,
         **emission,
     )
 
@@ -124,29 +125,24 @@ def cmd_sample(args) -> int:
         path = staging / "candidates.jsonl"
         path.touch()
 
-        def write_group(group: CandidateGroup) -> tuple[int, int]:
-            entries = []
-            for dialog, success in group.labeled():
-                entry = dialog_to_dict(dialog)
-                entry["success"] = success
-                entries.append(entry)
+        def write_group(group: CandidateGroup) -> None:
+            entries = [{**dialog_to_dict(d), "success": ok} for d, ok in group.labeled()]
             write_jsonl(path, [{"goal_id": group.goal_id, "candidates": entries}])
-            return len(entries), sum(group.labels)
 
-        counts, skipped = process_goals(corpus, _iteration_config(args), backend, write_group)
-    n_candidates = sum(n for n, _ in counts.values())
-    n_successful = sum(wins for _, wins in counts.values())
+        labels, skipped = process_goals(corpus, _iteration_config(args), backend, write_group)
+    n_candidates = sum(map(len, labels.values()))
+    n_successful = sum(map(sum, labels.values()))
     _print_json(
         {
             "candidates_file": str(Path(args.out) / "candidates.jsonl"),
-            "n_goals": len(counts),
+            "n_goals": len(labels),
             "n_candidates": n_candidates,
             "n_successful": n_successful,
             "n_unsuccessful": n_candidates - n_successful,
             "skipped": [list(pair) for pair in skipped],
         }
     )
-    if not counts and skipped:
+    if not labels and skipped:
         print(f"error: backend failure: every goal was skipped: {skipped[0][1]}", file=sys.stderr)
         return 3
     return 0

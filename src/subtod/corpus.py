@@ -65,16 +65,17 @@ class Corpus:
         return {d.id: [t.system.response for t in d.turns] for d in self.dev_dialogs}
 
 
-_JSON_NAMES = {dict: "an object", list: "an array"}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
 
 
 def expect_type(value, kind: type, where: str, *path, item: type | None = None):
     """``value``, if it is a ``kind`` whose items are all ``item``s.
 
-    ``kind`` and ``item`` are ``dict`` (a JSON object) or ``list`` (an array);
-    a dict's items are its values. Otherwise raises ``CorpusError`` naming
-    the place: ``where``, each key or index in ``path``, then the bad item's.
-    The place is spelled out only on failure, so callers pass its parts.
+    ``kind`` is ``dict`` (a JSON object), ``list`` (an array), ``str`` or
+    ``bool``; ``item`` is any of them, and a dict's items are its values.
+    Otherwise raises ``CorpusError`` naming the place: ``where``, each key or
+    index in ``path``, then the bad item's. The place is spelled out only on
+    failure, so callers pass its parts.
     """
     if item is not None and isinstance(value, kind):
         for key, entry in value.items() if kind is dict else enumerate(value):
@@ -101,8 +102,10 @@ def goal_from_dict(data: Mapping, where: str = "goal") -> UserGoal:
     """The goal ``data`` describes; ``where`` names it in errors about its JSON types."""
     domains = {}
     for domain, entry in expect_type(data, dict, where, item=dict).items():
-        constraints = expect_type(entry.get("constraints", {}), dict, where, domain, "constraints")
-        requests = expect_type(entry.get("requests", []), list, where, domain, "requests")
+        constraints = expect_type(
+            entry.get("constraints", {}), dict, where, domain, "constraints", item=str
+        )
+        requests = expect_type(entry.get("requests", []), list, where, domain, "requests", item=str)
         domains[domain] = GoalEntry(constraints=dict(constraints), requests=frozenset(requests))
     return UserGoal(domains=domains)
 
@@ -116,13 +119,16 @@ def act_to_dict(act: DialogAct) -> dict:
     return out
 
 
-def act_from_dict(data: Mapping) -> DialogAct:
-    return DialogAct(
-        domain=data["domain"],
-        act=data["act"],
-        slot=data.get("slot"),
-        booking=bool(data.get("booking", False)),
-    )
+def act_from_dict(data: Mapping, where: str = "act", *path) -> DialogAct:
+    """The act ``data`` describes; ``where`` and ``path`` name it in errors about its JSON types."""
+    domain, act, slot = data["domain"], data["act"], data.get("slot")
+    booking = data.get("booking", False)
+    if not (isinstance(domain, str) and isinstance(act, str) and isinstance(booking, bool)
+            and (slot is None or isinstance(slot, str))):
+        for key, kind in (("domain", str), ("act", str), ("slot", str), ("booking", bool)):
+            if key in data and not (key == "slot" and slot is None):
+                expect_type(data[key], kind, where, *path, key)
+    return DialogAct(domain=domain, act=act, slot=slot, booking=booking)
 
 
 def dialog_to_dict(dialog: Dialog) -> dict:
@@ -143,18 +149,29 @@ def dialog_to_dict(dialog: Dialog) -> dict:
 
 def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
     """The dialog ``data`` describes; ``where`` names it in errors about its JSON types."""
-    dialog_id = expect_type(data, dict, where)["id"]
+    dialog_id = expect_type(expect_type(data, dict, where)["id"], str, where, "id")
+    goal_id = expect_type(data.get("goal_id", dialog_id), str, where, "goal_id")
     turns = []
     for i, t in enumerate(expect_type(data["turns"], list, where, "turns", item=dict)):
-        state = expect_type(t.get("state", {}), dict, where, "turns", i, "state", item=dict)
+        raw_state = expect_type(t.get("state", {}), dict, where, "turns", i, "state", item=dict)
+        state = {}
+        for domain, slots in raw_state.items():
+            for value in slots.values():
+                if not isinstance(value, str):
+                    expect_type(slots, dict, where, "turns", i, "state", domain, item=str)
+            state[domain] = dict(slots)
         acts = expect_type(t.get("acts", []), list, where, "turns", i, "acts", item=dict)
+        user, response = t["user"], t["response"]
+        if not (isinstance(user, str) and isinstance(response, str)):
+            expect_type(user, str, where, "turns", i, "user")
+            expect_type(response, str, where, "turns", i, "response")
         system = SystemTurn(
-            state={d: dict(s) for d, s in state.items()},
-            acts=tuple(act_from_dict(a) for a in acts),
-            response=t["response"],
+            state=state,
+            acts=tuple(act_from_dict(a, where, "turns", i, "acts", j) for j, a in enumerate(acts)),
+            response=response,
         )
-        turns.append(Turn(user=t["user"], system=system))
-    return Dialog(id=dialog_id, goal_id=data.get("goal_id", dialog_id), turns=tuple(turns))
+        turns.append(Turn(user=user, system=system))
+    return Dialog(id=dialog_id, goal_id=goal_id, turns=tuple(turns))
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -266,10 +283,17 @@ def corpus_from_dict(data: Mapping) -> Corpus:
     missing = [key for key in ("ontology", "database", "dialogs") if key not in data]
     if missing:
         raise CorpusError("; ".join(f"corpus missing top-level key {key!r}" for key in missing))
-    expect_type(data["ontology"], dict, "corpus", "ontology", item=dict)
+    schemas = expect_type(data["ontology"], dict, "corpus", "ontology", item=dict)
+    for domain, entry in schemas.items():
+        for key in ("informable", "requestable", "acts"):
+            expect_type(entry.get(key, []), list, "corpus", "ontology", domain, key, item=str)
+        expect_type(entry.get("entity_bearing", True), bool, "corpus", "ontology", domain,
+                    "entity_bearing")
+        expect_type(entry.get("name_slot", "name"), str, "corpus", "ontology", domain, "name_slot")
     tables = expect_type(data["database"], dict, "corpus", "database", item=list)
     for domain, table in tables.items():
-        expect_type(table, list, "corpus", "database", domain, item=dict)
+        for i, entity in enumerate(table):
+            expect_type(entity, dict, "corpus", "database", domain, i, item=str)
     for key in ("dialogs", "dev_dialogs"):
         expect_type(data.get(key, []), list, "corpus", key, item=dict)
 
@@ -279,10 +303,10 @@ def corpus_from_dict(data: Mapping) -> Corpus:
                 informable=tuple(entry.get("informable", ())),
                 requestable=tuple(entry.get("requestable", ())),
                 acts=tuple(entry.get("acts", ())),
-                entity_bearing=bool(entry.get("entity_bearing", True)),
+                entity_bearing=entry.get("entity_bearing", True),
                 name_slot=entry.get("name_slot", "name"),
             )
-            for domain, entry in data["ontology"].items()
+            for domain, entry in schemas.items()
         }
     )
     database = Database(

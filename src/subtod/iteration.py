@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import GeneratorBackend, stable_seed
 from .corpus import Corpus
@@ -48,7 +48,6 @@ from .sampling import (  # noqa: F401
     SamplingConfig,
     sample_dialogs,
     sample_turn,
-    sample_turns,
 )
 from .subgoals import (
     CandidateGroup,
@@ -63,8 +62,6 @@ from .verbalize import parse_act_response, parse_state, state_prompts  # noqa: F
 
 # Goals sampled together in one pair of request waves.
 BLOCK_SIZE = 32
-
-T = TypeVar("T")
 
 
 class TrainMode(Enum):
@@ -81,16 +78,11 @@ class IterationConfig:
     out_dir: str | Path = "."
     iteration_index: int = 0
     temperature: float = 1.0
-    # Accepted and validated, with no effect: the block waves give the
-    # backend its concurrency.
-    workers: int = 1
     pair_policy: PairPolicy = PairPolicy.FIRST
 
     def __post_init__(self):
         if not 0 < self.goal_fraction <= 1:
             raise ValueError(f"goal_fraction must be in (0, 1], got {self.goal_fraction}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.iteration_index < 0:
             raise ValueError(f"iteration_index must be non-negative, got {self.iteration_index}")
 
@@ -242,7 +234,9 @@ def build_group(
     db: Database,
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
-    turn_sets = sample_turns(backend, contexts_of(source), sampling, db.ontology)
+    [turn_sets] = sample_dialogs(backend, [contexts_of(source)], sampling, db.ontology)
+    if isinstance(turn_sets, PipelineError):
+        raise turn_sets
     return label_candidates(source, goal, turn_sets, k, db)
 
 
@@ -267,16 +261,16 @@ def process_goals(
     corpus: Corpus,
     cfg: IterationConfig,
     backend: GeneratorBackend,
-    handle: Callable[[CandidateGroup], T],
-) -> tuple[dict[str, T], list[tuple[str, str]]]:
+    handle: Callable[[CandidateGroup], None],
+) -> tuple[dict[str, tuple[bool, ...]], list[tuple[str, str]]]:
     """Label the iteration's goals ``BLOCK_SIZE`` at a time, in sorted order, and ``handle`` each.
 
     Each group goes to ``handle`` as soon as it is labeled, before the next
     goal's group is built. A state prompt's turn set is sampled once per run:
     it is kept across blocks until the block that holds the last goal using
     it has been sampled, then dropped. A failure is not kept, so a later
-    block that needs a failed request sends it again. Returns ``handle``'s
-    result per goal, in goal order, and the skipped goals, sorted. A goal is
+    block that needs a failed request sends it again. Returns each goal's
+    labels, in goal order, and the skipped goals, sorted. A goal is
     skipped with the error ``build_group`` on it alone would raise; a failed
     request that several goals of one block share skips each of them.
     """
@@ -289,7 +283,7 @@ def process_goals(
     # The last goal, in goal order, whose dialog has each state prompt.
     last_goal = {prompt: goal_id for goal_id in goal_ids for prompt in prompts[goal_id]}
     known: dict[str, SampledTurnSet] = {}
-    results: dict[str, T] = {}
+    labels: dict[str, tuple[bool, ...]] = {}
     skipped: list[tuple[str, str]] = []
     for start in range(0, len(goal_ids), BLOCK_SIZE):
         block = goal_ids[start : start + BLOCK_SIZE]
@@ -304,20 +298,21 @@ def process_goals(
                 if last_goal[prompt] == goal_id:
                     known.pop(prompt, None)
 
-        def process(goal_id: str) -> T:
+        def process(goal_id: str) -> tuple[bool, ...]:
             turn_sets = sampled.pop(goal_id)
             if isinstance(turn_sets, PipelineError):
                 raise turn_sets
-            return handle(
-                label_candidates(
-                    dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
-                )
+            group = label_candidates(
+                dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
             )
+            handle(group)
+            return group.labels
 
-        block_results, block_skipped = map_goals(block, process, cfg.workers)
-        results.update(block_results)
+        # bench/tracer.py's map_goals wrapper takes the workers argument positionally.
+        block_labels, block_skipped = map_goals(block, process, 1)
+        labels.update(block_labels)
         skipped += block_skipped
-    return results, skipped
+    return labels, skipped
 
 
 class DetectEmit:
@@ -362,12 +357,7 @@ def run_iteration(
     """``process_goals`` with the detect/emit stage, then the dev evaluation and the report."""
     with staged_outputs(cfg.out_dir) as staging:
         stage = DetectEmit(corpus.database, staging, [cfg.train_mode], cfg.pair_policy)
-
-        def detect(group: CandidateGroup) -> tuple[int, int]:
-            stage(group)
-            return sum(group.labels), len(group.labels)
-
-        counts, skipped = process_goals(corpus, cfg, backend, detect)
+        labels, skipped = process_goals(corpus, cfg, backend, stage)
 
         predicted, dev_skipped = predict_greedy(
             backend, corpus.dev_dialogs, cfg.sampling(), corpus.ontology
@@ -379,16 +369,16 @@ def run_iteration(
             ).to_dict()
 
         histogram = {bucket: 0 for bucket in range(cfg.k * cfg.k + 2)}
-        for wins, _ in counts.values():
-            histogram[wins] += 1
-        n_successful = sum(wins for wins, _ in counts.values())
+        for goal_labels in labels.values():
+            histogram[sum(goal_labels)] += 1
+        n_successful = sum(map(sum, labels.values()))
         report = IterationReport(
             iteration_index=cfg.iteration_index,
             k=cfg.k,
             train_mode=cfg.train_mode.value,
-            n_goals_sampled=len(counts),
+            n_goals_sampled=len(labels),
             n_dialogs_successful=n_successful,
-            n_dialogs_unsuccessful=sum(n for _, n in counts.values()) - n_successful,
+            n_dialogs_unsuccessful=sum(map(len, labels.values())) - n_successful,
             histogram=histogram,
             n_subgoal_samples=stage.kind_counts,
             skipped=tuple(skipped),

@@ -222,23 +222,11 @@ def sample_dialogs(
     return results
 
 
-def sample_turns(
-    backend: GeneratorBackend,
-    contexts: Sequence[DialogContext],
-    cfg: SamplingConfig,
-    ontology: Ontology,
-    *,
-    greedy_only: bool = False,
-) -> list[SampledTurnSet]:
-    """``sample_dialogs`` for one dialog's contexts; its failure is raised."""
-    [result] = sample_dialogs(backend, [contexts], cfg, ontology, greedy_only=greedy_only)
-    if isinstance(result, PipelineError):
-        raise result
-    return result
-
-
 def sample_turn(
     backend: GeneratorBackend, context: DialogContext, cfg: SamplingConfig, ontology: Ontology
 ) -> SampledTurnSet:
-    """Sample one turn: ``sample_turns`` for a single context."""
-    return sample_turns(backend, [context], cfg, ontology)[0]
+    """Sample one turn: ``sample_dialogs`` for a single context; its failure is raised."""
+    [result] = sample_dialogs(backend, [[context]], cfg, ontology)
+    if isinstance(result, PipelineError):
+        raise result
+    return result[0]

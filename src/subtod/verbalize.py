@@ -92,6 +92,12 @@ def act_prompt_text(state_prompt: str, state: BeliefState) -> str:
     return f"{text} {verbalized}" if verbalized else text
 
 
+def split_act_prompt(prompt: str) -> tuple[str, bool]:
+    """The state prompt that ``prompt`` starts with, and whether it is an ``act_prompt_text``."""
+    state_prompt, marker, _ = prompt.partition(f" {TOKEN_STATE}")
+    return state_prompt, bool(marker)
+
+
 def verbalize_state(state: BeliefState) -> str:
     parts = []
     for domain in sorted(state):

@@ -243,7 +243,13 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "case", ["ontology", "turn state", "candidates line", "candidate act", "prediction turns"]
+    "case",
+    [
+        "ontology", "turn state", "candidates line", "candidate act", "prediction turns",
+        "dialog id", "user", "response", "state value", "informable", "name_slot",
+        "entity_bearing", "database value", "goal constraint", "goal request",
+        "candidate act verb", "candidate act booking", "prediction goal id",
+    ],
 )
 def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     case, corpus10, tmp_path, capsys
@@ -266,9 +272,57 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     elif case == "candidate act":
         candidates[0]["candidates"][0]["turns"][0]["acts"] = [1]
         expected = "line 1: candidates[0]['turns'][0]['acts'][0]: expected an object, got 1"
-    else:
+    elif case == "prediction turns":
         dialog["turns"] = "abc"
         expected = "predictions.json['dialogs'][0]['turns']: expected an array, got \"abc\""
+    elif case == "dialog id":
+        data["dialogs"][0]["id"] = 5
+        expected = "dialog 5['id']: expected a string, got 5"
+    elif case in ("user", "response"):
+        value = {"user": ["x"], "response": 1}[case]
+        data["dialogs"][0]["turns"][0][case] = value
+        expected = (f"dialog {dialog['id']!r}['turns'][0][{case!r}]: "
+                    f"expected a string, got {json.dumps(value)}")
+    elif case == "state value":
+        [(domain, slots), *_] = data["dialogs"][0]["turns"][0]["state"].items()
+        [slot, *_] = slots
+        slots[slot] = 3
+        expected = (f"dialog {dialog['id']!r}['turns'][0]['state'][{domain!r}][{slot!r}]: "
+                    "expected a string, got 3")
+    elif case in ("informable", "name_slot", "entity_bearing"):
+        value, kind = {
+            "informable": ("area", "an array"),
+            "name_slot": (1, "a string"),
+            "entity_bearing": ("yes", "true or false"),
+        }[case]
+        data["ontology"]["hotel"][case] = value
+        expected = (f"corpus['ontology']['hotel'][{case!r}]: "
+                    f"expected {kind}, got {json.dumps(value)}")
+    elif case == "database value":
+        data["database"]["hotel"][2]["area"] = 3
+        expected = "corpus['database']['hotel'][2]['area']: expected a string, got 3"
+    elif case == "goal constraint":
+        [(domain, entry), *_] = data["dialogs"][0]["goal"].items()
+        [slot, *_] = entry["constraints"]
+        entry["constraints"][slot] = 3
+        expected = (f"dialog {dialog['id']!r}['goal'][{domain!r}]['constraints'][{slot!r}]: "
+                    "expected a string, got 3")
+    elif case == "goal request":
+        [(domain, entry), *_] = data["dialogs"][0]["goal"].items()
+        entry["requests"] = [1]
+        expected = (f"dialog {dialog['id']!r}['goal'][{domain!r}]['requests'][0]: "
+                    "expected a string, got 1")
+    elif case in ("candidate act verb", "candidate act booking"):
+        key, value, kind = {
+            "candidate act verb": ("act", 7, "a string"),
+            "candidate act booking": ("booking", "yes", "true or false"),
+        }[case]
+        candidates[0]["candidates"][0]["turns"][0]["acts"][0][key] = value
+        expected = (f"line 1: candidates[0]['turns'][0]['acts'][0][{key!r}]: "
+                    f"expected {kind}, got {json.dumps(value)}")
+    else:
+        dialog["goal_id"] = 5
+        expected = "predictions.json['dialogs'][0]['goal_id']: expected a string, got 5"
     for name, value in (("corpus.json", data), ("predictions.json", predictions)):
         (tmp_path / name).write_text(json.dumps(value), encoding="utf-8")
     (tmp_path / "candidates.jsonl").write_text(
@@ -390,6 +444,15 @@ def test_http_backend_requires_a_url(corpus10, tmp_path, capsys, monkeypatch):
         "iterate", "--corpus", path, "--out", str(tmp_path), "--backend", "http",
     ]) == 2
     assert "SUIT_BACKEND_URL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "iterate"])
+def test_workers_below_one_exits_2(command, corpus10, tmp_path, capsys):
+    _, path = corpus10
+    out = tmp_path / "out"
+    assert main([command, "--corpus", path, "--out", str(out), "--workers", "0"]) == 2
+    assert "workers must be at least 1, got 0" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_unreachable_backend_exits_3(corpus1, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Iteration driver: subsampling, worker parity, report round trips."""
+"""Iteration driver: subsampling, goal isolation, report round trips."""
 
 import dataclasses
 import json
@@ -25,7 +25,6 @@ from subtod.iteration import (
     subsample_goals,
     write_jsonl,
 )
-from subtod import verbalize
 from subtod.sampling import SamplingConfig, generation_request
 from subtod.subgoals import PairPolicy
 from subtod.synthetic import build_world
@@ -36,8 +35,6 @@ from test_verbalize import MULTIWOZ_ACT_VERBS, MULTIWOZ_DOMAINS
 def test_iteration_config_validates_its_knobs(tmp_path):
     with pytest.raises(ValueError, match="goal_fraction"):
         IterationConfig(goal_fraction=0.0)
-    with pytest.raises(ValueError, match="workers"):
-        IterationConfig(workers=0)
     with pytest.raises(ValueError, match="iteration_index"):
         IterationConfig(iteration_index=-1)
     assert IterationConfig(out_dir=tmp_path).k == 2
@@ -106,38 +103,6 @@ def test_run_iteration_with_noise_emits_preference_data(small_world, tmp_path):
             "prompt", "chosen", "rejected", "kind", "goal_id", "dialog_id", "turn",
         }
         assert record["chosen"] != record["rejected"]
-
-
-def test_run_iteration_bytes_match_across_worker_counts(small_world, tmp_path):
-    # The threaded run goes first, on cold memos and with a fast thread
-    # switch, so that its threads race to fill the parse memos and the
-    # backend's per-site caches that they share.
-    verbalize._parse_state.cache_clear()
-    verbalize._parse_act_response.cache_clear()
-    switch = sys.getswitchinterval()
-    outputs = {}
-    for workers in (4, 1):
-        out = tmp_path / f"w{workers}"
-        cfg = IterationConfig(
-            k=2,
-            goal_fraction=1.0,
-            seed=13,
-            train_mode=TrainMode.DPO,
-            out_dir=out,
-            workers=workers,
-            pair_policy=PairPolicy.ALL,
-        )
-        backend = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.6), seed=13)
-        sys.setswitchinterval(1e-6 if workers > 1 else switch)
-        try:
-            run_iteration(small_world, cfg, backend)
-        finally:
-            sys.setswitchinterval(switch)
-        outputs[workers] = (
-            (out / "dpo.jsonl").read_bytes(),
-            (out / "report.json").read_bytes(),
-        )
-    assert outputs[1] == outputs[4]
 
 
 def test_map_goals_skips_failures_and_keeps_going():
