@@ -25,6 +25,7 @@ from .corpus import (
     expect_type,
     load_corpus,
     load_predictions,
+    missing_key,
     save_corpus,
 )
 from .errors import BackendError, PipelineError
@@ -161,7 +162,10 @@ def cmd_detect(args) -> int:
                 continue
             where = f"{args.candidates} line {number}"
             entry = expect_type(json.loads(line), dict, where)
-            goal_id = entry["goal_id"]
+            try:
+                goal_id, candidates = entry["goal_id"], entry["candidates"]
+            except KeyError as exc:
+                raise missing_key(exc, where) from None
             if not isinstance(goal_id, str) or goal_id not in corpus.goals:
                 raise ValueError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
             if previous is not None and goal_id <= previous:
@@ -170,8 +174,12 @@ def cmd_detect(args) -> int:
                     "detect needs strictly ascending goal ids, as sample writes them"
                 )
             previous = goal_id
-            candidates = expect_type(entry["candidates"], list, f"{where}: candidates", item=dict)
-            labels = tuple(c["success"] for c in candidates)
+            expect_type(candidates, list, f"{where}: candidates", item=dict)
+            try:
+                labels = tuple(c["success"] for c in candidates)
+            except KeyError as exc:
+                i = next(i for i, c in enumerate(candidates) if "success" not in c)
+                raise missing_key(exc, f"{where}: candidates", i) from None
             if not all(isinstance(label, bool) for label in labels):
                 raise ValueError(f'{where}: a candidate\'s "success" is not true or false')
             stage(

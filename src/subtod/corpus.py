@@ -88,6 +88,12 @@ def expect_type(value, kind: type, where: str, *path, item: type | None = None):
     return value
 
 
+def missing_key(error: KeyError, where: str, *path) -> CorpusError:
+    """The ``CorpusError`` for the missing key of ``error``, placed as ``expect_type`` places it."""
+    where += "".join(f"[{key!r}]" for key in path)
+    return CorpusError(f"{where}: missing key {error.args[0]!r}")
+
+
 def goal_to_dict(goal: UserGoal) -> dict:
     return {
         domain: {
@@ -121,7 +127,10 @@ def act_to_dict(act: DialogAct) -> dict:
 
 def act_from_dict(data: Mapping, where: str = "act", *path) -> DialogAct:
     """The act ``data`` describes; ``where`` and ``path`` name it in errors about its JSON types."""
-    domain, act, slot = data["domain"], data["act"], data.get("slot")
+    try:
+        domain, act, slot = data["domain"], data["act"], data.get("slot")
+    except KeyError as exc:
+        raise missing_key(exc, where, *path) from None
     booking = data.get("booking", False)
     if not (isinstance(domain, str) and isinstance(act, str) and isinstance(booking, bool)
             and (slot is None or isinstance(slot, str))):
@@ -149,10 +158,14 @@ def dialog_to_dict(dialog: Dialog) -> dict:
 
 def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
     """The dialog ``data`` describes; ``where`` names it in errors about its JSON types."""
-    dialog_id = expect_type(expect_type(data, dict, where)["id"], str, where, "id")
+    try:
+        dialog_id, raw_turns = expect_type(data, dict, where)["id"], data["turns"]
+    except KeyError as exc:
+        raise missing_key(exc, where) from None
+    expect_type(dialog_id, str, where, "id")
     goal_id = expect_type(data.get("goal_id", dialog_id), str, where, "goal_id")
     turns = []
-    for i, t in enumerate(expect_type(data["turns"], list, where, "turns", item=dict)):
+    for i, t in enumerate(expect_type(raw_turns, list, where, "turns", item=dict)):
         raw_state = expect_type(t.get("state", {}), dict, where, "turns", i, "state", item=dict)
         state = {}
         for domain, slots in raw_state.items():
@@ -161,7 +174,10 @@ def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
                     expect_type(slots, dict, where, "turns", i, "state", domain, item=str)
             state[domain] = dict(slots)
         acts = expect_type(t.get("acts", []), list, where, "turns", i, "acts", item=dict)
-        user, response = t["user"], t["response"]
+        try:
+            user, response = t["user"], t["response"]
+        except KeyError as exc:
+            raise missing_key(exc, where, "turns", i) from None
         if not (isinstance(user, str) and isinstance(response, str)):
             expect_type(user, str, where, "turns", i, "user")
             expect_type(response, str, where, "turns", i, "response")
@@ -209,7 +225,7 @@ def _load_split(entries, errors) -> tuple[tuple[Dialog, ...], dict[str, UserGoal
     dialogs = []
     goals = {}
     for i, entry in enumerate(entries):
-        if "id" not in entry or "turns" not in entry:
+        if "id" not in entry:  # nothing else can name the dialog
             errors.append(f"dialog #{i}: missing id or turns")
             continue
         dialog = dialog_from_dict(entry, f"dialog {entry['id']!r}")
@@ -348,6 +364,6 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if "dialogs" not in expect_type(data, dict, str(path)):
-        raise CorpusError("predictions file missing top-level key 'dialogs'")
+        raise CorpusError(f"{path}: missing top-level key 'dialogs'")
     entries = expect_type(data["dialogs"], list, str(path), "dialogs")
     return [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]

@@ -15,10 +15,6 @@ class UnknownSlot(PipelineError):
     """A constraint slot is not informable for the queried domain."""
 
 
-class NotInGoal(PipelineError):
-    """A per-domain outcome was requested for a domain the goal does not cover."""
-
-
 class MissingGoal(PipelineError):
     """A dialog's goal_id (or its reference dialog) cannot be resolved."""
 

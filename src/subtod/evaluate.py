@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import LengthMismatch, MissingGoal, NotInGoal
+from .errors import LengthMismatch, MissingGoal
 from .model import (
     BeliefState,
     Database,
@@ -34,13 +34,6 @@ BLEU_ORDER = 4
 
 # Column order used for per-domain report rendering.
 DOMAIN_COLUMN_ORDER = ("train", "attraction", "restaurant", "taxi", "hotel")
-
-
-@dataclass(frozen=True)
-class DomainOutcome:
-    domain: str
-    inform: bool
-    success: bool
 
 
 @dataclass(frozen=True)
@@ -86,40 +79,9 @@ def _inform(
     return any(e.get(name_slot, "") in goal_names for e in query(db, domain, constraints))
 
 
-def domain_outcome(dialog: Dialog, goal: UserGoal, db: Database, domain: str) -> DomainOutcome:
-    """INFORM/SUCCESS for one goal domain of one dialog."""
-    if domain not in goal.domains:
-        raise NotInGoal(f"domain {domain!r} is not part of goal {dialog.goal_id!r}")
-    entry = goal.domains[domain]
-    schema = db.ontology.schema(domain)
-
-    if not schema.entity_bearing:
-        # Nothing to look up for e.g. taxi; the booked ride always "informs".
-        inform = True
-    else:
-        name_ph = placeholder(domain, schema.name_slot)
-        offer_turn = None
-        for t, turn in enumerate(dialog.turns):
-            if name_ph in turn.system.response:
-                offer_turn = t
-        if offer_turn is None:
-            inform = not entry.constraints
-        else:
-            constraints = _offer_constraints(db, domain, dialog.turns[offer_turn].system.state)
-            inform = _inform(db, domain, constraints, _goal_names(db, domain, entry))
-
-    success = inform and all(
-        any(placeholder(domain, slot) in turn.system.response for turn in dialog.turns)
-        for slot in entry.requests
-    )
-    return DomainOutcome(domain=domain, inform=inform, success=success)
-
-
 def dialog_success(dialog: Dialog, goal: UserGoal, db: Database) -> bool:
     """True iff every domain in the goal reaches SUCCESS."""
-    return all(
-        domain_outcome(dialog, goal, db, domain).success for domain in goal.domain_names()
-    )
+    return SpliceEvaluator(goal, db).splices(dialog).unspliced_success
 
 
 @dataclass(frozen=True)
@@ -141,16 +103,16 @@ class _DomainSplices:
 
 
 class SpliceEvaluator:
-    """``dialog_success`` of one-fragment splices, re-checking only what changes.
+    """The package's one INFORM/SUCCESS rule, for a dialog and its one-fragment splices.
 
-    ``SpliceEvaluator(goal, db).splices(dialog).success(t, kind, fragment)``
-    equals ``dialog_success(replace_turn(dialog, t, kind, fragment), goal, db)``,
-    which stays the reference definition. Belief states are read only at a
-    domain's last offer turn, acts never, and responses only for the
-    placeholders they carry, so a splice re-runs INFORM only for a domain
-    whose offer-turn belief it changes. Goal-entity names are queried once
-    per evaluator, and INFORM once per domain and informable constraints.
-    ``splices(dialog).unspliced_success`` is ``dialog_success(dialog, goal, db)``.
+    ``splices(dialog).outcomes`` holds ``(domain, inform, success)`` per goal
+    domain for ``evaluate_corpus``; ``unspliced_success``, their conjunction,
+    is ``dialog_success`` and the label. Detection's ``success(t, kind, fragment)``
+    is the dialog success of ``replace_turn(dialog, t, kind, fragment)``. Belief
+    states are read only at a domain's last offer turn, acts never, and
+    responses only for the placeholders they carry, so a splice re-runs INFORM
+    only for a domain whose offer-turn belief it changes. Goal-entity names are
+    queried once per evaluator, and INFORM once per domain and constraints.
     """
 
     def __init__(self, goal: UserGoal, db: Database):
@@ -210,7 +172,8 @@ class DialogSplices:
                 _DomainSplices(domain, name_ph, offers, requests, no_offer_inform, inform, covered)
             )
         self._domains = tuple(domains)
-        self.unspliced_success = all(d.inform and d.covered for d in self._domains)
+        self.outcomes = tuple((d.domain, d.inform, d.inform and d.covered) for d in self._domains)
+        self.unspliced_success = all(success for _, _, success in self.outcomes)
         # The only turns whose belief state any domain reads.
         self._state_turns = frozenset(d.offers[-1] for d in self._domains if d.offers)
 
@@ -315,26 +278,17 @@ def evaluate_corpus(
     ordered = sorted(dialogs, key=lambda d: d.id)
     inform_hits = 0
     success_hits = 0
-    domain_counts: dict[str, int] = {}
-    domain_inform: dict[str, int] = {}
-    domain_success: dict[str, int] = {}
+    by_domain: dict[str, list[tuple[bool, bool]]] = {}
     hyps: list[str] = []
     refs: list[str] = []
     for dialog in ordered:
         if dialog.goal_id not in goals:
             raise MissingGoal(f"goal {dialog.goal_id!r} for dialog {dialog.id!r} not found")
-        goal = goals[dialog.goal_id]
-        outcomes = [
-            domain_outcome(dialog, goal, db, domain) for domain in goal.domain_names()
-        ]
-        inform_hits += all(o.inform for o in outcomes)
-        success_hits += all(o.success for o in outcomes)
-        for outcome in outcomes:
-            domain_counts[outcome.domain] = domain_counts.get(outcome.domain, 0) + 1
-            domain_inform[outcome.domain] = domain_inform.get(outcome.domain, 0) + outcome.inform
-            domain_success[outcome.domain] = (
-                domain_success.get(outcome.domain, 0) + outcome.success
-            )
+        outcomes = SpliceEvaluator(goals[dialog.goal_id], db).splices(dialog).outcomes
+        inform_hits += all(inform for _, inform, _ in outcomes)
+        success_hits += all(success for _, _, success in outcomes)
+        for domain, inform, success in outcomes:
+            by_domain.setdefault(domain, []).append((inform, success))
         if dialog.id not in references:
             raise MissingGoal(f"no reference dialog for id {dialog.id!r}")
         ref_turns = references[dialog.id]
@@ -350,13 +304,10 @@ def evaluate_corpus(
     bleu = corpus_bleu(hyps, refs)
     inform_rate = 100.0 * inform_hits / n if n else 0.0
     success_rate = 100.0 * success_hits / n if n else 0.0
-    order = [d for d in DOMAIN_COLUMN_ORDER if d in domain_counts]
-    order += sorted(set(domain_counts) - set(order))
+    order = [d for d in DOMAIN_COLUMN_ORDER if d in by_domain]
+    order += sorted(set(by_domain) - set(order))
     per_domain = {
-        domain: (
-            100.0 * domain_inform[domain] / domain_counts[domain],
-            100.0 * domain_success[domain] / domain_counts[domain],
-        )
+        domain: tuple(100.0 * sum(hits) / len(hits) for hits in zip(*by_domain[domain]))
         for domain in order
     }
     return EvalReport(

@@ -23,7 +23,7 @@ import os
 import random
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -105,44 +105,32 @@ class IterationReport:
     # successful-candidates-per-goal counts, buckets 0..k*k+1
     histogram: Mapping[int, int]
     n_subgoal_samples: Mapping[str, int]
-    skipped: tuple[tuple[str, str], ...]
-    files: tuple[str, ...]
-    dev_eval: Mapping | None
+    skipped: tuple[tuple[str, str], ...] = ()
+    files: tuple[str, ...] = ()
+    dev_eval: Mapping | None = None
     # (dev dialog id, error) per dev dialog whose greedy requests failed.
     dev_skipped: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self) -> dict:
         return {
-            "iteration_index": self.iteration_index,
-            "k": self.k,
-            "train_mode": self.train_mode,
-            "n_goals_sampled": self.n_goals_sampled,
-            "n_dialogs_successful": self.n_dialogs_successful,
-            "n_dialogs_unsuccessful": self.n_dialogs_unsuccessful,
+            **asdict(self),
             "histogram": {str(bucket): count for bucket, count in sorted(self.histogram.items())},
-            "n_subgoal_samples": dict(self.n_subgoal_samples),
             "skipped": [list(pair) for pair in self.skipped],
             "files": list(self.files),
-            "dev_eval": self.dev_eval,
             "dev_skipped": [list(pair) for pair in self.dev_skipped],
         }
 
     @staticmethod
     def from_dict(data: Mapping) -> "IterationReport":
-        return IterationReport(
-            iteration_index=data["iteration_index"],
-            k=data["k"],
-            train_mode=data["train_mode"],
-            n_goals_sampled=data["n_goals_sampled"],
-            n_dialogs_successful=data["n_dialogs_successful"],
-            n_dialogs_unsuccessful=data["n_dialogs_unsuccessful"],
-            histogram={int(bucket): count for bucket, count in data["histogram"].items()},
-            n_subgoal_samples=dict(data["n_subgoal_samples"]),
-            skipped=tuple((gid, why) for gid, why in data.get("skipped", ())),
-            files=tuple(data.get("files", ())),
-            dev_eval=data.get("dev_eval"),
-            dev_skipped=tuple((did, why) for did, why in data.get("dev_skipped", ())),
-        )
+        """The report ``to_dict`` gave; a field an older report lacks takes its default."""
+        values = {
+            f.name: data[f.name] if f.default is MISSING else data.get(f.name, f.default)
+            for f in fields(IterationReport)
+        }
+        for name in ("skipped", "files", "dev_skipped"):
+            values[name] = tuple(tuple(v) if isinstance(v, list) else v for v in values[name])
+        values["histogram"] = {int(bucket): count for bucket, count in values["histogram"].items()}
+        return IterationReport(**values)
 
 
 def subsample_goals(goal_ids: Iterable[str], fraction: float, seed: int) -> list[str]:

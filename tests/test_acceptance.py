@@ -126,6 +126,9 @@ def test_c3_detection_equals_exhaustive_oracle():
 
 
 def test_c4_every_rejected_fragment_breaks_the_dialog():
+    # Checked with the turn-by-turn reference, not the DialogSplices rule detection uses.
+    from reference import dialog_success
+
     world = build_world(60, seed=43, dev_goals=1)
     db = world.database
     backend = ScriptedBackend(world, ErrorInjectionConfig(rate=0.5), seed=3)

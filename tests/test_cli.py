@@ -337,6 +337,56 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     assert expected in capsys.readouterr().err
 
 
+# (file, path to the record, required key deleted from it, the place the message names)
+MISSING_KEY_CASES = [
+    ("corpus.json", ("dialogs", 0, "turns", 1), "user", "dialog {id!r}['turns'][1]"),
+    ("corpus.json", ("dialogs", 0, "turns", 0, "acts", 0), "act",
+     "dialog {id!r}['turns'][0]['acts'][0]"),
+    ("corpus.json", ("dialogs", 0), "turns", "dialog {id!r}"),
+    ("predictions.json", ("dialogs", 0), "id", "predictions.json['dialogs'][0]"),
+    ("predictions.json", ("dialogs", 0, "turns", 0), "response",
+     "predictions.json['dialogs'][0]['turns'][0]"),
+    ("candidates.jsonl", (0,), "goal_id", "candidates.jsonl line 1"),
+    ("candidates.jsonl", (0, "candidates", 0), "success", "candidates.jsonl line 1: candidates[0]"),
+    ("candidates.jsonl", (0, "candidates", 0, "turns", 0), "response",
+     "candidates.jsonl line 1: candidates[0]['turns'][0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, key, place",
+    MISSING_KEY_CASES,
+    ids=[f"{name}-{'-'.join(map(str, path))}-{key}" for name, path, key, _ in MISSING_KEY_CASES],
+)
+def test_a_missing_required_key_exits_2_and_names_its_place(
+    name, path, key, place, corpus10, tmp_path, capsys
+):
+    corpus, corpus_path = corpus10
+    dialog_id = corpus.dialogs[0].id
+    files = {
+        "corpus.json": json.loads(Path(corpus_path).read_text(encoding="utf-8")),
+        "predictions.json": {"dialogs": [dialog_to_dict(corpus.dialogs[0])]},
+        "candidates.jsonl": [{
+            "goal_id": dialog_id,
+            "candidates": [{**dialog_to_dict(corpus.dialogs[0]), "success": True}],
+        }],
+    }
+    record = files[name]
+    for step in path:
+        record = record[step]
+    del record[key]
+    for file, value in files.items():
+        lines = value if file.endswith(".jsonl") else [value]
+        (tmp_path / file).write_text("".join(json.dumps(v) + "\n" for v in lines), encoding="utf-8")
+    if name == "candidates.jsonl":
+        command = ["detect", "--candidates", str(tmp_path / name), "--out", str(tmp_path / "out")]
+    else:
+        command = ["evaluate", "--predictions", str(tmp_path / "predictions.json")]
+    assert main([*command, "--corpus", str(tmp_path / "corpus.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{place.format(id=dialog_id)}: missing key {key!r}" in err
+
+
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):
     _, path = corpus10
     out = tmp_path / "iter0"

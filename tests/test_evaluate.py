@@ -9,14 +9,15 @@ from oracles import bleu as oracle_bleu
 from oracles import inform_success as oracle_inform_success
 from oracles import plain_dialog, plain_goal, plain_schemas, plain_tables
 from oracles import tokenize as oracle_tokenize
-from subtod.errors import LengthMismatch, MissingGoal, NotInGoal
+from reference import NotInGoal, domain_outcome, outcomes
+from subtod.errors import LengthMismatch, MissingGoal
 from subtod.evaluate import (
     DOMAIN_COLUMN_ORDER,
+    SpliceEvaluator,
     bleu_tokenize,
     combined,
     corpus_bleu,
     dialog_success,
-    domain_outcome,
     evaluate_corpus,
 )
 from subtod.model import (
@@ -68,10 +69,15 @@ def _oracle_success(dialog, goal, db):
     )
 
 
+def _assert_outcomes_match_the_reference(dialog, goal, db):
+    assert SpliceEvaluator(goal, db).splices(dialog).outcomes == outcomes(dialog, goal, db)
+
+
 def test_hotel_fixture_informs_and_succeeds(db3, hotel_goal, hotel_dialog):
     outcome = domain_outcome(hotel_dialog, hotel_goal, db3, "hotel")
     assert outcome.inform is True
     assert outcome.success is True
+    _assert_outcomes_match_the_reference(hotel_dialog, hotel_goal, db3)
 
 
 def test_deleting_the_requested_placeholder_breaks_success(db3, hotel_goal, hotel_dialog):
@@ -79,6 +85,7 @@ def test_deleting_the_requested_placeholder_breaks_success(db3, hotel_goal, hote
     outcome = domain_outcome(broken, hotel_goal, db3, "hotel")
     assert outcome.inform is True
     assert outcome.success is False
+    _assert_outcomes_match_the_reference(broken, hotel_goal, db3)
 
 
 def test_taxi_domain_always_informs(db3):
@@ -107,11 +114,13 @@ def test_taxi_domain_always_informs(db3):
     outcome = domain_outcome(dialog, goal, db3, "taxi")
     assert outcome.inform is True
     assert outcome.success is True
+    _assert_outcomes_match_the_reference(dialog, goal, db3)
 
     silent = _with_response(dialog, 0, "your taxi is booked.")
     outcome = domain_outcome(silent, goal, db3, "taxi")
     assert outcome.inform is True
     assert outcome.success is False
+    _assert_outcomes_match_the_reference(silent, goal, db3)
 
 
 def test_no_offer_turn_fails_inform_under_constraints(db3, hotel_goal, hotel_dialog):
@@ -119,6 +128,7 @@ def test_no_offer_turn_fails_inform_under_constraints(db3, hotel_goal, hotel_dia
     outcome = domain_outcome(quiet, hotel_goal, db3, "hotel")
     assert outcome.inform is False
     assert outcome.success is False
+    _assert_outcomes_match_the_reference(quiet, hotel_goal, db3)
 
 
 def test_only_the_last_offer_turn_counts(db3, hotel_goal, hotel_dialog):
@@ -129,6 +139,7 @@ def test_only_the_last_offer_turn_counts(db3, hotel_goal, hotel_dialog):
         bad_first, 1, "how about [hotel_name]? the address is [hotel_address]."
     )
     assert domain_outcome(bad_first, hotel_goal, db3, "hotel").inform is True
+    _assert_outcomes_match_the_reference(bad_first, hotel_goal, db3)
 
     bad_last = _with_state(hotel_dialog, 1, bad_state)
     bad_last = _with_response(
@@ -136,6 +147,7 @@ def test_only_the_last_offer_turn_counts(db3, hotel_goal, hotel_dialog):
     )
     outcome = domain_outcome(bad_last, hotel_goal, db3, "hotel")
     assert outcome.inform is False
+    _assert_outcomes_match_the_reference(bad_last, hotel_goal, db3)
 
 
 def test_mismatched_belief_fails_inform(db3, hotel_goal, hotel_dialog):
@@ -145,11 +157,15 @@ def test_mismatched_belief_fails_inform(db3, hotel_goal, hotel_dialog):
     wrong = _with_state(wrong, 1, wrong.turns[0].system.state)
     outcome = domain_outcome(wrong, hotel_goal, db3, "hotel")
     assert outcome.inform is False
+    _assert_outcomes_match_the_reference(wrong, hotel_goal, db3)
 
 
 def test_domain_absent_from_goal_raises(db3, hotel_goal, hotel_dialog):
     with pytest.raises(NotInGoal):
         domain_outcome(hotel_dialog, hotel_goal, db3, "taxi")
+    # The shipped rule has no outcome to ask for: it covers the goal's domains only.
+    shipped = SpliceEvaluator(hotel_goal, db3).splices(hotel_dialog).outcomes
+    assert [domain for domain, _, _ in shipped] == ["hotel"]
 
 
 def test_dialog_success_is_a_conjunction_over_domains(db3):

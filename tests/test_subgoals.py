@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import detect as oracle_detect
 from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, plain_schemas, plain_tables
+from reference import dialog_success, outcomes
 from subtod import subgoals
 from subtod.backends import ScriptedBackend
 from subtod.errors import IncompleteSamples
-from subtod.evaluate import SpliceEvaluator, dialog_success
+from subtod.evaluate import SpliceEvaluator
 from subtod.model import (
     Database,
     Dialog,
@@ -459,6 +460,16 @@ def test_splice_evaluator_agrees_with_dialog_success(data):
     systems = data.draw(st.lists(system_turns(goal), min_size=1, max_size=4))
     fragments = data.draw(st.lists(system_turns(goal), min_size=1, max_size=3))
     _assert_splices_agree(goal, _dialog("w", systems), fragments)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_outcomes_equal_the_reference_domain_by_domain(data):
+    goal = data.draw(goals())
+    dialog = _dialog("w", data.draw(st.lists(system_turns(goal), max_size=4)))
+    splices = SpliceEvaluator(goal, SPLICE_DB).splices(dialog)
+    assert splices.outcomes == outcomes(dialog, goal, SPLICE_DB)
+    assert splices.unspliced_success == dialog_success(dialog, goal, SPLICE_DB)
 
 
 HOTEL_GOAL = UserGoal(
