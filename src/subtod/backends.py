@@ -54,6 +54,8 @@ from .verbalize import (
 )
 
 DEFAULT_MAX_TOKENS = 256
+# Largest reply body the HTTP client reads; a larger one fails without a retry.
+MAX_REPLY_BYTES = 1 << 20
 
 
 def stable_seed(*parts) -> int:
@@ -338,6 +340,10 @@ class _RetryableStatus(Exception):
     """A 429 or 5xx reply, retried like a network error."""
 
 
+class _OversizedReply(Exception):
+    """A reply body over ``MAX_REPLY_BYTES``; not retried."""
+
+
 def _closed_by_peer(sock: socket.socket) -> bool:
     """True when an idle keep-alive socket is readable: the server closed it (or misbehaved)."""
     if hasattr(select, "poll"):
@@ -424,12 +430,15 @@ class HttpBackend:
     POSTs ``{"prompt", "n", "greedy", "temperature", "seed", "max_tokens"}``
     and expects ``{"completions": [...]}`` back. Transient failures (network
     errors, truncated replies, 429, 5xx) are retried with exponential backoff
-    up to ``max_retries``; schema problems fail fast. Determinism is
-    best-effort and entirely up to the service. At most ``max_in_flight``
-    POSTs are in flight at once, across all threads that share the client, and
-    each runs on a keep-alive connection from a pool that never holds more
-    than that many. ``http_proxy``/``https_proxy``/``no_proxy`` are read once,
-    here; HTTPS verifies against the system's CA store.
+    up to ``max_retries``; schema problems and replies over
+    ``MAX_REPLY_BYTES`` fail fast. Determinism is best-effort and entirely up
+    to the service. At most ``max_in_flight`` POSTs are in flight at once,
+    across all threads that share the client, and each runs on a keep-alive
+    connection from a pool that never holds more than that many, open or
+    being dialed. A POST with no idle connection starts a dial and takes the
+    first connection to come free, so a slow dial delays no POST while
+    another connection is free. ``http_proxy``/``https_proxy``/``no_proxy``
+    are read once, here; HTTPS verifies against the system's CA store.
     """
 
     def __init__(
@@ -439,7 +448,7 @@ class HttpBackend:
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.25,
-        max_in_flight: int = 8,
+        max_in_flight: int = 32,
     ):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -447,22 +456,29 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff = backoff
         self._max_in_flight = max_in_flight
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._connect, self._target, self._headers = _route(parts, timeout)
-        # Idle keep-alive connections, most recently used last. A new one is
-        # opened only when none is idle, inside the semaphore, so there are
-        # never more than max_in_flight.
+        # Idle keep-alive connections, most recently used last, and the count
+        # of connections idle, in use or being dialed, which never exceeds
+        # max_in_flight; a POST holds one, so that also bounds the POSTs.
         self._idle: list[http.client.HTTPConnection] = []
-        self._idle_lock = threading.Lock()
+        self._open = 0
+        self._closed = False
+        self._cond = threading.Condition()
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="http-backend")
         # Per calling thread: the replies of its current prefetched wave.
         self._waves = threading.local()
 
     def close(self) -> None:
-        """Close the idle connections and stop the request threads."""
+        """Close the idle connections and stop the request threads.
+
+        A dial still in progress is not awaited: its connection is closed
+        when it completes, as is any connection in use when it comes back.
+        """
         self._pool.shutdown(cancel_futures=True)
-        with self._idle_lock:
+        with self._cond:
+            self._closed = True
             idle, self._idle = self._idle, []
+            self._open -= len(idle)
         for conn in idle:
             conn.close()
 
@@ -508,28 +524,77 @@ class HttpBackend:
             return future.result()
         return self._post(*request)
 
-    def _exchange(self, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on an idle or new connection; return the status and the whole reply."""
-        conn = None
-        with self._idle_lock:
-            while self._idle and conn is None:
-                conn = self._idle.pop()
-                if _closed_by_peer(conn.sock):
+    def _take(self) -> http.client.HTTPConnection:
+        """The first live connection to come free: an idle one, one just dialed, or one released.
+
+        While none is idle, the caller keeps one dial of its own in progress
+        if fewer than ``max_in_flight`` connections are open. Another caller
+        may take the connection it dialed, so it dials again once that dial
+        has ended. A dial of its own that fails raises here, unless a
+        connection came free first.
+        """
+        dialed, ended = 0, []  # dials started; per dial that ended, None or its error
+        with self._cond:
+            while True:
+                while self._idle:
+                    conn = self._idle.pop()
+                    if not _closed_by_peer(conn.sock):
+                        return conn
                     conn.close()
-                    conn = None
-        if conn is None:
-            conn = self._connect()
+                    self._open -= 1
+                if ended and ended[-1] is not None:
+                    raise ended[-1]
+                if len(ended) == dialed and self._open < self._max_in_flight:
+                    dial = threading.Thread(
+                        target=self._dial, args=(self._connect(), ended), daemon=True
+                    )
+                    self._open += 1
+                    dialed += 1
+                    dial.start()
+                self._cond.wait()
+
+    def _dial(self, conn: http.client.HTTPConnection, ended: list[Exception | None]) -> None:
+        """Open ``conn`` into the pool; append ``None``, or why it failed, to ``ended``."""
+        error = None
+        try:
+            conn.connect()
+        except Exception as exc:
+            conn.close()
+            error = exc
+        with self._cond:
+            ended.append(error)
+            self._give_back(conn)
+
+    def _give_back(self, conn: http.client.HTTPConnection) -> None:
+        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiters."""
+        with self._cond:
+            # http.client closes the connection itself when the reply ends it.
+            if conn.sock is None or self._closed:
+                conn.close()
+                self._open -= 1
+            else:
+                self._idle.append(conn)
+            self._cond.notify_all()
+
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on a connection from ``_take``; return the status and the whole reply."""
+        conn = self._take()
         try:
             conn.request("POST", self._target, body, self._headers)
             resp = conn.getresponse()
-            data = resp.read()
+            if resp.length is not None and resp.length > MAX_REPLY_BYTES:
+                raise _OversizedReply(
+                    f"backend reply of {resp.length} bytes exceeds the {MAX_REPLY_BYTES}-byte limit"
+                )
+            # A declared length is read whole, so a truncated reply still raises.
+            data = resp.read() if resp.length is not None else resp.read(MAX_REPLY_BYTES + 1)
+            if len(data) > MAX_REPLY_BYTES:
+                raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
         except BaseException:
             conn.close()
             raise
-        # http.client closes the connection itself when the reply ends it.
-        if conn.sock is not None:
-            with self._idle_lock:
-                self._idle.append(conn)
+        finally:
+            self._give_back(conn)
         return resp.status, data
 
     def _post(
@@ -550,8 +615,7 @@ class HttpBackend:
         while True:
             attempts += 1
             try:
-                with self._semaphore:
-                    status, data = self._exchange(body)
+                status, data = self._exchange(body)
                 if status == 429 or status >= 500:
                     raise _RetryableStatus(f"http {status}")
                 if status != 200:
@@ -580,6 +644,8 @@ class HttpBackend:
                         attempts=attempts,
                     )
                 return completions
+            except _OversizedReply as exc:
+                raise BackendError(str(exc), prompt=prompt, attempts=attempts) from exc
             # OSError: refused, reset, timed out, unresolvable; HTTPException:
             # truncated or garbled replies.
             except (OSError, http.client.HTTPException, _RetryableStatus) as exc:

@@ -221,12 +221,12 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(corpus_to_dict(corpus), sort_keys=True), encoding="utf-8")
 
 
-def _load_split(entries, errors) -> tuple[tuple[Dialog, ...], dict[str, UserGoal]]:
+def _load_split(entries, split: str, errors) -> tuple[tuple[Dialog, ...], dict[str, UserGoal]]:
     dialogs = []
     goals = {}
     for i, entry in enumerate(entries):
         if "id" not in entry:  # nothing else can name the dialog
-            errors.append(f"dialog #{i}: missing id or turns")
+            errors.append(f"{split}[{i}]: missing key 'id'")
             continue
         dialog = dialog_from_dict(entry, f"dialog {entry['id']!r}")
         dialogs.append(dialog)
@@ -333,8 +333,8 @@ def corpus_from_dict(data: Mapping) -> Corpus:
         },
     )
     errors: list[str] = []
-    dialogs, goals = _load_split(data["dialogs"], errors)
-    dev_dialogs, dev_goals = _load_split(data.get("dev_dialogs", ()), errors)
+    dialogs, goals = _load_split(data["dialogs"], "dialogs", errors)
+    dev_dialogs, dev_goals = _load_split(data.get("dev_dialogs", ()), "dev_dialogs", errors)
     corpus = Corpus(
         ontology=ontology,
         database=database,
@@ -349,10 +349,24 @@ def corpus_from_dict(data: Mapping) -> Corpus:
     return corpus
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def _read_json(path: str | Path):
+    """The JSON value in the file ``path``; malformed JSON is a ``CorpusError`` naming the file."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return corpus_from_dict(data)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """The corpus in the file ``path``; each line of a ``CorpusError`` starts with the path."""
+    data = _read_json(path)
+    try:
+        return corpus_from_dict(data)
+    except CorpusError as exc:
+        raise CorpusError("\n".join(f"{path}: {line}" for line in str(exc).split("\n"))) from None
 
 
 def load_predictions(path: str | Path) -> list[Dialog]:
@@ -361,8 +375,7 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     goal_id defaults to the dialog id, which matches a corpus dialog whose
     inline goal (and reference responses) the prediction is scored against.
     """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if "dialogs" not in expect_type(data, dict, str(path)):
         raise CorpusError(f"{path}: missing top-level key 'dialogs'")
     entries = expect_type(data["dialogs"], list, str(path), "dialogs")

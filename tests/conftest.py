@@ -188,7 +188,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     A responder returns ``(status, body)`` or ``(status, body, headers)``; a
     non-bytes body is sent as JSON, and ``headers`` override the defaults
-    (for example a ``content-length`` longer than the body).
+    (for example a ``content-length`` longer than the body, or ``None`` to
+    leave a header out).
     """
 
     def setup(self):
@@ -209,7 +210,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         headers.update(*extra)
         self.send_response(status)
         for name, value in headers.items():
-            self.send_header(name, value)
+            if value is not None:
+                self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         if self.server.drop_after_reply:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from subtod.backends import (
+    MAX_REPLY_BYTES,
     ErrorInjectionConfig,
     ErrorKind,
     HttpBackend,
@@ -457,6 +458,123 @@ def test_a_connection_the_server_closed_is_replaced_without_a_retry(
         backend.close()
     assert len(keep_alive_server.payloads) == 3
     assert keep_alive_server.connections == 3
+
+
+class _HeldDial:
+    """Wraps a backend's ``_connect``: its first connection's ``connect()`` awaits ``released``."""
+
+    def __init__(self, backend):
+        self.connections = []
+        self.dialing = threading.Event()
+        self.released = threading.Event()
+        self._lock = threading.Lock()
+        self._connect = backend._connect
+        backend._connect = self.connect
+
+    def connect(self):
+        conn = self._connect()
+        with self._lock:
+            self.connections.append(conn)
+            first = len(self.connections) == 1
+        if first:
+            dial = conn.connect
+
+            def held():
+                self.dialing.set()
+                self.released.wait(30)
+                dial()
+
+            conn.connect = held
+        return conn
+
+    @property
+    def held(self):
+        return self.connections[0]
+
+
+def _wave_with_a_held_dial(server, backend, size=64):
+    """Answer a wave of ``size`` while the backend's first dial is held; it must finish."""
+    dial = _HeldDial(backend)
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(size)]
+    answers = {}
+    thread = threading.Thread(target=lambda: answers.update(answer_wave(backend, wave)))
+    thread.start()
+    try:
+        assert dial.dialing.wait(10)
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the wave waited for the held dial"
+    except BaseException:
+        dial.released.set()
+        thread.join(timeout=10)
+        raise
+    assert answers == {request: ["stub"] for request in wave}
+    assert len(server.payloads) == size
+    return dial
+
+
+def test_a_wave_runs_on_other_connections_while_one_dial_is_held(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+    dial = _wave_with_a_held_dial(keep_alive_server, backend)
+    try:
+        # The held connection never opened: every POST ran on the others.
+        assert dial.held.sock is None
+        assert 1 < len(dial.connections) <= 8
+    finally:
+        dial.released.set()
+        backend.close()
+
+
+def test_a_held_dial_joins_the_pool_and_the_pool_stays_bounded(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+    dial = _wave_with_a_held_dial(keep_alive_server, backend)
+    try:
+        dial.released.set()
+        deadline = time.monotonic() + 10
+        while dial.held not in backend._idle and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert dial.held in backend._idle
+        # A second wave reuses the pool. No connection closed, so the dials
+        # counted are every connection the backend ever held.
+        dialed = len(dial.connections)
+        wave = [(f"again {i}", 1, True, 1.0, i, 256) for i in range(64)]
+        assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
+        assert len(dial.connections) == dialed <= 8
+        assert keep_alive_server.connections <= 8
+    finally:
+        dial.released.set()
+        backend.close()
+
+
+def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+    dial = _wave_with_a_held_dial(keep_alive_server, backend)
+    closer = threading.Thread(target=backend.close)
+    closer.start()
+    closer.join(timeout=5)
+    try:
+        assert not closer.is_alive(), "close() waited for the held dial"
+        served = len(dial.connections) - 1
+        dial.released.set()
+        # The late connection reaches the server and is closed, not pooled.
+        keep_alive_server.wait_closed(served + 1)
+        assert dial.held.sock is None
+        assert backend._idle == []
+    finally:
+        dial.released.set()
+        closer.join(timeout=10)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["content-length", "read-to-close"])
+def test_http_backend_rejects_an_oversized_reply_without_a_retry(completion_server, declared):
+    body = json.dumps({"completions": ["x" * MAX_REPLY_BYTES]}).encode("utf-8")
+    headers = {} if declared else {"content-length": None}
+    completion_server.respond_with(lambda payload: (200, body, headers))
+    backend = HttpBackend(completion_server.url, max_retries=3)
+    size = f"of {len(body)} bytes " if declared else ""
+    with pytest.raises(BackendError, match=f"reply {size}exceeds the {MAX_REPLY_BYTES}-") as info:
+        backend.generate("p", 1, greedy=True)
+    assert info.value.attempts == 1
+    assert len(completion_server.payloads) == 1
 
 
 def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server, small_world):

@@ -115,8 +115,11 @@ def test_evaluate_rejects_malformed_inputs(corpus10, tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["evaluate", "--corpus", path, "--predictions", str(broken)]) == 2
     err = capsys.readouterr().err
-    assert "malformed JSON" in err
-    assert "line" in err
+    assert err.startswith(f"error: {broken}: malformed JSON: line 1 column 2: ")
+
+    assert main(["evaluate", "--corpus", str(broken), "--predictions", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: malformed JSON: line 1 column 2: ")
 
     assert main([
         "evaluate", "--corpus", path, "--predictions", str(tmp_path / "nowhere.json"),
@@ -254,7 +257,7 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
 def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     case, corpus10, tmp_path, capsys
 ):
-    """Each case exits 2 with a message naming the place, never a TypeError or AttributeError."""
+    """Each case exits 2 with a message naming the file and the place, never a TypeError."""
     corpus, path = corpus10
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     dialog = dialog_to_dict(corpus.dialogs[0])
@@ -262,32 +265,35 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     predictions = {"dialogs": [dialog]}
     if case == "ontology":
         data["ontology"] = []
-        expected = "corpus['ontology']: expected an object, got []"
+        expected = "corpus.json: corpus['ontology']: expected an object, got []"
     elif case == "turn state":
         data["dialogs"][0]["turns"][0]["state"] = []
-        expected = f"dialog {dialog['id']!r}['turns'][0]['state']: expected an object, got []"
+        expected = (f"corpus.json: dialog {dialog['id']!r}['turns'][0]['state']: "
+                    "expected an object, got []")
     elif case == "candidates line":
         candidates = [[1, 2]]
         expected = "candidates.jsonl line 1: expected an object, got [1, 2]"
     elif case == "candidate act":
         candidates[0]["candidates"][0]["turns"][0]["acts"] = [1]
-        expected = "line 1: candidates[0]['turns'][0]['acts'][0]: expected an object, got 1"
+        expected = ("candidates.jsonl line 1: candidates[0]['turns'][0]['acts'][0]: "
+                    "expected an object, got 1")
     elif case == "prediction turns":
         dialog["turns"] = "abc"
         expected = "predictions.json['dialogs'][0]['turns']: expected an array, got \"abc\""
     elif case == "dialog id":
         data["dialogs"][0]["id"] = 5
-        expected = "dialog 5['id']: expected a string, got 5"
+        expected = "corpus.json: dialog 5['id']: expected a string, got 5"
     elif case in ("user", "response"):
         value = {"user": ["x"], "response": 1}[case]
         data["dialogs"][0]["turns"][0][case] = value
-        expected = (f"dialog {dialog['id']!r}['turns'][0][{case!r}]: "
+        expected = (f"corpus.json: dialog {dialog['id']!r}['turns'][0][{case!r}]: "
                     f"expected a string, got {json.dumps(value)}")
     elif case == "state value":
         [(domain, slots), *_] = data["dialogs"][0]["turns"][0]["state"].items()
         [slot, *_] = slots
         slots[slot] = 3
-        expected = (f"dialog {dialog['id']!r}['turns'][0]['state'][{domain!r}][{slot!r}]: "
+        expected = (f"corpus.json: dialog {dialog['id']!r}['turns'][0]['state']"
+                    f"[{domain!r}][{slot!r}]: "
                     "expected a string, got 3")
     elif case in ("informable", "name_slot", "entity_bearing"):
         value, kind = {
@@ -296,21 +302,22 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
             "entity_bearing": ("yes", "true or false"),
         }[case]
         data["ontology"]["hotel"][case] = value
-        expected = (f"corpus['ontology']['hotel'][{case!r}]: "
+        expected = (f"corpus.json: corpus['ontology']['hotel'][{case!r}]: "
                     f"expected {kind}, got {json.dumps(value)}")
     elif case == "database value":
         data["database"]["hotel"][2]["area"] = 3
-        expected = "corpus['database']['hotel'][2]['area']: expected a string, got 3"
+        expected = "corpus.json: corpus['database']['hotel'][2]['area']: expected a string, got 3"
     elif case == "goal constraint":
         [(domain, entry), *_] = data["dialogs"][0]["goal"].items()
         [slot, *_] = entry["constraints"]
         entry["constraints"][slot] = 3
-        expected = (f"dialog {dialog['id']!r}['goal'][{domain!r}]['constraints'][{slot!r}]: "
+        expected = (f"corpus.json: dialog {dialog['id']!r}['goal'][{domain!r}]"
+                    f"['constraints'][{slot!r}]: "
                     "expected a string, got 3")
     elif case == "goal request":
         [(domain, entry), *_] = data["dialogs"][0]["goal"].items()
         entry["requests"] = [1]
-        expected = (f"dialog {dialog['id']!r}['goal'][{domain!r}]['requests'][0]: "
+        expected = (f"corpus.json: dialog {dialog['id']!r}['goal'][{domain!r}]['requests'][0]: "
                     "expected a string, got 1")
     elif case in ("candidate act verb", "candidate act booking"):
         key, value, kind = {
@@ -318,7 +325,7 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
             "candidate act booking": ("booking", "yes", "true or false"),
         }[case]
         candidates[0]["candidates"][0]["turns"][0]["acts"][0][key] = value
-        expected = (f"line 1: candidates[0]['turns'][0]['acts'][0][{key!r}]: "
+        expected = (f"candidates.jsonl line 1: candidates[0]['turns'][0]['acts'][0][{key!r}]: "
                     f"expected {kind}, got {json.dumps(value)}")
     else:
         dialog["goal_id"] = 5
@@ -334,15 +341,17 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     else:
         command = ["evaluate", "--predictions", str(tmp_path / "predictions.json")]
     assert main([*command, "--corpus", str(tmp_path / "corpus.json")]) == 2
-    assert expected in capsys.readouterr().err
+    # The message starts with the path of the file, then names the place in it.
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}{os.sep}{expected}")
 
 
 # (file, path to the record, required key deleted from it, the place the message names)
 MISSING_KEY_CASES = [
-    ("corpus.json", ("dialogs", 0, "turns", 1), "user", "dialog {id!r}['turns'][1]"),
+    ("corpus.json", ("dialogs", 0, "turns", 1), "user", "corpus.json: dialog {id!r}['turns'][1]"),
     ("corpus.json", ("dialogs", 0, "turns", 0, "acts", 0), "act",
-     "dialog {id!r}['turns'][0]['acts'][0]"),
-    ("corpus.json", ("dialogs", 0), "turns", "dialog {id!r}"),
+     "corpus.json: dialog {id!r}['turns'][0]['acts'][0]"),
+    ("corpus.json", ("dialogs", 0), "turns", "corpus.json: dialog {id!r}"),
+    ("corpus.json", ("dev_dialogs", 1), "id", "corpus.json: dev_dialogs[1]"),
     ("predictions.json", ("dialogs", 0), "id", "predictions.json['dialogs'][0]"),
     ("predictions.json", ("dialogs", 0, "turns", 0), "response",
      "predictions.json['dialogs'][0]['turns'][0]"),
@@ -384,7 +393,9 @@ def test_a_missing_required_key_exits_2_and_names_its_place(
         command = ["evaluate", "--predictions", str(tmp_path / "predictions.json")]
     assert main([*command, "--corpus", str(tmp_path / "corpus.json")]) == 2
     err = capsys.readouterr().err
-    assert f"{place.format(id=dialog_id)}: missing key {key!r}" in err
+    # The message starts with the path of the file, then names the place in it.
+    place = f"{tmp_path}{os.sep}{place.format(id=dialog_id)}"
+    assert err.startswith(f"error: {place}: missing key {key!r}")
 
 
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):

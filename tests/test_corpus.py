@@ -144,7 +144,7 @@ def test_dialog_without_goal_or_id_raises():
         corpus_from_dict(data)
     data = tiny_corpus_dict()
     del data["dialogs"][0]["id"]
-    with pytest.raises(CorpusError, match="missing id or turns"):
+    with pytest.raises(CorpusError, match=r"^dialogs\[0\]: missing key 'id'$"):
         corpus_from_dict(data)
 
 
