@@ -20,7 +20,7 @@ import hashlib
 import http.client
 import json
 import random
-import select
+import selectors
 import socket
 import ssl
 import threading
@@ -28,7 +28,6 @@ import time
 import urllib.parse
 import urllib.request
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Protocol, Sequence
@@ -56,6 +55,10 @@ from .verbalize import (
 DEFAULT_MAX_TOKENS = 256
 # Largest reply body the HTTP client reads; a larger one fails without a retry.
 MAX_REPLY_BYTES = 1 << 20
+_RECV_BYTES = 1 << 16
+_REQUEST_FIELDS = ("prompt", "n", "greedy", "temperature", "seed", "max_tokens")
+# poll() keeps registration out of the kernel; Windows has only select().
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 def stable_seed(*parts) -> int:
@@ -337,7 +340,15 @@ class ScriptedBackend:
 
 
 class _RetryableStatus(Exception):
-    """A 429 or 5xx reply, retried like a network error."""
+    """A 429 or 5xx reply, retried like a network error, at the earliest after ``retry_after`` s."""
+
+    def __init__(self, status: int, retry_after: float):
+        super().__init__(f"http {status}")
+        self.retry_after = retry_after
+
+
+class _BadReply(Exception):
+    """A truncated or garbled reply, retried like a network error."""
 
 
 class _OversizedReply(Exception):
@@ -345,25 +356,117 @@ class _OversizedReply(Exception):
 
 
 def _closed_by_peer(sock: socket.socket) -> bool:
-    """True when an idle keep-alive socket is readable: the server closed it (or misbehaved)."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+    """True unless a read of the idle, non-blocking ``sock`` would wait.
+
+    A read that does not wait finds that the server closed the connection (or
+    misbehaved). One that finds only TLS records, such as the session tickets
+    a TLS 1.3 server sends after the handshake, waits: the connection stays.
+    """
+    try:
+        sock.recv(1)
+    except (BlockingIOError, ssl.SSLWantReadError):
+        return False
+    except OSError:
+        pass
+    return True
+
+
+def _parse_reply(data: bytes, eof: bool) -> tuple[int, dict[str, str], bytes, bool] | None:
+    """The HTTP/1.x reply at the start of ``data``: its status, headers, body and reusability.
+
+    ``None`` while the reply is incomplete. The body is framed by
+    ``Transfer-Encoding: chunked``, a ``Content-Length`` or the end of the
+    connection (``eof``). Only the first two leave the connection reusable,
+    and only when HTTP/1.1 (or 1.0 with keep-alive) keeps it open and nothing
+    follows the reply. Interim 1xx replies are skipped; header names are
+    lower-cased.
+    """
+    head_end = data.find(b"\r\n\r\n")
+    if head_end < 0:
+        if len(data) > MAX_REPLY_BYTES:
+            raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
+        return None
+    status_line, *lines = data[:head_end].decode("latin-1").split("\r\n")
+    version, _, rest = status_line.partition(" ")
+    if version not in ("HTTP/1.0", "HTTP/1.1") or not rest[:3].isdecimal():
+        raise _BadReply(f"bad status line {status_line!r}")
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _BadReply(f"bad header line {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    status, start = int(rest[:3]), head_end + 4
+    if 100 <= status < 200:
+        return _parse_reply(data[start:], eof)
+    connection = headers.get("connection", "").lower()
+    reusable = "close" not in connection and (version == "HTTP/1.1" or "keep-alive" in connection)
+    if status in (204, 304):
+        framed = b"", start
+    elif "chunked" in headers.get("transfer-encoding", "").lower():
+        framed = _chunks(data, start)
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not length.isdecimal():
+            raise _BadReply(f"bad Content-Length {length!r}")
+        if int(length) > MAX_REPLY_BYTES:
+            raise _OversizedReply(
+                f"backend reply of {length} bytes exceeds the {MAX_REPLY_BYTES}-byte limit"
+            )
+        end = start + int(length)
+        framed = (data[start:end], end) if len(data) >= end else None
+    else:
+        if len(data) - start > MAX_REPLY_BYTES:
+            raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
+        framed, reusable = ((data[start:], len(data)) if eof else None), False
+    if framed is None:
+        return None
+    body, end = framed
+    return status, headers, bytes(body), reusable and end == len(data)
+
+
+def _chunks(data: bytes, pos: int) -> tuple[bytes, int] | None:
+    """The body of the chunked reply whose chunks start at ``pos``, and where the reply ends."""
+    body = bytearray()
+    while True:
+        line_end = data.find(b"\r\n", pos)
+        if line_end < 0:
+            return None
+        digits = data[pos:line_end].partition(b";")[0].strip()
+        if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+            raise _BadReply(f"bad chunk size {bytes(digits)!r}")
+        size = int(digits, 16)
+        if size == 0:
+            end = data.find(b"\r\n\r\n", line_end)  # after the trailer lines, if any
+            return None if end < 0 else (body, end + 4)
+        if len(body) + size > MAX_REPLY_BYTES:
+            raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
+        pos = line_end + 2 + size
+        if len(data) < pos + 2:
+            return None
+        if data[pos:pos + 2] != b"\r\n":
+            raise _BadReply("chunk not followed by CRLF")
+        body += data[line_end + 2:pos]
+        pos += 2
 
 
 def _route(parts: urllib.parse.SplitResult, timeout: float):
-    """How to reach the URL ``parts``: a connection factory, the request target and headers.
+    """How to reach the URL ``parts``: a connection factory, and every POST's head up to its length.
 
     Honours ``http_proxy``/``https_proxy``/``no_proxy``, read once here: a
     plain-HTTP request goes to the proxy with the absolute URL as its target,
     an HTTPS one through a CONNECT tunnel.
     """
     https = parts.scheme == "https"
-    host, port = parts.hostname, parts.port or (443 if https else 80)
+    default_port = 443 if https else 80
+    host, port = parts.hostname, parts.port or default_port
+    origin = f"[{host}]" if ":" in host else host
+    headers = {
+        "Host": origin if port == default_port else f"{origin}:{port}",
+        "Accept-Encoding": "identity",
+        "Content-Type": "application/json",
+    }
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-    headers = {"Content-Type": "application/json"}
     tunnel = None
     proxy = urllib.request.getproxies().get(parts.scheme)
     if proxy and not urllib.request.proxy_bypass(f"{host}:{port}"):
@@ -390,38 +493,196 @@ def _route(parts: urllib.parse.SplitResult, timeout: float):
             conn.set_tunnel(*tunnel)
         return conn
 
-    return connect, target, headers
+    lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
+    return connect, "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
+
+
+class _Exchange:
+    """One POST: its request message, then its connection and reply bytes, then its outcome.
+
+    The outcome is ``_parse_reply``'s tuple or the exception that ended the POST.
+    """
+
+    __slots__ = ("message", "conn", "buf", "deadline", "outcome")
+
+    def __init__(self, message: bytes):
+        self.message = message
+        self.conn: http.client.HTTPConnection | None = None
+        self.buf = bytearray()
+        self.deadline = 0.0
+        self.outcome: tuple | Exception | None = None
+
+
+class _Loop:
+    """One thread's POSTs, driven by one selector on that thread.
+
+    ``waiting`` holds the POSTs without a connection, in order; the dial
+    threads share it under the backend's lock. ``running`` holds those in
+    flight in the order they were sent, so the first is the first to time out.
+    """
+
+    def __init__(self, backend: HttpBackend):
+        self.backend = backend
+        self.selector = _Selector()
+        self.waiting: deque[_Exchange] = deque()
+        self.running: dict[_Exchange, None] = {}
+        self.dials = 0  # dials started for this loop and not yet ended
+        # A socket pair that dials and other threads' connections wake the loop
+        # through; made the first time the loop waits for one.
+        self.wake: tuple[socket.socket, socket.socket] | None = None
+
+    def close(self) -> None:
+        self.selector.close()
+        for sock in self.wake or ():
+            sock.close()
+
+    def start(self, message: bytes) -> _Exchange:
+        exchange = _Exchange(message)
+        with self.backend._lock:
+            self.waiting.append(exchange)
+        return exchange
+
+    def drop(self, exchanges: Sequence[_Exchange]) -> None:
+        """Forget ``exchanges``: drop those waiting for a connection, await those in flight."""
+        with self.backend._lock:
+            for exchange in exchanges:
+                if exchange in self.waiting:
+                    self.waiting.remove(exchange)
+        for exchange in exchanges:
+            if exchange in self.running:
+                self.run(exchange)
+
+    def run(self, exchange: _Exchange) -> None:
+        """Drive every POST of this thread until ``exchange`` has its outcome."""
+        while True:
+            self._send_waiting()
+            done = exchange.outcome is not None
+            events = []
+            if not done:
+                first = next(iter(self.running), None)
+                events = self.selector.select(
+                    None if first is None else max(0.0, first.deadline - time.monotonic())
+                )
+            if self.wake is not None:
+                with self.backend._lock:
+                    self.backend._waiters.discard(self.wake[1])
+            if done:
+                return
+            for key, _ in events:
+                if key.data is None:
+                    key.fileobj.recv(64)
+                else:
+                    self._read(key.data)
+            now = time.monotonic()
+            while self.running and (first := next(iter(self.running))).deadline <= now:
+                self._finish(first, TimeoutError("backend reply timed out"))
+
+    def _send_waiting(self) -> None:
+        """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
+
+        Dials never take the open connections past ``max_in_flight``. While a
+        POST waits on a dial, or on nothing of this loop's own, the loop stays
+        registered to be woken when a connection comes free or a dial ends.
+        """
+        backend = self.backend
+        ready, dials = [], []
+        with backend._lock:
+            while self.waiting and backend._idle:
+                conn = backend._idle.pop()
+                if _closed_by_peer(conn.sock):
+                    conn.close()
+                    backend._open -= 1
+                else:
+                    ready.append((self.waiting.popleft(), conn))
+            while (
+                len(self.waiting) > self.dials + len(dials)
+                and backend._open < backend._max_in_flight
+            ):
+                backend._open += 1
+                dials.append(backend._connect())
+            self.dials += len(dials)
+            if self.waiting and (self.dials or not self.running):
+                if self.wake is None:
+                    self.wake = socket.socketpair()
+                    self.selector.register(self.wake[0], selectors.EVENT_READ)
+                backend._waiters.add(self.wake[1])
+        for conn in dials:
+            threading.Thread(target=backend._dial, args=(conn, self), daemon=True).start()
+        for exchange, conn in ready:
+            self._send(exchange, conn)
+
+    def _send(self, exchange: _Exchange, conn: http.client.HTTPConnection) -> None:
+        exchange.conn = conn
+        exchange.deadline = time.monotonic() + self.backend.timeout
+        self.running[exchange] = None
+        self.selector.register(conn.sock, selectors.EVENT_READ, exchange)
+        try:
+            # The send may wait up to the timeout for buffer room; reads never block.
+            conn.sock.settimeout(self.backend.timeout)
+            conn.sock.sendall(exchange.message)
+            conn.sock.settimeout(0)
+        except OSError as exc:
+            self._finish(exchange, exc)
+
+    def _read(self, exchange: _Exchange) -> None:
+        sock = exchange.conn.sock
+        try:
+            data = sock.recv(_RECV_BYTES)
+            # TLS may hold decrypted bytes that the selector cannot see.
+            while data and isinstance(sock, ssl.SSLSocket) and sock.pending():
+                data += sock.recv(_RECV_BYTES)
+            exchange.buf += data
+            reply = _parse_reply(exchange.buf, eof=not data)
+            if reply is None and not data:
+                raise _BadReply("reply ended early")
+        except (BlockingIOError, ssl.SSLWantReadError):
+            return  # a TLS record not yet whole
+        except (OSError, _BadReply, _OversizedReply) as exc:
+            self._finish(exchange, exc)
+            return
+        if reply is not None:
+            self._finish(exchange, reply)
+
+    def _finish(self, exchange: _Exchange, outcome: tuple | Exception) -> None:
+        """Give ``exchange`` its outcome; pool its connection if the reply left it reusable."""
+        conn = exchange.conn
+        del self.running[exchange]
+        self.selector.unregister(conn.sock)
+        if not (isinstance(outcome, tuple) and outcome[3]):
+            conn.close()
+        self.backend._give_back(conn)
+        exchange.conn = exchange.buf = None
+        exchange.outcome = outcome
 
 
 class _Wave:
-    """One thread's prefetched wave: requests not sent yet, then those sent and not yet taken."""
+    """One thread's prefetched wave: requests not started yet, then those started, not taken."""
 
-    def __init__(self, submit, wave: Sequence[tuple], ahead: int):
-        self._submit = submit
+    def __init__(self, loop: _Loop, encode, wave: Sequence[tuple], ahead: int):
+        self.loop = loop
+        self._encode = encode
         self._ahead = ahead
         self._unsent = deque(tuple(request) for request in wave)
-        self._sent: deque[tuple[tuple, Future]] = deque()
+        self._sent: deque[tuple[tuple, _Exchange]] = deque()
         self._fill()
 
     def _fill(self) -> None:
         while self._unsent and len(self._sent) < self._ahead:
             request = self._unsent.popleft()
-            self._sent.append((request, self._submit(request)))
+            self._sent.append((request, self.loop.start(self._encode(request))))
 
-    def take(self, request: tuple) -> Future | None:
-        """The future of ``request`` if it is the wave's next request, else ``None``."""
+    def take(self, request: tuple) -> _Exchange | None:
+        """The POST of ``request`` if it is the wave's next request, else ``None``."""
         if not self._sent or self._sent[0][0] != request:
             return None
-        future = self._sent.popleft()[1]
+        exchange = self._sent.popleft()[1]
         self._fill()
-        return future
+        return exchange
 
     def close(self) -> None:
         self._unsent.clear()
-        leftovers = [future for _, future in self._sent]
-        for future in leftovers:
-            future.cancel()
-        wait(leftovers)
+        self.loop.drop([exchange for _, exchange in self._sent])
+        self._sent.clear()
 
 
 class HttpBackend:
@@ -429,16 +690,23 @@ class HttpBackend:
 
     POSTs ``{"prompt", "n", "greedy", "temperature", "seed", "max_tokens"}``
     and expects ``{"completions": [...]}`` back. Transient failures (network
-    errors, truncated replies, 429, 5xx) are retried with exponential backoff
-    up to ``max_retries``; schema problems and replies over
-    ``MAX_REPLY_BYTES`` fail fast. Determinism is best-effort and entirely up
-    to the service. At most ``max_in_flight`` POSTs are in flight at once,
-    across all threads that share the client, and each runs on a keep-alive
-    connection from a pool that never holds more than that many, open or
-    being dialed. A POST with no idle connection starts a dial and takes the
-    first connection to come free, so a slow dial delays no POST while
-    another connection is free. ``http_proxy``/``https_proxy``/``no_proxy``
-    are read once, here; HTTPS verifies against the system's CA store.
+    errors, truncated or garbled replies, 429, 5xx) are retried with
+    exponential backoff up to ``max_retries``; a numeric ``Retry-After`` on a
+    429 or 503 lengthens the wait, and no wait exceeds ``timeout``. Schema
+    problems and replies over ``MAX_REPLY_BYTES`` fail fast. Determinism is
+    best-effort and entirely up to the service.
+
+    Each calling thread drives its own POSTs with one selector loop, inside
+    ``generate``: a POST is one ``sendall`` on a keep-alive connection, and
+    its reply must arrive within ``timeout``. At most ``max_in_flight`` POSTs
+    are in flight at once, across all threads that share the client, and
+    each runs on a connection from a pool that never holds more than that
+    many, open or being dialed. ``http.client`` only dials them, on
+    short-lived threads, which covers TLS and proxy tunnels. A POST with no
+    idle connection starts a dial and takes the first connection to come
+    free, so a slow dial delays no POST while another connection is free.
+    ``http_proxy``/``https_proxy``/``no_proxy`` are read once, here; HTTPS
+    verifies against the system's CA store.
     """
 
     def __init__(
@@ -448,34 +716,35 @@ class HttpBackend:
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.25,
-        max_in_flight: int = 32,
+        max_in_flight: int = 64,
     ):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
+        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self._max_in_flight = max_in_flight
-        self._connect, self._target, self._headers = _route(parts, timeout)
+        self._connect, self._head = _route(parts, timeout)
         # Idle keep-alive connections, most recently used last, and the count
         # of connections idle, in use or being dialed, which never exceeds
         # max_in_flight; a POST holds one, so that also bounds the POSTs.
         self._idle: list[http.client.HTTPConnection] = []
         self._open = 0
         self._closed = False
-        self._cond = threading.Condition()
-        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="http-backend")
+        # The wake sockets of the loops waiting for a connection.
+        self._waiters: set[socket.socket] = set()
+        self._lock = threading.Lock()
         # Per calling thread: the replies of its current prefetched wave.
         self._waves = threading.local()
 
     def close(self) -> None:
-        """Close the idle connections and stop the request threads.
+        """Close the idle connections.
 
         A dial still in progress is not awaited: its connection is closed
         when it completes, as is any connection in use when it comes back.
         """
-        self._pool.shutdown(cancel_futures=True)
-        with self._cond:
+        with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
             self._open -= len(idle)
@@ -490,22 +759,22 @@ class HttpBackend:
         tuple. Inside the block, a ``generate`` call on this thread for the
         wave's next request returns that request's reply, or raises its error,
         instead of posting again; any other call posts on its own. Requests are
-        sent in wave order, at most ``2 * max_in_flight`` ahead of the calls
-        that take their replies, so a large wave keeps every connection busy
-        without holding a future per request. On exit, requests nobody took are
-        dropped, cancelled or awaited, so a wave cut short by an error leaves
-        nothing for later calls.
+        started in wave order, at most ``2 * max_in_flight`` ahead of the calls
+        that take their replies, and each ``generate`` call drives the POSTs
+        until its own reply is in. On exit, requests nobody took are dropped or
+        awaited, so a wave cut short by an error leaves nothing for later calls.
         """
-        pending = _Wave(
-            lambda request: self._pool.submit(self._post, *request), wave, 2 * self._max_in_flight
-        )
         outer = getattr(self._waves, "pending", None)
+        loop = _Loop(self) if outer is None else outer.loop
+        pending = _Wave(loop, self._encode, wave, 2 * self._max_in_flight)
         self._waves.pending = pending
         try:
             yield
         finally:
             self._waves.pending = outer
             pending.close()
+            if outer is None:
+                loop.close()
 
     def generate(
         self,
@@ -519,105 +788,36 @@ class HttpBackend:
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
         wave = getattr(self._waves, "pending", None)
-        future = wave.take(request) if wave is not None else None
-        if future is not None:
-            return future.result()
-        return self._post(*request)
-
-    def _take(self) -> http.client.HTTPConnection:
-        """The first live connection to come free: an idle one, one just dialed, or one released.
-
-        While none is idle, the caller keeps one dial of its own in progress
-        if fewer than ``max_in_flight`` connections are open. Another caller
-        may take the connection it dialed, so it dials again once that dial
-        has ended. A dial of its own that fails raises here, unless a
-        connection came free first.
-        """
-        dialed, ended = 0, []  # dials started; per dial that ended, None or its error
-        with self._cond:
-            while True:
-                while self._idle:
-                    conn = self._idle.pop()
-                    if not _closed_by_peer(conn.sock):
-                        return conn
-                    conn.close()
-                    self._open -= 1
-                if ended and ended[-1] is not None:
-                    raise ended[-1]
-                if len(ended) == dialed and self._open < self._max_in_flight:
-                    dial = threading.Thread(
-                        target=self._dial, args=(self._connect(), ended), daemon=True
-                    )
-                    self._open += 1
-                    dialed += 1
-                    dial.start()
-                self._cond.wait()
-
-    def _dial(self, conn: http.client.HTTPConnection, ended: list[Exception | None]) -> None:
-        """Open ``conn`` into the pool; append ``None``, or why it failed, to ``ended``."""
-        error = None
+        exchange = wave.take(request) if wave is not None else None
+        if exchange is not None:
+            return self._completions(wave.loop, exchange, prompt, n)
+        # A wave of one, on the loop of this thread's wave if there is one.
+        loop = _Loop(self) if wave is None else wave.loop
         try:
-            conn.connect()
-        except Exception as exc:
-            conn.close()
-            error = exc
-        with self._cond:
-            ended.append(error)
-            self._give_back(conn)
-
-    def _give_back(self, conn: http.client.HTTPConnection) -> None:
-        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiters."""
-        with self._cond:
-            # http.client closes the connection itself when the reply ends it.
-            if conn.sock is None or self._closed:
-                conn.close()
-                self._open -= 1
-            else:
-                self._idle.append(conn)
-            self._cond.notify_all()
-
-    def _exchange(self, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on a connection from ``_take``; return the status and the whole reply."""
-        conn = self._take()
-        try:
-            conn.request("POST", self._target, body, self._headers)
-            resp = conn.getresponse()
-            if resp.length is not None and resp.length > MAX_REPLY_BYTES:
-                raise _OversizedReply(
-                    f"backend reply of {resp.length} bytes exceeds the {MAX_REPLY_BYTES}-byte limit"
-                )
-            # A declared length is read whole, so a truncated reply still raises.
-            data = resp.read() if resp.length is not None else resp.read(MAX_REPLY_BYTES + 1)
-            if len(data) > MAX_REPLY_BYTES:
-                raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
-        except BaseException:
-            conn.close()
-            raise
+            return self._completions(loop, loop.start(self._encode(request)), prompt, n)
         finally:
-            self._give_back(conn)
-        return resp.status, data
+            if wave is None:
+                loop.close()
 
-    def _post(
-        self, prompt: str, n: int, greedy: bool, temperature: float, seed: int, max_tokens: int
-    ) -> list[str]:
-        body = json.dumps(
-            {
-                "prompt": prompt,
-                "n": n,
-                "greedy": greedy,
-                "temperature": temperature,
-                "seed": seed,
-                "max_tokens": max_tokens,
-            }
-        ).encode("utf-8")
+    def _encode(self, request: tuple) -> bytes:
+        """The request message of ``request``: the prebuilt head, the body's length, the body."""
+        body = json.dumps(dict(zip(_REQUEST_FIELDS, request))).encode("utf-8")
+        return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+
+    def _completions(self, loop: _Loop, exchange: _Exchange, prompt: str, n: int) -> list[str]:
+        """The ``n`` completions in ``exchange``'s reply; transient failures post again."""
         attempts = 0
         delay = self.backoff
         while True:
             attempts += 1
+            loop.run(exchange)
             try:
-                status, data = self._exchange(body)
+                if isinstance(exchange.outcome, Exception):
+                    raise exchange.outcome
+                status, headers, data, _ = exchange.outcome
                 if status == 429 or status >= 500:
-                    raise _RetryableStatus(f"http {status}")
+                    wait = headers.get("retry-after", "") if status in (429, 503) else ""
+                    raise _RetryableStatus(status, float(wait) if wait.isdecimal() else 0.0)
                 if status != 200:
                     raise BackendError(
                         f"http {status} from backend",
@@ -646,14 +846,46 @@ class HttpBackend:
                 return completions
             except _OversizedReply as exc:
                 raise BackendError(str(exc), prompt=prompt, attempts=attempts) from exc
-            # OSError: refused, reset, timed out, unresolvable; HTTPException:
+            # OSError: refused, reset, timed out, unresolvable; _BadReply:
             # truncated or garbled replies.
-            except (OSError, http.client.HTTPException, _RetryableStatus) as exc:
+            except (OSError, _BadReply, _RetryableStatus) as exc:
                 if attempts > self.max_retries:
                     raise BackendError(
                         f"backend unreachable after {attempts} attempts: {exc}",
                         prompt=prompt,
                         attempts=attempts,
                     ) from exc
-                time.sleep(delay)
+                time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), self.timeout))
                 delay *= 2
+                exchange = loop.start(exchange.message)
+
+    def _dial(self, conn: http.client.HTTPConnection, loop: _Loop) -> None:
+        """Open ``conn`` into the pool for ``loop``.
+
+        If the dial fails while a POST of ``loop`` waits and no connection is
+        idle, the first POST waiting fails with the dial's error.
+        """
+        error = None
+        try:
+            conn.connect()
+            conn.sock.settimeout(0)  # idle and reading sockets never block
+        except Exception as exc:
+            conn.close()
+            error = exc
+        with self._lock:
+            loop.dials -= 1
+            if error is not None and loop.waiting and not self._idle:
+                loop.waiting.popleft().outcome = error
+        self._give_back(conn)
+
+    def _give_back(self, conn: http.client.HTTPConnection) -> None:
+        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiting loops."""
+        with self._lock:
+            if conn.sock is None or self._closed:
+                conn.close()
+                self._open -= 1
+            else:
+                self._idle.append(conn)
+            for waiter in self._waiters:
+                waiter.send(b"\0")
+            self._waiters.clear()

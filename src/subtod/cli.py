@@ -161,7 +161,10 @@ def cmd_detect(args) -> int:
             if not line:
                 continue
             where = f"{args.candidates} line {number}"
-            entry = expect_type(json.loads(line), dict, where)
+            try:
+                entry = expect_type(json.loads(line), dict, where)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: malformed JSON: column {exc.colno}: {exc.msg}") from None
             try:
                 goal_id, candidates = entry["goal_id"], entry["candidates"]
             except KeyError as exc:

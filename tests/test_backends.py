@@ -30,6 +30,7 @@ from subtod.verbalize import (
     parse_act_response,
     parse_state,
     serialize_state_prompt,
+    state_prompts,
 )
 
 # The vocabulary of the synthetic worlds' ontology, which the parses below read.
@@ -76,6 +77,20 @@ def _state_error(gold, state):
             if (state[domain]["departure"], state[domain]["destination"]) == route[::-1]:
                 return ErrorKind.SWAP_DEPARTURE_DESTINATION
     return ErrorKind.WRONG_VALUE
+
+
+@pytest.fixture
+def closing_backends():
+    """Builds ``HttpBackend``s and closes each at teardown, so no pooled socket outlives the test."""
+    built = []
+
+    def build(url, **kwargs):
+        built.append(HttpBackend(url, **kwargs))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +361,48 @@ def test_http_backend_gives_up_after_max_retries(completion_server):
     assert len(completion_server.payloads) == 3
 
 
+def test_http_backend_waits_out_a_numeric_retry_after_up_to_the_timeout(
+    completion_server, monkeypatch
+):
+    slept = []
+    monkeypatch.setattr("subtod.backends.time.sleep", slept.append)
+    replies = iter([
+        (503, {}, {"retry-after": "2"}),
+        (429, {}, {"retry-after": "100"}),
+        (503, {}, {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        (500, {}, {"retry-after": "9"}),
+        (200, {"completions": ["ok"]}),
+    ])
+    completion_server.respond_with(lambda payload: next(replies))
+    backend = HttpBackend(completion_server.url, timeout=5.0, max_retries=4, backoff=0.5)
+    assert backend.generate("p", 1, greedy=True) == ["ok"]
+    # Each wait is the larger of the backoff (0.5, 1, 2, 4) and a numeric
+    # Retry-After of a 429 or 503, and at most the timeout.
+    assert slept == [2.0, 5.0, 2.0, 4.0]
+
+
+def test_a_reply_later_than_the_timeout_is_retried_then_fails(completion_server, monkeypatch):
+    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    answered = threading.Event()
+
+    def late(payload):
+        answered.wait(5)  # released at the end, so no server thread outlives the test
+        return 200, {"completions": ["late"]}
+
+    completion_server.respond_with(late)
+    backend = HttpBackend(completion_server.url, timeout=0.2, max_retries=1)
+    try:
+        start = time.monotonic()
+        with pytest.raises(BackendError, match="after 2 attempts: .*timed out") as info:
+            backend.generate("p", 1, greedy=True)
+        assert time.monotonic() - start < 3
+        assert info.value.attempts == 2
+        assert len(completion_server.payloads) == 2
+    finally:
+        answered.set()
+        backend.close()
+
+
 def test_http_backend_fails_fast_on_client_errors(completion_server):
     completion_server.respond_with(lambda payload: (404, {"error": "no route"}))
     backend = HttpBackend(completion_server.url, max_retries=5)
@@ -438,6 +495,40 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
         sys.setswitchinterval(interval)
         backend.close()
     assert len(keep_alive_server.payloads) == 32
+
+
+def test_threads_sharing_a_client_keep_its_pool_within_max_in_flight(keep_alive_server):
+    responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
+    keep_alive_server.respond_with(responder)
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=6)
+    waves = [[(f"thread {t} prompt {i}", 1, True, 1.0, i, 256) for i in range(40)] for t in range(4)]
+    answers = [None] * len(waves)
+
+    def run(t):
+        answers[t] = answer_wave(backend, waves[t])
+
+    # More calling threads than cores, and frequent thread switches, so a lost
+    # update to the shared pool would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(waves))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert answers == [{request: [request[0]] for request in wave} for wave in waves]
+    assert seen["peak"] <= 6
+    assert keep_alive_server.connections <= 6
+    # Every connection came back: once late dials end, none is counted open.
+    deadline = time.monotonic() + 10
+    while backend._open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert backend._open == 0
 
 
 def test_a_connection_the_server_closed_is_replaced_without_a_retry(
@@ -564,6 +655,32 @@ def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_serv
         closer.join(timeout=10)
 
 
+def test_a_wave_over_https_returns_the_scripted_answers(https_server, small_world, monkeypatch):
+    server, ca_file = https_server
+    # The client trusts the throwaway CA through OpenSSL's default verify paths.
+    monkeypatch.setenv("SSL_CERT_FILE", str(ca_file))
+    for name in ("https_proxy", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    scripted = ScriptedBackend(small_world, seed=2)
+    server.serve_backend(scripted)
+    dialogs = small_world.dialogs + small_world.dev_dialogs
+    prompts = [p for dialog in dialogs for p in state_prompts(contexts_of(dialog))]
+    wave = [(p, 1 if greedy else 2, greedy, 1.0, 0, 256) for p in prompts for greedy in (True, False)]
+    wave = list(dict.fromkeys(wave))[:100]
+    assert len(wave) == 100
+    backend = HttpBackend(server.url, max_in_flight=8)
+    try:
+        assert answer_wave(backend, wave) == {
+            request: scripted.generate(request[0], request[1], greedy=request[2])
+            for request in wave
+        }
+    finally:
+        backend.close()
+    assert server.url.startswith("https://")
+    assert len(server.payloads) == 100
+    assert server.connections <= 8
+
+
 @pytest.mark.parametrize("declared", [True, False], ids=["content-length", "read-to-close"])
 def test_http_backend_rejects_an_oversized_reply_without_a_retry(completion_server, declared):
     body = json.dumps({"completions": ["x" * MAX_REPLY_BYTES]}).encode("utf-8")
@@ -577,7 +694,9 @@ def test_http_backend_rejects_an_oversized_reply_without_a_retry(completion_serv
     assert len(completion_server.payloads) == 1
 
 
-def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server, small_world):
+def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(
+    completion_server, small_world, closing_backends
+):
     scripted = ScriptedBackend(small_world, seed=2)
     dialog = small_world.dialogs[0]
     goal = small_world.goals[dialog.goal_id]
@@ -601,7 +720,7 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(completion_server
         return held(payload)
 
     completion_server.respond_with(responder)
-    remote = HttpBackend(completion_server.url)
+    remote = closing_backends(completion_server.url)
 
     class Sequential:
         def generate(self, *args, **kwargs):
@@ -685,7 +804,7 @@ def test_state_wave_failure_still_meets_an_earlier_turns_act_failure_first(
 
 
 def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
-    completion_server, small_world, tmp_path
+    completion_server, small_world, tmp_path, closing_backends
 ):
     scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=7)
     cfg = IterationConfig(k=2, goal_fraction=1.0, seed=7)
@@ -705,7 +824,7 @@ def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
         return healthy(payload)
 
     completion_server.respond_with(responder)
-    remote = HttpBackend(completion_server.url)
+    remote = closing_backends(completion_server.url)
     failed = run_iteration(
         small_world, dataclasses.replace(cfg, out_dir=tmp_path / "failed"), remote
     )
@@ -759,6 +878,58 @@ def test_http_backend_rejects_hostile_replies(completion_server, monkeypatch, bo
         backend.generate("p", 1, greedy=True)
     # Only a truncated reply is transient and retried.
     assert len(completion_server.payloads) == (2 if headers else 1)
+
+
+def test_a_chunked_reply_is_decoded_and_keeps_its_connection(keep_alive_server):
+    def chunked(payload):
+        body = json.dumps({"completions": ["stub"] * payload["n"]}).encode("utf-8")
+        chunks = b"%x;note=1\r\n%s\r\n%x\r\n%s\r\n" % (5, body[:5], len(body) - 5, body[5:])
+        trailer = b"0\r\nx-trailer: done\r\n\r\n"
+        return 200, chunks + trailer, {"content-length": None, "transfer-encoding": "chunked"}
+
+    keep_alive_server.respond_with(chunked)
+    backend = HttpBackend(keep_alive_server.url)
+    try:
+        for i in range(3):
+            assert backend.generate(f"prompt {i}", 2, greedy=False) == ["stub", "stub"]
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"NOT HTTP\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n",
+    ],
+    ids=["status line", "header line", "chunk size"],
+)
+def test_a_garbled_reply_is_retried_like_a_network_error(monkeypatch, reply):
+    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    listener = socket.create_server(("127.0.0.1", 0))
+    received = []
+
+    def serve():
+        for _ in range(2):
+            conn, _ = listener.accept()
+            with conn:
+                received.append(conn.recv(65536))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    backend = HttpBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1", max_retries=1)
+    try:
+        with pytest.raises(BackendError, match="unreachable after 2 attempts"):
+            backend.generate("p", 1, greedy=True)
+    finally:
+        backend.close()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+    assert len(received) == 2
 
 
 def test_a_reply_that_is_not_an_object_skips_the_goal(completion_server, small_world):

@@ -248,7 +248,8 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
 @pytest.mark.parametrize(
     "case",
     [
-        "ontology", "turn state", "candidates line", "candidate act", "prediction turns",
+        "ontology", "turn state", "candidates line", "candidates json", "candidate act",
+        "prediction turns",
         "dialog id", "user", "response", "state value", "informable", "name_slot",
         "entity_bearing", "database value", "goal constraint", "goal request",
         "candidate act verb", "candidate act booking", "prediction goal id",
@@ -273,6 +274,9 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
     elif case == "candidates line":
         candidates = [[1, 2]]
         expected = "candidates.jsonl line 1: expected an object, got [1, 2]"
+    elif case == "candidates json":
+        candidates = [*candidates, '{"goal_id": }']
+        expected = "candidates.jsonl line 2: malformed JSON: column 13: Expecting value"
     elif case == "candidate act":
         candidates[0]["candidates"][0]["turns"][0]["acts"] = [1]
         expected = ("candidates.jsonl line 1: candidates[0]['turns'][0]['acts'][0]: "
@@ -332,8 +336,10 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
         expected = "predictions.json['dialogs'][0]['goal_id']: expected a string, got 5"
     for name, value in (("corpus.json", data), ("predictions.json", predictions)):
         (tmp_path / name).write_text(json.dumps(value), encoding="utf-8")
+    # A string is a line as it stands, JSON or not.
     (tmp_path / "candidates.jsonl").write_text(
-        "".join(json.dumps(line) + "\n" for line in candidates), encoding="utf-8"
+        "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in candidates),
+        encoding="utf-8",
     )
     if case.startswith("candidate"):
         command = ["detect", "--candidates", str(tmp_path / "candidates.jsonl"),
