@@ -381,24 +381,24 @@ def _parse_reply(data: bytes, eof: bool) -> tuple[int, dict[str, str], bytes, bo
     follows the reply. Interim 1xx replies are skipped; header names are
     lower-cased.
     """
-    head_end = data.find(b"\r\n\r\n")
-    if head_end < 0:
-        if len(data) > MAX_REPLY_BYTES:
-            raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
-        return None
-    status_line, *lines = data[:head_end].decode("latin-1").split("\r\n")
-    version, _, rest = status_line.partition(" ")
-    if version not in ("HTTP/1.0", "HTTP/1.1") or not rest[:3].isdecimal():
-        raise _BadReply(f"bad status line {status_line!r}")
-    headers = {}
-    for line in lines:
-        name, colon, value = line.partition(":")
-        if not colon:
-            raise _BadReply(f"bad header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    status, start = int(rest[:3]), head_end + 4
-    if 100 <= status < 200:
-        return _parse_reply(data[start:], eof)
+    status, start = 100, 0
+    while 100 <= status < 200:
+        head_end = data.find(b"\r\n\r\n", start)
+        if head_end < 0:
+            if len(data) - start > MAX_REPLY_BYTES:
+                raise _OversizedReply(f"backend reply exceeds the {MAX_REPLY_BYTES}-byte limit")
+            return None
+        status_line, *lines = data[start:head_end].decode("latin-1").split("\r\n")
+        version, _, rest = status_line.partition(" ")
+        if version not in ("HTTP/1.0", "HTTP/1.1") or not rest[:3].isdecimal():
+            raise _BadReply(f"bad status line {status_line!r}")
+        headers = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise _BadReply(f"bad header line {line!r}")
+            headers[name.strip().lower()] = value.strip()
+        status, start = int(rest[:3]), head_end + 4
     connection = headers.get("connection", "").lower()
     reusable = "close" not in connection and (version == "HTTP/1.1" or "keep-alive" in connection)
     if status in (204, 304):
@@ -498,59 +498,64 @@ def _route(parts: urllib.parse.SplitResult, timeout: float):
 
 
 class _Exchange:
-    """One POST: its request message, then its connection and reply bytes, then its outcome.
+    """One POST: its request tuple, then its connection and reply bytes, then its outcome.
 
     The outcome is ``_parse_reply``'s tuple or the exception that ended the POST.
     """
 
-    __slots__ = ("message", "conn", "buf", "deadline", "outcome")
+    __slots__ = ("request", "conn", "buf", "deadline", "outcome")
 
-    def __init__(self, message: bytes):
-        self.message = message
+    def __init__(self, request: tuple):
+        self.request = request
         self.conn: http.client.HTTPConnection | None = None
-        self.buf = bytearray()
+        self.buf: bytearray | None = None
         self.deadline = 0.0
         self.outcome: tuple | Exception | None = None
 
 
 class _Loop:
-    """One thread's POSTs, driven by one selector on that thread.
+    """One thread's wave of POSTs, driven by one selector on that thread.
 
-    ``waiting`` holds the POSTs without a connection, in order; the dial
-    threads share it under the backend's lock. ``running`` holds those in
-    flight in the order they were sent, so the first is the first to time out.
+    ``wave`` holds the wave's exchanges that no ``generate`` call has taken
+    yet, in wave order. ``waiting`` holds the POSTs without a connection, in
+    order; the dial threads share it under the backend's lock. ``running``
+    holds those in flight in the order they were sent, so the first is the
+    first to time out.
     """
 
-    def __init__(self, backend: HttpBackend):
+    def __init__(self, backend: HttpBackend, wave: Sequence[tuple]):
         self.backend = backend
         self.selector = _Selector()
-        self.waiting: deque[_Exchange] = deque()
+        self.wave = deque(_Exchange(tuple(request)) for request in wave)
+        self.waiting: deque[_Exchange] = deque(self.wave)
         self.running: dict[_Exchange, None] = {}
         self.dials = 0  # dials started for this loop and not yet ended
         # A socket pair that dials and other threads' connections wake the loop
         # through; made the first time the loop waits for one.
         self.wake: tuple[socket.socket, socket.socket] | None = None
 
+    def take(self, request: tuple) -> _Exchange:
+        """The wave's next exchange if it is ``request``'s, else a new POST of ``request``."""
+        if self.wave and self.wave[0].request == request:
+            return self.wave.popleft()
+        return self.queue(_Exchange(request))
+
+    def queue(self, exchange: _Exchange) -> _Exchange:
+        """Put ``exchange`` first among the POSTs waiting for a connection."""
+        exchange.outcome = None
+        with self.backend._lock:
+            self.waiting.appendleft(exchange)
+        return exchange
+
     def close(self) -> None:
+        """Drop the POSTs waiting for a connection and await those in flight."""
+        with self.backend._lock:
+            self.waiting.clear()
+        while self.running:
+            self.run(next(iter(self.running)))
         self.selector.close()
         for sock in self.wake or ():
             sock.close()
-
-    def start(self, message: bytes) -> _Exchange:
-        exchange = _Exchange(message)
-        with self.backend._lock:
-            self.waiting.append(exchange)
-        return exchange
-
-    def drop(self, exchanges: Sequence[_Exchange]) -> None:
-        """Forget ``exchanges``: drop those waiting for a connection, await those in flight."""
-        with self.backend._lock:
-            for exchange in exchanges:
-                if exchange in self.waiting:
-                    self.waiting.remove(exchange)
-        for exchange in exchanges:
-            if exchange in self.running:
-                self.run(exchange)
 
     def run(self, exchange: _Exchange) -> None:
         """Drive every POST of this thread until ``exchange`` has its outcome."""
@@ -587,6 +592,13 @@ class _Loop:
         backend = self.backend
         ready, dials = [], []
         with backend._lock:
+            if backend._closed:
+                # A dial would only be closed on arrival, and its POST dial again.
+                for exchange in self.waiting:
+                    exchange.outcome = BackendError(
+                        f"backend {backend.url} is closed", prompt=exchange.request[0]
+                    )
+                self.waiting.clear()
             while self.waiting and backend._idle:
                 conn = backend._idle.pop()
                 if _closed_by_peer(conn.sock):
@@ -612,14 +624,14 @@ class _Loop:
             self._send(exchange, conn)
 
     def _send(self, exchange: _Exchange, conn: http.client.HTTPConnection) -> None:
-        exchange.conn = conn
+        exchange.conn, exchange.buf = conn, bytearray()
         exchange.deadline = time.monotonic() + self.backend.timeout
         self.running[exchange] = None
         self.selector.register(conn.sock, selectors.EVENT_READ, exchange)
         try:
             # The send may wait up to the timeout for buffer room; reads never block.
             conn.sock.settimeout(self.backend.timeout)
-            conn.sock.sendall(exchange.message)
+            conn.sock.sendall(self.backend._encode(exchange.request))
             conn.sock.settimeout(0)
         except OSError as exc:
             self._finish(exchange, exc)
@@ -655,36 +667,6 @@ class _Loop:
         exchange.outcome = outcome
 
 
-class _Wave:
-    """One thread's prefetched wave: requests not started yet, then those started, not taken."""
-
-    def __init__(self, loop: _Loop, encode, wave: Sequence[tuple], ahead: int):
-        self.loop = loop
-        self._encode = encode
-        self._ahead = ahead
-        self._unsent = deque(tuple(request) for request in wave)
-        self._sent: deque[tuple[tuple, _Exchange]] = deque()
-        self._fill()
-
-    def _fill(self) -> None:
-        while self._unsent and len(self._sent) < self._ahead:
-            request = self._unsent.popleft()
-            self._sent.append((request, self.loop.start(self._encode(request))))
-
-    def take(self, request: tuple) -> _Exchange | None:
-        """The POST of ``request`` if it is the wave's next request, else ``None``."""
-        if not self._sent or self._sent[0][0] != request:
-            return None
-        exchange = self._sent.popleft()[1]
-        self._fill()
-        return exchange
-
-    def close(self) -> None:
-        self._unsent.clear()
-        self.loop.drop([exchange for _, exchange in self._sent])
-        self._sent.clear()
-
-
 class HttpBackend:
     """Client for a remote completion service.
 
@@ -696,7 +678,8 @@ class HttpBackend:
     problems and replies over ``MAX_REPLY_BYTES`` fail fast. Determinism is
     best-effort and entirely up to the service.
 
-    Each calling thread drives its own POSTs with one selector loop, inside
+    Each calling thread drives its own wave of POSTs (see ``prefetch``; a
+    lone ``generate`` is a wave of one) with one selector loop, inside
     ``generate``: a POST is one ``sendall`` on a keep-alive connection, and
     its reply must arrive within ``timeout``. At most ``max_in_flight`` POSTs
     are in flight at once, across all threads that share the client, and
@@ -706,7 +689,8 @@ class HttpBackend:
     idle connection starts a dial and takes the first connection to come
     free, so a slow dial delays no POST while another connection is free.
     ``http_proxy``/``https_proxy``/``no_proxy`` are read once, here; HTTPS
-    verifies against the system's CA store.
+    verifies against the system's CA store. Once the client is closed, a
+    POST that has no connection yet fails at once, without a retry.
     """
 
     def __init__(
@@ -724,6 +708,7 @@ class HttpBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        self.url = url
         self._max_in_flight = max_in_flight
         self._connect, self._head = _route(parts, timeout)
         # Idle keep-alive connections, most recently used last, and the count
@@ -735,11 +720,11 @@ class HttpBackend:
         # The wake sockets of the loops waiting for a connection.
         self._waiters: set[socket.socket] = set()
         self._lock = threading.Lock()
-        # Per calling thread: the replies of its current prefetched wave.
+        # Per calling thread: the _Loop of its current wave.
         self._waves = threading.local()
 
     def close(self) -> None:
-        """Close the idle connections.
+        """Close the idle connections, and fail every POST still waiting for one.
 
         A dial still in progress is not awaited: its connection is closed
         when it completes, as is any connection in use when it comes back.
@@ -748,6 +733,7 @@ class HttpBackend:
             self._closed = True
             idle, self._idle = self._idle, []
             self._open -= len(idle)
+            self._wake_waiters()
         for conn in idle:
             conn.close()
 
@@ -759,22 +745,19 @@ class HttpBackend:
         tuple. Inside the block, a ``generate`` call on this thread for the
         wave's next request returns that request's reply, or raises its error,
         instead of posting again; any other call posts on its own. Requests are
-        started in wave order, at most ``2 * max_in_flight`` ahead of the calls
-        that take their replies, and each ``generate`` call drives the POSTs
-        until its own reply is in. On exit, requests nobody took are dropped or
-        awaited, so a wave cut short by an error leaves nothing for later calls.
+        sent in wave order as connections allow, and each ``generate`` call
+        drives the POSTs until its own reply is in. On exit, requests nobody
+        took are dropped or awaited, so a wave cut short by an error leaves
+        nothing for later calls. Blocks on one thread do not nest.
         """
-        outer = getattr(self._waves, "pending", None)
-        loop = _Loop(self) if outer is None else outer.loop
-        pending = _Wave(loop, self._encode, wave, 2 * self._max_in_flight)
-        self._waves.pending = pending
+        if getattr(self._waves, "pending", None) is not None:
+            raise RuntimeError("prefetch blocks do not nest")
+        loop = self._waves.pending = _Loop(self, wave)
         try:
             yield
         finally:
-            self._waves.pending = outer
-            pending.close()
-            if outer is None:
-                loop.close()
+            self._waves.pending = None
+            loop.close()
 
     def generate(
         self,
@@ -787,25 +770,19 @@ class HttpBackend:
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
-        wave = getattr(self._waves, "pending", None)
-        exchange = wave.take(request) if wave is not None else None
-        if exchange is not None:
-            return self._completions(wave.loop, exchange, prompt, n)
-        # A wave of one, on the loop of this thread's wave if there is one.
-        loop = _Loop(self) if wave is None else wave.loop
-        try:
-            return self._completions(loop, loop.start(self._encode(request)), prompt, n)
-        finally:
-            if wave is None:
-                loop.close()
+        lone = getattr(self._waves, "pending", None) is None
+        with self.prefetch([request]) if lone else contextlib.nullcontext():
+            return self._completions(self._waves.pending, request)
 
     def _encode(self, request: tuple) -> bytes:
         """The request message of ``request``: the prebuilt head, the body's length, the body."""
         body = json.dumps(dict(zip(_REQUEST_FIELDS, request))).encode("utf-8")
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def _completions(self, loop: _Loop, exchange: _Exchange, prompt: str, n: int) -> list[str]:
-        """The ``n`` completions in ``exchange``'s reply; transient failures post again."""
+    def _completions(self, loop: _Loop, request: tuple) -> list[str]:
+        """The completions in ``loop``'s reply to ``request``; transient failures post again."""
+        prompt, n = request[:2]
+        exchange = loop.take(request)
         attempts = 0
         delay = self.backoff
         while True:
@@ -857,7 +834,7 @@ class HttpBackend:
                     ) from exc
                 time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), self.timeout))
                 delay *= 2
-                exchange = loop.start(exchange.message)
+                loop.queue(exchange)
 
     def _dial(self, conn: http.client.HTTPConnection, loop: _Loop) -> None:
         """Open ``conn`` into the pool for ``loop``.
@@ -886,6 +863,10 @@ class HttpBackend:
                 self._open -= 1
             else:
                 self._idle.append(conn)
-            for waiter in self._waiters:
-                waiter.send(b"\0")
-            self._waiters.clear()
+            self._wake_waiters()
+
+    def _wake_waiters(self) -> None:
+        """Wake every loop waiting for a connection; the caller holds the lock."""
+        for waiter in self._waiters:
+            waiter.send(b"\0")
+        self._waiters.clear()

@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subtod.backends import (
     MAX_REPLY_BYTES,
@@ -16,6 +18,9 @@ from subtod.backends import (
     ErrorKind,
     HttpBackend,
     ScriptedBackend,
+    _BadReply,
+    _OversizedReply,
+    _parse_reply,
     stable_seed,
 )
 from subtod.cli import main
@@ -655,6 +660,93 @@ def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_serv
         closer.join(timeout=10)
 
 
+def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=1)
+    assert backend.generate("before", 1, greedy=True) == ["stub"]
+    backend.close()
+    start = time.monotonic()
+    with pytest.raises(BackendError, match=f"backend {keep_alive_server.url} is closed") as info:
+        backend.generate("after", 1, greedy=True)
+    assert time.monotonic() - start < 3
+    assert info.value.prompt == "after"
+    assert keep_alive_server.connections == 1
+    assert len(keep_alive_server.payloads) == 1
+
+
+def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=1)
+    dial = _HeldDial(backend)
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
+    answers = {}
+    thread = threading.Thread(target=lambda: answers.update(answer_wave(backend, wave)))
+    thread.start()
+    try:
+        assert dial.dialing.wait(10)
+        # Another thread closes the backend while the wave waits on its only dial.
+        backend.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "the wave waited for the held dial"
+    finally:
+        dial.released.set()
+        thread.join(timeout=10)
+    assert list(answers) == wave
+    assert all(
+        isinstance(error, BackendError) and "is closed" in str(error) for error in answers.values()
+    )
+    # The held dial's connection reaches the server and is closed, not pooled.
+    keep_alive_server.wait_closed(1)
+    assert keep_alive_server.connections == 1
+    assert keep_alive_server.payloads == []
+
+
+def test_prefetch_blocks_do_not_nest_and_another_request_posts_on_its_own(completion_server):
+    backend = HttpBackend(completion_server.url)
+    wave = [("first", 1, True, 1.0, 0, 256), ("second", 1, True, 1.0, 0, 256)]
+    try:
+        with backend.prefetch(wave):
+            with pytest.raises(RuntimeError, match="do not nest"):
+                with backend.prefetch(wave):
+                    pass
+            assert backend.generate("other", 1, greedy=True) == ["stub"]
+            assert backend.generate("first", 1, greedy=True) == ["stub"]
+            assert backend.generate("second", 1, greedy=True) == ["stub"]
+    finally:
+        backend.close()
+    assert sorted(payload["prompt"] for payload in completion_server.payloads) == [
+        "first", "other", "second"
+    ]
+
+
+def test_a_lone_generate_and_a_finished_wave_leave_no_wave_behind(completion_server):
+    backend = HttpBackend(completion_server.url)
+    assert backend.generate("lone", 1, greedy=True) == ["stub"]
+    assert getattr(backend._waves, "pending", None) is None
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
+    assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
+    assert getattr(backend._waves, "pending", None) is None
+    assert len(completion_server.payloads) == 4
+
+
+def test_a_wave_longer_than_twice_max_in_flight_returns_every_reply_in_order(keep_alive_server):
+    responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
+    keep_alive_server.respond_with(responder)
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=4)
+    taken = []
+    generate = backend.generate
+    backend.generate = lambda prompt, *args, **kwargs: (
+        taken.append(prompt) or generate(prompt, *args, **kwargs)
+    )
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(50)]
+    try:
+        answers = answer_wave(backend, wave)
+    finally:
+        backend.close()
+    assert list(answers.items()) == [(request, [request[0]]) for request in wave]
+    assert taken == [request[0] for request in wave]
+    assert seen["peak"] <= 4
+    assert keep_alive_server.connections <= 4
+
+
 def test_a_wave_over_https_returns_the_scripted_answers(https_server, small_world, monkeypatch):
     server, ca_file = https_server
     # The client trusts the throwaway CA through OpenSSL's default verify paths.
@@ -983,3 +1075,87 @@ def test_http_backend_honours_proxy_variables(completion_server, monkeypatch):
 def test_http_backend_rejects_urls_it_cannot_post_to(url):
     with pytest.raises(ValueError, match="backend url"):
         HttpBackend(url)
+
+
+_TOKENS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-", min_size=1,
+                  max_size=10)
+_FIELD_VALUES = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=16)
+_FRAMING = {"content-length", "transfer-encoding", "connection"}
+
+
+def _head_lines(data):
+    """A status line and header lines drawn from ``data``, and the headers as parsed."""
+    status = data.draw(st.integers(200, 599).filter(lambda status: status not in (204, 304)))
+    reason = data.draw(st.sampled_from(["", " OK", " Some Reason"]))
+    names = data.draw(st.lists(_TOKENS.filter(lambda name: name.lower() not in _FRAMING),
+                               max_size=4))
+    fields = [(name, data.draw(_FIELD_VALUES)) for name in names]
+    spaces = data.draw(st.sampled_from(["", " ", "  "]))
+    lines = [f"HTTP/1.1 {status}{reason}", *(f"{name}:{spaces}{value}" for name, value in fields)]
+    return status, lines, {name.lower(): value for name, value in fields}
+
+
+def _chunked(data, body):
+    """``body`` framed as chunks cut at drawn places, with drawn extensions and trailers."""
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(body)), max_size=5))))
+    bounds = [0, *cuts, len(body)]
+    pieces = [body[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    out = b""
+    for piece in [*pieces, b""]:
+        size = data.draw(st.sampled_from(["%x", "%X", "00%x"])) % len(piece)
+        extension = data.draw(st.sampled_from(["", ";x", ";name=value", ' ;q="a b"']))
+        out += f"{size}{extension}\r\n".encode("ascii") + piece + (b"\r\n" if piece else b"")
+    trailers = data.draw(st.lists(st.tuples(_TOKENS, _FIELD_VALUES), max_size=2))
+    out += b"".join(f"{name}: {value}\r\n".encode("ascii") for name, value in trailers)
+    return out + b"\r\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_reply_reads_both_framings_alike_and_nothing_short_of_the_end(data):
+    status, lines, headers = _head_lines(data)
+    body = data.draw(st.binary(max_size=200))
+    interim = data.draw(st.sampled_from([b"", b"HTTP/1.1 100 Continue\r\n\r\n"]))
+    framings = {
+        "content-length": [f"Content-Length: {len(body)}"],
+        "chunked": ["Transfer-Encoding: chunked"],
+    }
+    extra = data.draw(st.binary(min_size=1, max_size=20))
+    for framing, framing_lines in framings.items():
+        head = "\r\n".join([*lines, *framing_lines, "", ""]).encode("ascii")
+        reply = interim + head + (body if framing == "content-length" else _chunked(data, body))
+        parsed = _parse_reply(reply, eof=False)
+        assert parsed is not None, framing
+        assert (parsed[0], parsed[2], parsed[3]) == (status, body, True), framing
+        assert headers.items() <= parsed[1].items()
+        for end in range(len(reply)):
+            assert _parse_reply(reply[:end], eof=False) is None, (framing, end)
+        # Bytes after the reply: the same reply, and a connection not to reuse.
+        assert _parse_reply(reply + extra, eof=False) == (*parsed[:3], False), framing
+
+
+_HTTP_PIECES = st.sampled_from([
+    b"HTTP/1.1 ", b"HTTP/1.0 ", b"200", b"100", b"204 ", b" OK", b"\r\n", b"\r\n\r\n", b":",
+    b"Content-Length: ", b"Transfer-Encoding: chunked", b"Connection: close", b"0", b"1a",
+    b"ffffffffffff", b";x", b"12", b"\n",
+])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    raw=st.lists(_HTTP_PIECES | st.binary(max_size=6), max_size=30).map(b"".join),
+    eof=st.booleans(),
+)
+@example(
+    raw=b"HTTP/1.1 100 Continue\r\n\r\n" * 2000 + b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+    eof=False,
+)
+def test_parse_reply_fails_only_with_its_own_errors(raw, eof):
+    try:
+        parsed = _parse_reply(raw, eof)
+    except (_BadReply, _OversizedReply):
+        return
+    if parsed is not None:
+        status, headers, body, reusable = parsed
+        assert 0 <= status < 1000 and not 100 <= status < 200
+        assert isinstance(body, bytes) and isinstance(reusable, bool)
