@@ -119,6 +119,10 @@ class ErrorInjectionConfig:
     # Probability that a site (dialog, turn, kind) gets one seeded injection.
     rate: float = 0.0
 
+    def __post_init__(self):
+        if not 0 <= self.rate <= 1:  # NaN fails too
+            raise ValueError(f"noise rate must be in [0, 1], got {self.rate}")
+
 
 def _case_variant_value(value: str, i: int) -> str:
     """Uppercase the first ``i`` letters; distinct per i, equal under matching."""

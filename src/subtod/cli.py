@@ -18,20 +18,21 @@ from contextlib import closing
 from pathlib import Path
 
 from .backends import ErrorInjectionConfig, GeneratorBackend, HttpBackend, ScriptedBackend
+# dialog_from_dict, dialog_to_dict, build_group, map_goals, detect_subgoals,
+# emit_sft and emit_dpo are unused here; bench/tracer.py patches them by name.
 from .corpus import (
     Corpus,
-    dialog_from_dict,
-    dialog_to_dict,
-    expect_type,
+    candidates_record,
+    dialog_from_dict,  # noqa: F401
+    dialog_to_dict,  # noqa: F401
     load_corpus,
     load_predictions,
-    missing_key,
+    read_candidates,
+    read_json,
     save_corpus,
 )
 from .errors import BackendError, PipelineError
 from .evaluate import evaluate_corpus
-# build_group, map_goals, detect_subgoals, emit_sft and emit_dpo are unused
-# here; bench/tracer.py patches them by name.
 from .iteration import (  # noqa: F401
     DetectEmit,
     IterationConfig,
@@ -127,8 +128,7 @@ def cmd_sample(args) -> int:
         path.touch()
 
         def write_group(group: CandidateGroup) -> None:
-            entries = [{**dialog_to_dict(d), "success": ok} for d, ok in group.labeled()]
-            write_jsonl(path, [{"goal_id": group.goal_id, "candidates": entries}])
+            write_jsonl(path, [candidates_record(group.goal_id, group.labeled())])
 
         labels, skipped = process_goals(corpus, _iteration_config(args), backend, write_group)
     n_candidates = sum(map(len, labels.values()))
@@ -153,49 +153,11 @@ def cmd_detect(args) -> int:
     """Detect subgoals one candidates line at a time; goal ids must strictly ascend."""
     corpus = load_corpus(args.corpus)
     modes = [TrainMode.SFT, TrainMode.DPO] if args.mode == "both" else [TrainMode(args.mode)]
-    previous = None
     with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
         stage = DetectEmit(corpus.database, staging, modes, PairPolicy(args.pair_policy))
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{args.candidates} line {number}"
-            try:
-                entry = expect_type(json.loads(line), dict, where)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed JSON: column {exc.colno}: {exc.msg}") from None
-            try:
-                goal_id, candidates = entry["goal_id"], entry["candidates"]
-            except KeyError as exc:
-                raise missing_key(exc, where) from None
-            if not isinstance(goal_id, str) or goal_id not in corpus.goals:
-                raise ValueError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
-            if previous is not None and goal_id <= previous:
-                raise ValueError(
-                    f"{where}: goal id {goal_id!r} does not follow {previous!r}; "
-                    "detect needs strictly ascending goal ids, as sample writes them"
-                )
-            previous = goal_id
-            expect_type(candidates, list, f"{where}: candidates", item=dict)
-            try:
-                labels = tuple(c["success"] for c in candidates)
-            except KeyError as exc:
-                i = next(i for i, c in enumerate(candidates) if "success" not in c)
-                raise missing_key(exc, f"{where}: candidates", i) from None
-            if not all(isinstance(label, bool) for label in labels):
-                raise ValueError(f'{where}: a candidate\'s "success" is not true or false')
-            stage(
-                CandidateGroup(
-                    goal_id=goal_id,
-                    goal=corpus.goals[goal_id],
-                    candidates=tuple(
-                        dialog_from_dict(c, f"{where}: candidates[{i}]")
-                        for i, c in enumerate(candidates)
-                    ),
-                    labels=labels,
-                )
-            )
+        for goal_id, dialogs, labels in read_candidates(handle, corpus.goals):
+            stage(CandidateGroup(goal_id=goal_id, goal=corpus.goals[goal_id],
+                                 candidates=dialogs, labels=labels))
     _print_json({"n_subgoal_samples": sum(stage.kind_counts.values()), "written": stage.written})
     return 0
 
@@ -216,10 +178,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    reports = []
-    for path in args.report:
-        with open(path, encoding="utf-8") as handle:
-            reports.append(IterationReport.from_dict(json.load(handle)))
+    reports = [IterationReport.from_dict(read_json(path), path) for path in args.report]
     reports.sort(key=lambda r: r.iteration_index)
     max_bucket = max(r.k * r.k + 1 for r in reports)
     headers = ["iter", "mode", "goals", "success", "unsuccess"]
@@ -301,10 +260,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 2
     except BackendError as exc:
         print(f"error: backend failure: {exc}", file=sys.stderr)
         return 3

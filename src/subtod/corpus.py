@@ -16,16 +16,18 @@ A corpus file bundles everything one run needs::
       "dev_dialogs": [...]            # optional held-out split
     }
 
-Goals are inlined per dialog; a dialog's goal_id equals its id.
+Goals are inlined per dialog; a dialog's goal_id equals its id, and no two
+dialogs share an id. The predictions and candidates formats live here too,
+and ``expect_type`` names every missing key and wrong JSON type in all three.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import CorpusError
 from .model import (
@@ -65,17 +67,23 @@ class Corpus:
         return {d.id: [t.system.response for t in d.turns] for d in self.dev_dialogs}
 
 
-_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+_JSON_NAMES = {
+    dict: "an object", list: "an array", str: "a string", bool: "true or false",
+    int: "an integer", (int, float): "a number", (dict, type(None)): "an object or null",
+}
 
 
 def expect_type(value, kind: type, where: str, *path, item: type | None = None):
     """``value``, if it is a ``kind`` whose items are all ``item``s.
 
-    ``kind`` is ``dict`` (a JSON object), ``list`` (an array), ``str`` or
-    ``bool``; ``item`` is any of them, and a dict's items are its values.
-    Otherwise raises ``CorpusError`` naming the place: ``where``, each key or
-    index in ``path``, then the bad item's. The place is spelled out only on
-    failure, so callers pass its parts.
+    ``kind`` is ``dict`` (a JSON object), ``list`` (an array), ``str``,
+    ``bool``, ``int``, ``(int, float)`` (a number) or ``(dict, type(None))``
+    (an object or null); ``item`` is any of them, and a dict's items are its
+    values. Otherwise raises ``CorpusError`` naming the place: ``where``, each
+    key or index in ``path``, then the bad item's. Readers pass
+    ``data.get(key, MISSING)`` (dataclasses' sentinel) with ``key`` last in
+    ``path``: an absent key reads ``<place>: missing key 'key'``. The place is
+    spelled out only on failure, so callers pass its parts.
     """
     if item is not None and isinstance(value, kind):
         for key, entry in value.items() if kind is dict else enumerate(value):
@@ -83,15 +91,14 @@ def expect_type(value, kind: type, where: str, *path, item: type | None = None):
                 value, kind, path = entry, item, (*path, key)
                 break
     if not isinstance(value, kind):
-        where += "".join(f"[{key!r}]" for key in path)
-        raise CorpusError(f"{where}: expected {_JSON_NAMES[kind]}, got {json.dumps(value)[:40]}")
+        if value is MISSING:
+            *path, key = path
+            problem = f"missing key {key!r}"
+        else:
+            problem = f"expected {_JSON_NAMES[kind]}, got {json.dumps(value)[:40]}"
+        place = where + "".join(f"[{key!r}]" for key in path)
+        raise CorpusError(f"{place}: {problem}")
     return value
-
-
-def missing_key(error: KeyError, where: str, *path) -> CorpusError:
-    """The ``CorpusError`` for the missing key of ``error``, placed as ``expect_type`` places it."""
-    where += "".join(f"[{key!r}]" for key in path)
-    return CorpusError(f"{where}: missing key {error.args[0]!r}")
 
 
 def goal_to_dict(goal: UserGoal) -> dict:
@@ -127,16 +134,15 @@ def act_to_dict(act: DialogAct) -> dict:
 
 def act_from_dict(data: Mapping, where: str = "act", *path) -> DialogAct:
     """The act ``data`` describes; ``where`` and ``path`` name it in errors about its JSON types."""
-    try:
-        domain, act, slot = data["domain"], data["act"], data.get("slot")
-    except KeyError as exc:
-        raise missing_key(exc, where, *path) from None
-    booking = data.get("booking", False)
+    domain, act = data.get("domain", MISSING), data.get("act", MISSING)
+    slot, booking = data.get("slot"), data.get("booking", False)
     if not (isinstance(domain, str) and isinstance(act, str) and isinstance(booking, bool)
             and (slot is None or isinstance(slot, str))):
-        for key, kind in (("domain", str), ("act", str), ("slot", str), ("booking", bool)):
-            if key in data and not (key == "slot" and slot is None):
-                expect_type(data[key], kind, where, *path, key)
+        expect_type(domain, str, where, *path, "domain")
+        expect_type(act, str, where, *path, "act")
+        if slot is not None:
+            expect_type(slot, str, where, *path, "slot")
+        expect_type(booking, bool, where, *path, "booking")
     return DialogAct(domain=domain, act=act, slot=slot, booking=booking)
 
 
@@ -158,14 +164,10 @@ def dialog_to_dict(dialog: Dialog) -> dict:
 
 def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
     """The dialog ``data`` describes; ``where`` names it in errors about its JSON types."""
-    try:
-        dialog_id, raw_turns = expect_type(data, dict, where)["id"], data["turns"]
-    except KeyError as exc:
-        raise missing_key(exc, where) from None
-    expect_type(dialog_id, str, where, "id")
+    dialog_id = expect_type(expect_type(data, dict, where).get("id", MISSING), str, where, "id")
     goal_id = expect_type(data.get("goal_id", dialog_id), str, where, "goal_id")
     turns = []
-    for i, t in enumerate(expect_type(raw_turns, list, where, "turns", item=dict)):
+    for i, t in enumerate(expect_type(data.get("turns", MISSING), list, where, "turns", item=dict)):
         raw_state = expect_type(t.get("state", {}), dict, where, "turns", i, "state", item=dict)
         state = {}
         for domain, slots in raw_state.items():
@@ -174,10 +176,7 @@ def dialog_from_dict(data: Mapping, where: str = "dialog") -> Dialog:
                     expect_type(slots, dict, where, "turns", i, "state", domain, item=str)
             state[domain] = dict(slots)
         acts = expect_type(t.get("acts", []), list, where, "turns", i, "acts", item=dict)
-        try:
-            user, response = t["user"], t["response"]
-        except KeyError as exc:
-            raise missing_key(exc, where, "turns", i) from None
+        user, response = t.get("user", MISSING), t.get("response", MISSING)
         if not (isinstance(user, str) and isinstance(response, str)):
             expect_type(user, str, where, "turns", i, "user")
             expect_type(response, str, where, "turns", i, "response")
@@ -221,7 +220,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(corpus_to_dict(corpus), sort_keys=True), encoding="utf-8")
 
 
-def _load_split(entries, split: str, errors) -> tuple[tuple[Dialog, ...], dict[str, UserGoal]]:
+def _load_split(
+    entries, split: str, errors: list[str], places: dict[str, str]
+) -> tuple[tuple[Dialog, ...], dict[str, UserGoal]]:
+    """The dialogs and goals of one split; ``places`` maps each dialog id seen to its place."""
     dialogs = []
     goals = {}
     for i, entry in enumerate(entries):
@@ -229,6 +231,10 @@ def _load_split(entries, split: str, errors) -> tuple[tuple[Dialog, ...], dict[s
             errors.append(f"{split}[{i}]: missing key 'id'")
             continue
         dialog = dialog_from_dict(entry, f"dialog {entry['id']!r}")
+        if dialog.id in places:
+            errors.append(f"{split}[{i}]: id {dialog.id!r} is already used by {places[dialog.id]}")
+            continue
+        places[dialog.id] = f"{split}[{i}]"
         dialogs.append(dialog)
         if "goal" in entry:
             goals[dialog.goal_id] = goal_from_dict(entry["goal"], f"dialog {dialog.id!r}['goal']")
@@ -333,8 +339,9 @@ def corpus_from_dict(data: Mapping) -> Corpus:
         },
     )
     errors: list[str] = []
-    dialogs, goals = _load_split(data["dialogs"], "dialogs", errors)
-    dev_dialogs, dev_goals = _load_split(data.get("dev_dialogs", ()), "dev_dialogs", errors)
+    places: dict[str, str] = {}
+    dialogs, goals = _load_split(data["dialogs"], "dialogs", errors, places)
+    dev_dialogs, dev_goals = _load_split(data.get("dev_dialogs", ()), "dev_dialogs", errors, places)
     corpus = Corpus(
         ontology=ontology,
         database=database,
@@ -349,7 +356,7 @@ def corpus_from_dict(data: Mapping) -> Corpus:
     return corpus
 
 
-def _read_json(path: str | Path):
+def read_json(path: str | Path):
     """The JSON value in the file ``path``; malformed JSON is a ``CorpusError`` naming the file."""
     with open(path, encoding="utf-8") as handle:
         try:
@@ -362,7 +369,7 @@ def _read_json(path: str | Path):
 
 def load_corpus(path: str | Path) -> Corpus:
     """The corpus in the file ``path``; each line of a ``CorpusError`` starts with the path."""
-    data = _read_json(path)
+    data = read_json(path)
     try:
         return corpus_from_dict(data)
     except CorpusError as exc:
@@ -375,8 +382,51 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     goal_id defaults to the dialog id, which matches a corpus dialog whose
     inline goal (and reference responses) the prediction is scored against.
     """
-    data = _read_json(path)
+    data = read_json(path)
     if "dialogs" not in expect_type(data, dict, str(path)):
         raise CorpusError(f"{path}: missing top-level key 'dialogs'")
     entries = expect_type(data["dialogs"], list, str(path), "dialogs")
     return [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]
+
+
+def candidates_record(goal_id: str, labeled: Iterable[tuple[Dialog, bool]]) -> dict:
+    """The candidates-file line of one goal: each candidate dialog with its success label."""
+    entries = [{**dialog_to_dict(dialog), "success": ok} for dialog, ok in labeled]
+    return {"goal_id": goal_id, "candidates": entries}
+
+
+def read_candidates(
+    handle: TextIO, goals: Mapping[str, UserGoal]
+) -> Iterator[tuple[str, tuple[Dialog, ...], tuple[bool, ...]]]:
+    """``(goal_id, dialogs, labels)`` per line of the candidates file open as ``handle``.
+
+    Goal ids must be ``goals`` keys in ascending order, as ``sample`` writes them;
+    a bad line raises ``CorpusError`` naming the file and the line.
+    """
+    previous = None
+    for number, line in enumerate(handle, 1):
+        if not line.strip():
+            continue
+        where = f"{handle.name} line {number}"
+        try:
+            entry = expect_type(json.loads(line), dict, where)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{where}: malformed JSON: column {exc.colno}: {exc.msg}") from None
+        goal_id = expect_type(entry.get("goal_id", MISSING), str, where, "goal_id")
+        if goal_id not in goals:
+            raise CorpusError(f"{where}: goal id {goal_id!r} is not a goal of the corpus")
+        if previous is not None and goal_id <= previous:
+            raise CorpusError(f"{where}: goal id {goal_id!r} does not follow {previous!r}; "
+                              "detect needs strictly ascending goal ids, as sample writes them")
+        previous = goal_id
+        candidates = expect_type(entry.get("candidates", MISSING), list, where, "candidates",
+                                 item=dict)
+        labels = tuple(c.get("success", MISSING) for c in candidates)
+        if not all(isinstance(label, bool) for label in labels):
+            if MISSING in labels:
+                expect_type(MISSING, bool, f"{where}: candidates", labels.index(MISSING), "success")
+            raise CorpusError(f'{where}: a candidate\'s "success" is not true or false')
+        dialogs = tuple(
+            dialog_from_dict(c, f"{where}: candidates[{i}]") for i, c in enumerate(candidates)
+        )
+        yield goal_id, dialogs, labels

@@ -28,7 +28,7 @@ class IncompleteSamples(PipelineError):
 
 
 class CorpusError(PipelineError):
-    """A corpus or predictions file failed validation; message lists diagnostics."""
+    """A corpus, predictions, candidates or report file failed validation; names its problems."""
 
 
 class BackendError(PipelineError):

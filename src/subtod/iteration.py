@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import GeneratorBackend, stable_seed
-from .corpus import Corpus
-from .errors import BackendError, IncompleteSamples, PipelineError
+from .corpus import Corpus, expect_type
+from .errors import BackendError, CorpusError, IncompleteSamples, PipelineError
 from .evaluate import evaluate_corpus
 from .model import (
     Database,
@@ -94,6 +94,16 @@ class IterationConfig:
         )
 
 
+# The JSON type of each report field, and of its items, as ``expect_type`` checks them.
+_REPORT_TYPES = {
+    "iteration_index": (int, None), "k": (int, None), "train_mode": (str, None),
+    "n_goals_sampled": (int, None), "n_dialogs_successful": (int, None),
+    "n_dialogs_unsuccessful": (int, None), "histogram": (dict, int),
+    "n_subgoal_samples": (dict, int), "skipped": (list, list), "files": (list, str),
+    "dev_eval": ((dict, type(None)), None), "dev_skipped": (list, list),
+}
+
+
 @dataclass(frozen=True)
 class IterationReport:
     iteration_index: int
@@ -121,12 +131,24 @@ class IterationReport:
         }
 
     @staticmethod
-    def from_dict(data: Mapping) -> "IterationReport":
-        """The report ``to_dict`` gave; a field an older report lacks takes its default."""
-        values = {
-            f.name: data[f.name] if f.default is MISSING else data.get(f.name, f.default)
-            for f in fields(IterationReport)
-        }
+    def from_dict(data: Mapping, where: str = "report") -> "IterationReport":
+        """The report ``to_dict`` gave; a field an older report lacks takes its default.
+
+        A missing required field or a value of another JSON type raises
+        ``CorpusError`` naming its place after ``where``.
+        """
+        expect_type(data, dict, where)
+        for f in fields(IterationReport):
+            if f.name in data or f.default is MISSING:
+                kind, item = _REPORT_TYPES[f.name]
+                expect_type(data.get(f.name, MISSING), kind, where, f.name, item=item)
+        if data.get("dev_eval") is not None:
+            expect_type(data["dev_eval"].get("combined", MISSING), (int, float), where,
+                        "dev_eval", "combined")
+        for bucket in data["histogram"]:
+            if not bucket.isdecimal():
+                raise CorpusError(f"{where}['histogram']: bucket {bucket!r} is not a whole number")
+        values = {f.name: data.get(f.name, f.default) for f in fields(IterationReport)}
         for name in ("skipped", "files", "dev_skipped"):
             values[name] = tuple(tuple(v) if isinstance(v, list) else v for v in values[name])
         values["histogram"] = {int(bucket): count for bucket, count in values["histogram"].items()}

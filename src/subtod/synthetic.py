@@ -293,6 +293,8 @@ def build_world(n_goals: int, seed: int = 0, dev_goals: int | None = None) -> Co
         raise ValueError(f"n_goals must be at least 1, got {n_goals}")
     if dev_goals is None:
         dev_goals = min(20, max(1, n_goals // 10))
+    if dev_goals < 0:
+        raise ValueError(f"dev_goals must be non-negative, got {dev_goals}")
     ontology = default_ontology()
     db = default_database(ontology)
     dialogs = []

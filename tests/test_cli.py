@@ -11,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subtod
 from subtod.backends import ErrorInjectionConfig, ScriptedBackend
@@ -404,6 +406,81 @@ def test_a_missing_required_key_exits_2_and_names_its_place(
     assert err.startswith(f"error: {place}: missing key {key!r}")
 
 
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid corpus, predictions file and candidates file, as parsed JSON values.
+
+    The candidates file is a list of its lines' values.
+    """
+    tmp = tmp_path_factory.mktemp("valid-inputs")
+    corpus = build_world(2, seed=31, dev_goals=1)
+    save_corpus(corpus, tmp / "corpus.json")
+    assert main(["sample", "--corpus", str(tmp / "corpus.json"), "--out", str(tmp),
+                 "--goal-fraction", "1.0", "--k", "2", "--noise-rate", "0.5", "--seed", "3"]) == 0
+    lines = (tmp / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
+    return {
+        "corpus.json": json.loads((tmp / "corpus.json").read_text(encoding="utf-8")),
+        "predictions.json": {"dialogs": [dialog_to_dict(d) for d in corpus.dialogs]},
+        "candidates.jsonl": [json.loads(line) for line in lines],
+    }
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+# One value of each JSON type; an edit puts one of another type in a value's place.
+JSON_VALUES = [None, True, 0, 2.5, "x", [], {}, [1], {"k": "v"}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_edited_input_exits_2_naming_its_file_or_is_valid(valid_inputs, tmp_path, capsys,
+                                                             data):
+    """Delete one key of a valid input, or give one value another JSON type.
+
+    ``evaluate`` (for a corpus or predictions edit) or ``detect`` (for a
+    candidates edit) then exits 2 with a message that starts with the edited
+    file's path, or exits 0 when the edit left the file valid (an optional key
+    deleted, a ``slot`` set to null). It never raises.
+    """
+    files = json.loads(json.dumps(valid_inputs))
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    # Walk down from the file's value, one drawn key or index at a time. A
+    # candidates file is its lines: the list that holds them is no JSON value.
+    parent, key = files, name
+    while parent[key] and isinstance(parent[key], (dict, list)) and (
+        parent is files and name == "candidates.jsonl"
+        or data.draw(st.integers(0, 3), label="deeper") > 0  # mostly deeper
+    ):
+        parent = parent[key]
+        key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                        else range(len(parent))), label="key")
+    value = parent[key]
+    deletable = isinstance(parent, dict) and parent is not files
+    if deletable and data.draw(st.booleans(), label="delete"):
+        del parent[key]
+    else:
+        others = [v for v in JSON_VALUES if _json_type(v) != _json_type(value)]
+        parent[key] = data.draw(st.sampled_from(others), label="new value")
+    for file, content in files.items():
+        lines = content if file.endswith(".jsonl") else [content]
+        (tmp_path / file).write_text("".join(json.dumps(v) + "\n" for v in lines),
+                                     encoding="utf-8")
+    corpus = ["--corpus", str(tmp_path / "corpus.json")]
+    if name == "candidates.jsonl":
+        command = ["detect", *corpus, "--candidates", str(tmp_path / name),
+                   "--out", str(tmp_path / "out")]
+    else:
+        command = ["evaluate", *corpus, "--predictions", str(tmp_path / "predictions.json")]
+    code = main(command)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(f"error: {tmp_path / name}"), err
+
+
 def test_iterate_on_the_ten_goal_fixture(corpus10, tmp_path, capsys):
     _, path = corpus10
     out = tmp_path / "iter0"
@@ -589,6 +666,51 @@ def test_stats_shows_a_dash_without_a_dev_evaluation(tmp_path, capsys):
 def test_stats_missing_report_exits_2(tmp_path, capsys):
     assert main(["stats", "--report", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# Each edit of a valid report, and the message stats must exit 2 with after the path.
+BAD_REPORTS = {
+    "array": (lambda report: [report], ": expected an object, got [{"),
+    "histogram list": (lambda report: {**report, "histogram": []},
+                       "['histogram']: expected an object, got []"),
+    "samples number": (lambda report: {**report, "n_subgoal_samples": 3},
+                       "['n_subgoal_samples']: expected an object, got 3"),
+    "no k": (lambda report: {key: v for key, v in report.items() if key != "k"},
+             ": missing key 'k'"),
+    "k string": (lambda report: {**report, "k": "2"}, "['k']: expected an integer, got \"2\""),
+    "bucket": (lambda report: {**report, "histogram": {"two": 1}},
+               "['histogram']: bucket 'two' is not a whole number"),
+    "no combined": (lambda report: {**report, "dev_eval": {}},
+                    "['dev_eval']: missing key 'combined'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_stats_on_a_malformed_report_exits_2_and_names_its_place(case, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    save_corpus(build_world(3, seed=3, dev_goals=1), corpus)
+    assert main(["iterate", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    edit, message = BAD_REPORTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(report)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+
+
+@pytest.mark.parametrize("flags", [
+    ["iterate", "--noise-rate", "1.5"], ["iterate", "--noise-rate", "nan"],
+    ["sample", "--noise-rate", "-1"], ["synth", "--goals", "2", "--dev", "-1"],
+], ids=["rate-1.5", "rate-nan", "rate-minus-1", "dev-minus-1"])
+def test_an_out_of_range_noise_rate_or_dev_count_exits_2(flags, corpus1, tmp_path, capsys):
+    out = tmp_path / "out"
+    synth = flags[0] == "synth"
+    corpus = [] if synth else ["--corpus", corpus1]
+    assert main([*flags, *corpus, "--out", str(out)]) == 2
+    expected = "dev_goals must be non-negative" if synth else "noise rate must be in [0, 1]"
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_argparse_rejects_unknown_commands():

@@ -148,6 +148,30 @@ def test_dialog_without_goal_or_id_raises():
         corpus_from_dict(data)
 
 
+def test_a_dialog_id_used_twice_is_reported_with_both_places(tmp_path, capsys):
+    data = tiny_corpus_dict()
+    [first] = data["dialogs"]
+    second = {**copy.deepcopy(first), "id": "d-2"}
+    data["dialogs"].append(copy.deepcopy(first))
+    data["dev_dialogs"] = [second, copy.deepcopy(second), copy.deepcopy(first)]
+    expected = [
+        "dialogs[1]: id 'd-1' is already used by dialogs[0]",
+        "dev_dialogs[1]: id 'd-2' is already used by dev_dialogs[0]",
+        "dev_dialogs[2]: id 'd-1' is already used by dialogs[0]",
+    ]
+    with pytest.raises(CorpusError) as err:
+        corpus_from_dict(data)
+    assert str(err.value).splitlines() == expected
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["iterate", "--corpus", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: {expected[0]}", *(f"{path}: {line}" for line in expected[1:])
+    ]
+    assert not out.exists()
+
+
 def test_entity_missing_its_name_slot_raises():
     data = tiny_corpus_dict()
     data["database"]["hotel"].append({"area": "south"})
