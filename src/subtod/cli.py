@@ -17,7 +17,7 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
-from .backends import ErrorInjectionConfig, GeneratorBackend, HttpBackend, ScriptedBackend
+from .backends import ErrorInjectionConfig, GeneratorBackend, ScriptedBackend
 # dialog_from_dict, dialog_to_dict, build_group, map_goals, detect_subgoals,
 # emit_sft and emit_dpo are unused here; bench/tracer.py patches them by name.
 from .corpus import (
@@ -56,13 +56,14 @@ def _print_json(data) -> None:
 
 
 def _make_backend(args, corpus: Corpus) -> GeneratorBackend:
+    """The run's backend: ``args.backend`` is "scripted" or the HTTP client type ``main`` set."""
     if args.backend == "scripted":
         noise = ErrorInjectionConfig(rate=args.noise_rate)
         return ScriptedBackend(corpus, noise, seed=args.seed)
     url = os.environ.get(BACKEND_URL_ENV) or args.url
     if not url:
         raise ValueError(f"--backend http requires --url or {BACKEND_URL_ENV}")
-    return HttpBackend(url)
+    return args.backend(url)
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -258,6 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) == "http":
+        # Imported here, not at the top, so that only http runs load the HTTP stack.
+        from .http_backend import HttpBackend
+
+        args.backend = HttpBackend
     try:
         return args.func(args)
     except BackendError as exc:

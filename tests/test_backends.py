@@ -12,20 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subtod.backends import (
-    MAX_REPLY_BYTES,
-    ErrorInjectionConfig,
-    ErrorKind,
-    HttpBackend,
-    ScriptedBackend,
-    _BadReply,
-    _OversizedReply,
-    _parse_reply,
-    stable_seed,
-)
+from subtod.backends import ErrorInjectionConfig, ErrorKind, ScriptedBackend, stable_seed
 from subtod.cli import main
 from subtod.corpus import save_corpus
 from subtod.errors import BackendError
+from subtod.http_backend import (
+    MAX_REPLY_BYTES,
+    HttpBackend,
+    _BadReply,
+    _OversizedReply,
+    _parse_reply,
+)
 from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
 from subtod.model import contexts_of, normalize_value, placeholder
 from subtod.sampling import SamplingConfig, answer_wave, generation_request, sample_turn
@@ -370,7 +367,7 @@ def test_http_backend_waits_out_a_numeric_retry_after_up_to_the_timeout(
     completion_server, monkeypatch
 ):
     slept = []
-    monkeypatch.setattr("subtod.backends.time.sleep", slept.append)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", slept.append)
     replies = iter([
         (503, {}, {"retry-after": "2"}),
         (429, {}, {"retry-after": "100"}),
@@ -387,7 +384,7 @@ def test_http_backend_waits_out_a_numeric_retry_after_up_to_the_timeout(
 
 
 def test_a_reply_later_than_the_timeout_is_retried_then_fails(completion_server, monkeypatch):
-    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     answered = threading.Event()
 
     def late(payload):
@@ -542,7 +539,7 @@ def test_a_connection_the_server_closed_is_replaced_without_a_retry(
     def no_sleep(seconds):
         raise AssertionError("a closed idle connection must not cost a retry")
 
-    monkeypatch.setattr("subtod.backends.time.sleep", no_sleep)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", no_sleep)
     keep_alive_server.drop_after_reply()
     backend = HttpBackend(keep_alive_server.url, max_retries=0)
     try:
@@ -963,7 +960,7 @@ def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
     ids=["list", "string", "number", "null", "non-utf8", "truncated"],
 )
 def test_http_backend_rejects_hostile_replies(completion_server, monkeypatch, body, headers, error):
-    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     completion_server.respond_with(lambda payload: (200, body, headers))
     backend = HttpBackend(completion_server.url, max_retries=1)
     with pytest.raises(BackendError, match=error):
@@ -999,7 +996,7 @@ def test_a_chunked_reply_is_decoded_and_keeps_its_connection(keep_alive_server):
     ids=["status line", "header line", "chunk size"],
 )
 def test_a_garbled_reply_is_retried_like_a_network_error(monkeypatch, reply):
-    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     listener = socket.create_server(("127.0.0.1", 0))
     received = []
 

@@ -602,7 +602,7 @@ def test_workers_below_one_exits_2(command, corpus10, tmp_path, capsys):
 def test_unreachable_backend_exits_3(corpus1, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SUIT_BACKEND_URL", raising=False)
     # The retry backoff is real time; skip it.
-    monkeypatch.setattr("subtod.backends.time.sleep", lambda seconds: None)
+    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     url = _closed_port_url()
     assert main([
         "iterate", "--corpus", corpus1, "--out", str(tmp_path / "a"),

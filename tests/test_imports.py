@@ -1,14 +1,46 @@
-"""Every name a ``subtod`` module imports is used in that module.
+"""What ``subtod`` modules import.
 
-An import kept on purpose carries ``# noqa: F401`` on its statement's first
-line or on the imported name's own line.
+Every name a module imports is used in that module; an import kept on
+purpose carries ``# noqa: F401`` on its statement's first line or on the
+imported name's own line. And only an HTTP run loads the HTTP stack.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtod"
 NOQA = "# noqa: F401"
+# Modules that only the HTTP client needs; each costs start-up time and memory.
+HTTP_STACK = ("http.client", "ssl", "urllib.request", "email.parser")
+
+# Runs every command on a tiny corpus, with the scripted backend, then prints
+# the exit codes and which of the HTTP_STACK modules are loaded.
+_SCRIPTED_RUN = """
+import json, sys
+from pathlib import Path
+from subtod.cli import main
+from subtod.corpus import dialog_to_dict, load_corpus
+
+out = Path(sys.argv[1])
+corpus, predictions = str(out / "corpus.json"), out / "predictions.json"
+run = ["--corpus", corpus, "--goal-fraction", "1.0", "--k", "3", "--noise-rate", "0.5"]
+codes = [
+    main(["synth", "--goals", "3", "--dev", "1", "--seed", "5", "--out", corpus]),
+    main(["iterate", *run, "--out", str(out / "iterate")]),
+    main(["sample", *run, "--out", str(out / "staged")]),
+    main(["detect", "--corpus", corpus, "--candidates", str(out / "staged" / "candidates.jsonl"),
+          "--out", str(out / "staged")]),
+]
+dialogs = [dialog_to_dict(d) for d in load_corpus(corpus).dialogs]
+predictions.write_text(json.dumps({"dialogs": dialogs}))
+codes.append(main(["evaluate", "--corpus", corpus, "--predictions", str(predictions)]))
+codes.append(main(["stats", "--report", str(out / "iterate" / "report.json")]))
+print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -35,3 +67,14 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_a_scripted_pipeline_loads_no_http_module(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    # -S: no site hooks, so that only subtod's own imports count.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _SCRIPTED_RUN, str(tmp_path), *HTTP_STACK],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "loaded": []}
