@@ -302,22 +302,19 @@ def _validate(corpus: Corpus, errors: list[str]) -> None:
 
 def corpus_from_dict(data: Mapping) -> Corpus:
     expect_type(data, dict, "corpus")
-    missing = [key for key in ("ontology", "database", "dialogs") if key not in data]
-    if missing:
-        raise CorpusError("; ".join(f"corpus missing top-level key {key!r}" for key in missing))
-    schemas = expect_type(data["ontology"], dict, "corpus", "ontology", item=dict)
+    schemas = expect_type(data.get("ontology", MISSING), dict, "corpus", "ontology", item=dict)
     for domain, entry in schemas.items():
         for key in ("informable", "requestable", "acts"):
             expect_type(entry.get(key, []), list, "corpus", "ontology", domain, key, item=str)
         expect_type(entry.get("entity_bearing", True), bool, "corpus", "ontology", domain,
                     "entity_bearing")
         expect_type(entry.get("name_slot", "name"), str, "corpus", "ontology", domain, "name_slot")
-    tables = expect_type(data["database"], dict, "corpus", "database", item=list)
+    tables = expect_type(data.get("database", MISSING), dict, "corpus", "database", item=list)
     for domain, table in tables.items():
         for i, entity in enumerate(table):
             expect_type(entity, dict, "corpus", "database", domain, i, item=str)
-    for key in ("dialogs", "dev_dialogs"):
-        expect_type(data.get(key, []), list, "corpus", key, item=dict)
+    for key, default in (("dialogs", MISSING), ("dev_dialogs", [])):
+        expect_type(data.get(key, default), list, "corpus", key, item=dict)
 
     ontology = Ontology(
         domains={
@@ -382,10 +379,8 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     goal_id defaults to the dialog id, which matches a corpus dialog whose
     inline goal (and reference responses) the prediction is scored against.
     """
-    data = read_json(path)
-    if "dialogs" not in expect_type(data, dict, str(path)):
-        raise CorpusError(f"{path}: missing top-level key 'dialogs'")
-    entries = expect_type(data["dialogs"], list, str(path), "dialogs")
+    data = expect_type(read_json(path), dict, str(path))
+    entries = expect_type(data.get("dialogs", MISSING), list, str(path), "dialogs")
     return [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]
 
 
@@ -421,11 +416,10 @@ def read_candidates(
         previous = goal_id
         candidates = expect_type(entry.get("candidates", MISSING), list, where, "candidates",
                                  item=dict)
-        labels = tuple(c.get("success", MISSING) for c in candidates)
-        if not all(isinstance(label, bool) for label in labels):
-            if MISSING in labels:
-                expect_type(MISSING, bool, f"{where}: candidates", labels.index(MISSING), "success")
-            raise CorpusError(f'{where}: a candidate\'s "success" is not true or false')
+        labels = tuple(
+            expect_type(c.get("success", MISSING), bool, f"{where}: candidates", i, "success")
+            for i, c in enumerate(candidates)
+        )
         dialogs = tuple(
             dialog_from_dict(c, f"{where}: candidates[{i}]") for i, c in enumerate(candidates)
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LengthMismatch, MissingGoal
@@ -47,15 +47,11 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "bleu": self.bleu,
-            "inform": self.inform,
-            "success": self.success,
-            "combined": self.combined,
+            **asdict(self),
             "per_domain": {
-                domain: {"inform": rates[0], "success": rates[1]}
-                for domain, rates in self.per_domain.items()
+                domain: {"inform": inform, "success": success}
+                for domain, (inform, success) in self.per_domain.items()
             },
-            "n_dialogs": self.n_dialogs,
         }
 
 

@@ -210,7 +210,7 @@ class _Exchange:
 
 
 class _Loop:
-    """One thread's wave of POSTs, driven by one selector on that thread.
+    """The backend's open wave of POSTs, driven by one selector on the thread that opened it.
 
     ``wave`` holds the wave's exchanges that no ``generate`` call has taken
     yet, in wave order. ``waiting`` holds the POSTs without a connection, in
@@ -226,8 +226,9 @@ class _Loop:
         self.waiting: deque[_Exchange] = deque(self.wave)
         self.running: dict[_Exchange, None] = {}
         self.dials = 0  # dials started for this loop and not yet ended
-        # A socket pair that dials and other threads' connections wake the loop
-        # through; made the first time the loop waits for one.
+        self.thread = threading.get_ident()
+        # A socket pair that finished dials wake the loop through; made the
+        # first time the loop waits for one.
         self.wake: tuple[socket.socket, socket.socket] | None = None
 
     def take(self, request: tuple) -> _Exchange:
@@ -247,6 +248,7 @@ class _Loop:
         """Drop the POSTs waiting for a connection and await those in flight."""
         with self.backend._lock:
             self.waiting.clear()
+            self.backend._waiter = None  # a run cut short by an error may have left it set
         while self.running:
             self.run(next(iter(self.running)))
         self.selector.close()
@@ -254,7 +256,7 @@ class _Loop:
             sock.close()
 
     def run(self, exchange: _Exchange) -> None:
-        """Drive every POST of this thread until ``exchange`` has its outcome."""
+        """Drive the wave's POSTs until ``exchange`` has its outcome."""
         while True:
             self._send_waiting()
             done = exchange.outcome is not None
@@ -266,7 +268,7 @@ class _Loop:
                 )
             if self.wake is not None:
                 with self.backend._lock:
-                    self.backend._waiters.discard(self.wake[1])
+                    self.backend._waiter = None
             if done:
                 return
             for key, _ in events:
@@ -282,8 +284,8 @@ class _Loop:
         """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
 
         Dials never take the open connections past ``max_in_flight``. While a
-        POST waits on a dial, or on nothing of this loop's own, the loop stays
-        registered to be woken when a connection comes free or a dial ends.
+        POST waits on a dial, or nothing is in flight, the loop's wake socket is
+        the backend's ``_waiter``, so a connection that comes back wakes it.
         """
         backend = self.backend
         ready, dials = [], []
@@ -313,7 +315,7 @@ class _Loop:
                 if self.wake is None:
                     self.wake = socket.socketpair()
                     self.selector.register(self.wake[0], selectors.EVENT_READ)
-                backend._waiters.add(self.wake[1])
+                backend._waiter = self.wake[1]
         for conn in dials:
             threading.Thread(target=backend._dial, args=(conn, self), daemon=True).start()
         for exchange, conn in ready:
@@ -374,14 +376,15 @@ class HttpBackend:
     problems and replies over ``MAX_REPLY_BYTES`` fail fast. Determinism is
     best-effort and entirely up to the service.
 
-    Each calling thread drives its own wave of POSTs (see ``prefetch``; a
-    lone ``generate`` is a wave of one) with one selector loop, inside
-    ``generate``: a POST is one ``sendall`` on a keep-alive connection, and
-    its reply must arrive within ``timeout``. At most ``max_in_flight`` POSTs
-    are in flight at once, across all threads that share the client, and
-    each runs on a connection from a pool that never holds more than that
-    many, open or being dialed. ``http.client`` only dials them, on
-    short-lived threads, which covers TLS and proxy tunnels. A POST with no
+    A backend serves one calling thread at a time: that thread drives its
+    wave of POSTs (see ``prefetch``; a lone ``generate`` is a wave of one)
+    with one selector loop, inside ``generate``, and a call from another
+    thread while the wave is open raises ``RuntimeError``. A POST is one
+    ``sendall`` on a keep-alive connection, and its reply must arrive within
+    ``timeout``. At most ``max_in_flight`` POSTs are in flight at once, each
+    on a connection from a pool that never holds more than that many, open
+    or being dialed. ``http.client`` only dials them, on short-lived
+    threads, which covers TLS and proxy tunnels. A POST with no
     idle connection starts a dial and takes the first connection to come
     free, so a slow dial delays no POST while another connection is free.
     ``http_proxy``/``https_proxy``/``no_proxy`` are read once, here; HTTPS
@@ -401,6 +404,10 @@ class HttpBackend:
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout!r}")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -413,23 +420,23 @@ class HttpBackend:
         self._idle: list[http.client.HTTPConnection] = []
         self._open = 0
         self._closed = False
-        # The wake sockets of the loops waiting for a connection.
-        self._waiters: set[socket.socket] = set()
+        # The open wave's loop, and its wake socket while it waits on a connection.
+        self._wave: _Loop | None = None
+        self._waiter: socket.socket | None = None
+        # Guards the pool, _waiter and the wave's ``waiting`` and ``dials`` against dial threads.
         self._lock = threading.Lock()
-        # Per calling thread: the _Loop of its current wave.
-        self._waves = threading.local()
 
     def close(self) -> None:
-        """Close the idle connections, and fail every POST still waiting for one.
+        """Close the idle connections and mark the backend closed; wake no wave.
 
-        A dial still in progress is not awaited: its connection is closed
-        when it completes, as is any connection in use when it comes back.
+        A POST still waiting for a connection fails when its wave next runs.
+        A dial in progress is not awaited: its connection is closed when it
+        completes, as is any connection in use when it comes back.
         """
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
             self._open -= len(idle)
-            self._wake_waiters()
         for conn in idle:
             conn.close()
 
@@ -444,16 +451,22 @@ class HttpBackend:
         sent in wave order as connections allow, and each ``generate`` call
         drives the POSTs until its own reply is in. On exit, requests nobody
         took are dropped or awaited, so a wave cut short by an error leaves
-        nothing for later calls. Blocks on one thread do not nest.
+        nothing for later calls. Blocks do not nest, and while one is open,
+        another thread's ``prefetch`` or ``generate`` raises ``RuntimeError``.
         """
-        if getattr(self._waves, "pending", None) is not None:
-            raise RuntimeError("prefetch blocks do not nest")
-        loop = self._waves.pending = _Loop(self, wave)
+        with self._lock:
+            if self._wave is not None:
+                if self._wave.thread == threading.get_ident():
+                    raise RuntimeError("prefetch blocks do not nest")
+                raise RuntimeError(f"backend {self.url} is in use by another thread")
+            loop = self._wave = _Loop(self, wave)
         try:
             yield
         finally:
-            self._waves.pending = None
-            loop.close()
+            try:
+                loop.close()
+            finally:
+                self._wave = None
 
     def generate(
         self,
@@ -466,9 +479,9 @@ class HttpBackend:
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
-        lone = getattr(self._waves, "pending", None) is None
+        lone = getattr(self._wave, "thread", None) != threading.get_ident()
         with self.prefetch([request]) if lone else contextlib.nullcontext():
-            return self._completions(self._waves.pending, request)
+            return self._completions(self._wave, request)
 
     def _encode(self, request: tuple) -> bytes:
         """The request message of ``request``: the prebuilt head, the body's length, the body."""
@@ -552,17 +565,13 @@ class HttpBackend:
         self._give_back(conn)
 
     def _give_back(self, conn: http.client.HTTPConnection) -> None:
-        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiting loops."""
+        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiting wave."""
         with self._lock:
             if conn.sock is None or self._closed:
                 conn.close()
                 self._open -= 1
             else:
                 self._idle.append(conn)
-            self._wake_waiters()
-
-    def _wake_waiters(self) -> None:
-        """Wake every loop waiting for a connection; the caller holds the lock."""
-        for waiter in self._waiters:
-            waiter.send(b"\0")
-        self._waiters.clear()
+            if self._waiter is not None:
+                self._waiter.send(b"\0")
+                self._waiter = None

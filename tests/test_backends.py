@@ -441,38 +441,6 @@ def _scripted_answer(backend):
     return answer
 
 
-def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, small_world):
-    scripted = ScriptedBackend(small_world, seed=2)
-    responder, seen = _held(_scripted_answer(scripted))
-    completion_server.respond_with(responder)
-    remote = HttpBackend(completion_server.url, max_in_flight=3)
-    calls = []
-    generate = remote.generate
-    remote.generate = lambda *args, **kwargs: calls.append(args) or generate(*args, **kwargs)
-    cfg = SamplingConfig(k=2, seed=4)
-    contexts = [contexts_of(dialog)[1] for dialog in small_world.dialogs[:2]]
-    results = [None] * len(contexts)
-
-    def run(i):
-        results[i] = sample_turn(remote, contexts[i], cfg, small_world.ontology)
-
-    # Two threads share the client, as library callers may.
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(thread.is_alive() for thread in threads)
-
-    assert results == [
-        sample_turn(scripted, context, cfg, small_world.ontology) for context in contexts
-    ]
-    assert any(len(result) > 1 for result in results)
-    # Sequential calls would peak at 2, one per thread; the waves fill max_in_flight.
-    assert seen["peak"] == 3
-    assert len(completion_server.payloads) == len(calls)
-
-
 def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
     # Every request of a wave waits until all 16 are in flight.
     barrier = threading.Barrier(16, timeout=10)
@@ -499,38 +467,38 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
     assert len(keep_alive_server.payloads) == 32
 
 
-def test_threads_sharing_a_client_keep_its_pool_within_max_in_flight(keep_alive_server):
-    responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
-    keep_alive_server.respond_with(responder)
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=6)
-    waves = [[(f"thread {t} prompt {i}", 1, True, 1.0, i, 256) for i in range(40)] for t in range(4)]
-    answers = [None] * len(waves)
+def test_another_thread_gets_a_runtime_error_while_a_wave_is_open(completion_server):
+    backend = HttpBackend(completion_server.url)
+    wave = [("first", 1, True, 1.0, 0, 256)]
+    errors = []
 
-    def run(t):
-        answers[t] = answer_wave(backend, waves[t])
+    def on_another_thread(call):
+        def run():
+            try:
+                call()
+            except RuntimeError as exc:
+                errors.append(str(exc))
 
-    # More calling threads than cores, and frequent thread switches, so a lost
-    # update to the shared pool would show.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(waves))]
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def open_a_wave():
+        with backend.prefetch(wave):
+            pass
+
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
+        with backend.prefetch(wave):
+            on_another_thread(lambda: backend.generate("other", 1, greedy=True))
+            on_another_thread(open_a_wave)
+            assert backend.generate("first", 1, greedy=True) == ["stub"]
+        # Once the wave is closed, another thread may call the backend.
+        on_another_thread(lambda: backend.generate("after", 1, greedy=True))
     finally:
-        sys.setswitchinterval(interval)
         backend.close()
-    assert answers == [{request: [request[0]] for request in wave} for wave in waves]
-    assert seen["peak"] <= 6
-    assert keep_alive_server.connections <= 6
-    # Every connection came back: once late dials end, none is counted open.
-    deadline = time.monotonic() + 10
-    while backend._open and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert backend._open == 0
+    assert errors == [f"backend {completion_server.url} is in use by another thread"] * 2
+    assert [payload["prompt"] for payload in completion_server.payloads] == ["first", "after"]
 
 
 def test_a_connection_the_server_closed_is_replaced_without_a_retry(
@@ -641,11 +609,10 @@ def test_a_held_dial_joins_the_pool_and_the_pool_stays_bounded(keep_alive_server
 def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_server):
     backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
     dial = _wave_with_a_held_dial(keep_alive_server, backend)
-    closer = threading.Thread(target=backend.close)
-    closer.start()
-    closer.join(timeout=5)
     try:
-        assert not closer.is_alive(), "close() waited for the held dial"
+        start = time.monotonic()
+        backend.close()
+        assert time.monotonic() - start < 3, "close() waited for the held dial"
         served = len(dial.connections) - 1
         dial.released.set()
         # The late connection reaches the server and is closed, not pooled.
@@ -654,7 +621,6 @@ def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_serv
         assert backend._idle == []
     finally:
         dial.released.set()
-        closer.join(timeout=10)
 
 
 def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_server):
@@ -670,30 +636,32 @@ def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_s
     assert len(keep_alive_server.payloads) == 1
 
 
-def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(keep_alive_server):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=1)
-    dial = _HeldDial(backend)
+def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server):
+    # Each reply closes its connection, so the first reply leaves the rest of
+    # the wave waiting on a new dial.
+    backend = HttpBackend(completion_server.url, max_in_flight=1)
+    dials = []
+    connect = backend._connect
+    backend._connect = lambda: dials.append(connect()) or dials[-1]
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
-    answers = {}
-    thread = threading.Thread(target=lambda: answers.update(answer_wave(backend, wave)))
-    thread.start()
-    try:
-        assert dial.dialing.wait(10)
-        # Another thread closes the backend while the wave waits on its only dial.
+    with backend.prefetch(wave):
+        assert backend.generate("prompt 0", 1, greedy=True, seed=0) == ["stub"]
         backend.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive(), "the wave waited for the held dial"
-    finally:
-        dial.released.set()
-        thread.join(timeout=10)
-    assert list(answers) == wave
-    assert all(
-        isinstance(error, BackendError) and "is closed" in str(error) for error in answers.values()
-    )
-    # The held dial's connection reaches the server and is closed, not pooled.
-    keep_alive_server.wait_closed(1)
-    assert keep_alive_server.connections == 1
-    assert keep_alive_server.payloads == []
+        dialed = len(dials)
+        start = time.monotonic()
+        for prompt, n, greedy, temperature, seed, max_tokens in wave[1:]:
+            with pytest.raises(BackendError, match=f"backend {completion_server.url} is closed"):
+                backend.generate(prompt, n, greedy=greedy, temperature=temperature, seed=seed,
+                                 max_tokens=max_tokens)
+        assert time.monotonic() - start < 3
+    assert len(dials) == dialed == 2
+    assert [payload["prompt"] for payload in completion_server.payloads] == ["prompt 0"]
+    # The late dial's connection is closed, not pooled.
+    deadline = time.monotonic() + 10
+    while backend._open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert backend._open == 0
+    assert backend._idle == []
 
 
 def test_prefetch_blocks_do_not_nest_and_another_request_posts_on_its_own(completion_server):
@@ -717,10 +685,10 @@ def test_prefetch_blocks_do_not_nest_and_another_request_posts_on_its_own(comple
 def test_a_lone_generate_and_a_finished_wave_leave_no_wave_behind(completion_server):
     backend = HttpBackend(completion_server.url)
     assert backend.generate("lone", 1, greedy=True) == ["stub"]
-    assert getattr(backend._waves, "pending", None) is None
+    assert backend._wave is None
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
     assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
-    assert getattr(backend._waves, "pending", None) is None
+    assert backend._wave is None
     assert len(completion_server.payloads) == 4
 
 
@@ -828,7 +796,7 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(
     assert skipped_with(remote) == expected
     # The rest of the failed wave was awaited, and none of it is kept.
     assert seen["now"] == 0
-    assert not getattr(remote._waves, "pending", None)
+    assert remote._wave is None
 
     completion_server.respond_with(healthy)
     before = len(completion_server.payloads)
@@ -1068,10 +1036,19 @@ def test_http_backend_honours_proxy_variables(completion_server, monkeypatch):
     assert "Proxy-Authorization" not in headers
 
 
-@pytest.mark.parametrize("url", ["127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1"])
-def test_http_backend_rejects_urls_it_cannot_post_to(url):
-    with pytest.raises(ValueError, match="backend url"):
-        HttpBackend(url)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        *(pytest.param({"url": url}, "backend url must look like", id=url)
+          for url in ("127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1")),
+        *(pytest.param({name: value}, f"{name} must be {rule}, got {value}", id=f"{name}={value}")
+          for name, value, rule in (("max_in_flight", 0, "at least 1"), ("timeout", 0, "positive"),
+                                    ("timeout", -1, "positive"))),
+    ],
+)
+def test_http_backend_rejects_urls_it_cannot_post_to(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        HttpBackend(**{"url": "http://127.0.0.1:1/v1", **kwargs})
 
 
 _TOKENS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-", min_size=1,

@@ -243,7 +243,8 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
     bad_file.write_text("".join([lines[0], json.dumps(entry) + "\n", *lines[2:]]), encoding="utf-8")
     assert main([*detect, "--candidates", str(bad_file)]) == 2
     err = capsys.readouterr().err
-    assert f'{bad_file} line 2: a candidate\'s "success" is not true or false' in err
+    assert err == (f"error: {bad_file} line 2: candidates[0]['success']: "
+                   'expected true or false, got "false"\n')
     assert not (out / "sft.jsonl").exists()
 
 
@@ -254,7 +255,8 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
         "prediction turns",
         "dialog id", "user", "response", "state value", "informable", "name_slot",
         "entity_bearing", "database value", "goal constraint", "goal request",
-        "candidate act verb", "candidate act booking", "prediction goal id",
+        "candidate act verb", "candidate act booking", "candidate success",
+        "prediction goal id",
     ],
 )
 def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
@@ -333,6 +335,10 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
         candidates[0]["candidates"][0]["turns"][0]["acts"][0][key] = value
         expected = (f"candidates.jsonl line 1: candidates[0]['turns'][0]['acts'][0][{key!r}]: "
                     f"expected {kind}, got {json.dumps(value)}")
+    elif case == "candidate success":
+        candidates[0]["candidates"][0]["success"] = "false"
+        expected = ("candidates.jsonl line 1: candidates[0]['success']: "
+                    'expected true or false, got "false"')
     else:
         dialog["goal_id"] = 5
         expected = "predictions.json['dialogs'][0]['goal_id']: expected a string, got 5"
@@ -355,6 +361,9 @@ def test_a_json_value_of_the_wrong_type_exits_2_and_names_its_place(
 
 # (file, path to the record, required key deleted from it, the place the message names)
 MISSING_KEY_CASES = [
+    *(("corpus.json", (), key, "corpus.json: corpus")
+      for key in ("ontology", "database", "dialogs")),
+    ("predictions.json", (), "dialogs", "predictions.json"),
     ("corpus.json", ("dialogs", 0, "turns", 1), "user", "corpus.json: dialog {id!r}['turns'][1]"),
     ("corpus.json", ("dialogs", 0, "turns", 0, "acts", 0), "act",
      "corpus.json: dialog {id!r}['turns'][0]['acts'][0]"),

@@ -133,8 +133,9 @@ def test_schema_defaults_fill_in():
 def test_missing_top_level_keys_raise():
     data = tiny_corpus_dict()
     del data["database"]
-    with pytest.raises(CorpusError, match="top-level key 'database'"):
+    with pytest.raises(CorpusError) as err:
         corpus_from_dict(data)
+    assert str(err.value) == "corpus: missing key 'database'"
 
 
 def test_dialog_without_goal_or_id_raises():
@@ -281,8 +282,9 @@ def test_load_predictions(small_world, tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"predictions": []}), encoding="utf-8")
-    with pytest.raises(CorpusError, match="missing top-level key 'dialogs'"):
+    with pytest.raises(CorpusError) as err:
         load_predictions(bad)
+    assert str(err.value) == f"{bad}: missing key 'dialogs'"
 
 
 def test_deep_copy_keeps_fixture_pristine():

@@ -2,8 +2,10 @@
 
 A field counts as read when some module under ``src/`` or ``bench/`` loads
 it as an attribute (``obj.field``); ``bench/`` counts because the tracer
-reads the parsers' diagnostics. A field that nothing reads is dead weight
-that every constructor still has to fill.
+reads the parsers' diagnostics. Every field of a class that writes itself
+out with ``asdict(self)`` counts as read too, since that call reads them
+all into the output. A field that nothing reads is dead weight that every
+constructor still has to fill.
 """
 
 import ast
@@ -29,11 +31,27 @@ def _is_record_class(node: ast.ClassDef) -> bool:
     )
 
 
+def _writes_itself_out(node: ast.ClassDef) -> bool:
+    """True if a method of the class ``node`` calls ``asdict(self)``."""
+    return any(
+        isinstance(call, ast.Call) and _last_name(call) == "asdict"
+        and [getattr(arg, "id", None) for arg in call.args] == ["self"]
+        for call in ast.walk(node)
+    )
+
+
 def _declared_fields(path: Path) -> list[tuple[str, str, int]]:
-    """(class, field, line) of every field declared on a dataclass or NamedTuple in ``path``."""
+    """(class, field, line) of every field declared on a dataclass or NamedTuple in ``path``.
+
+    A class that writes itself out with ``asdict(self)`` reads all its fields: none is listed.
+    """
     fields = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ClassDef) and _is_record_class(node):
+        if (
+            isinstance(node, ast.ClassDef)
+            and _is_record_class(node)
+            and not _writes_itself_out(node)
+        ):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     fields.append((node.name, stmt.target.id, stmt.lineno))
