@@ -441,6 +441,30 @@ def _scripted_answer(backend):
     return answer
 
 
+def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, small_world):
+    scripted = ScriptedBackend(small_world, seed=2)
+    responder, seen = _held(_scripted_answer(scripted))
+    completion_server.respond_with(responder)
+    remote = HttpBackend(completion_server.url, max_in_flight=3)
+    calls = []
+    generate = remote.generate
+    remote.generate = lambda *args, **kwargs: calls.append(args) or generate(*args, **kwargs)
+    cfg = SamplingConfig(k=2, seed=4)
+    contexts = [contexts_of(dialog)[1] for dialog in small_world.dialogs[:2]]
+    try:
+        results = [sample_turn(remote, context, cfg, small_world.ontology) for context in contexts]
+    finally:
+        remote.close()
+
+    assert results == [
+        sample_turn(scripted, context, cfg, small_world.ontology) for context in contexts
+    ]
+    assert any(len(result) > 1 for result in results)
+    # Sequential calls would peak at 1; the waves fill max_in_flight.
+    assert seen["peak"] == 3
+    assert len(completion_server.payloads) == len(calls)
+
+
 def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
     # Every request of a wave waits until all 16 are in flight.
     barrier = threading.Barrier(16, timeout=10)
@@ -465,6 +489,43 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
         sys.setswitchinterval(interval)
         backend.close()
     assert len(keep_alive_server.payloads) == 32
+
+
+def test_threads_sharing_a_client_keep_its_pool_within_max_in_flight(keep_alive_server):
+    responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
+    keep_alive_server.respond_with(responder)
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=6)
+    waves = [[(f"thread {t} prompt {i}", 1, True, 1.0, i, 256) for i in range(40)] for t in range(4)]
+    answers = [None] * len(waves)
+    # A backend serves one calling thread at a time, so the threads take turns.
+    turn = threading.Lock()
+
+    def run(t):
+        with turn:
+            answers[t] = answer_wave(backend, waves[t])
+
+    # More calling threads than cores, and frequent thread switches, so a lost
+    # update to the shared pool would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(waves))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert answers == [{request: [request[0]] for request in wave} for wave in waves]
+    assert seen["peak"] <= 6
+    assert keep_alive_server.connections <= 6
+    # Every connection came back: once late dials end, none is counted open.
+    deadline = time.monotonic() + 10
+    while backend._open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert backend._open == 0
 
 
 def test_another_thread_gets_a_runtime_error_while_a_wave_is_open(completion_server):
