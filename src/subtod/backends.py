@@ -16,11 +16,10 @@ module loads no network code.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from .corpus import Corpus
 from .errors import BackendError
@@ -42,13 +41,31 @@ from .verbalize import (
     verbalized_turn_text,
 )
 
+try:  # the interpreter's built-in SHA-256: ``hashlib`` would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 DEFAULT_MAX_TOKENS = 256
 
 
 def stable_seed(*parts) -> int:
     """Deterministic 64-bit seed from arbitrary parts; hash() is salted, this isn't."""
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(sha256(":".join(map(str, parts)).encode()).digest()[:8], "big")
+
+
+def stable_seeds(tags: Sequence, *parts) -> list[int]:
+    """``stable_seed(*parts, tag)`` for each of ``tags``, hashing ``parts`` once."""
+    prefix = sha256(":".join([*map(str, parts), ""]).encode())
+    seeds = []
+    for tag in tags:
+        digest = prefix.copy()
+        digest.update(str(tag).encode())
+        seeds.append(int.from_bytes(digest.digest()[:8], "big"))
+    return seeds
 
 
 class GeneratorBackend(Protocol):

@@ -16,7 +16,7 @@ import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seed
+from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seeds
 from .errors import BackendError, IncompleteSamples, PipelineError
 from .model import BeliefState, DialogContext, Ontology, SystemTurn
 from .verbalize import (
@@ -50,21 +50,19 @@ Request = tuple[str, int, bool, float, int, int]
 SampledTurnSet = list[list[SystemTurn]]
 
 
-def generation_request(prompt: str, stage: str, cfg: SamplingConfig, *, greedy: bool) -> Request:
-    """The greedy (n=1) or the ``k``-sample request for ``prompt``.
+def generation_requests(
+    prompt: str, stage: str, cfg: SamplingConfig, draws: Sequence[bool]
+) -> list[Request]:
+    """The greedy (n=1) or ``k``-sample request for ``prompt``, per ``greedy`` flag in ``draws``.
 
-    ``stage`` is ``"state"`` or ``"turn"``; the seed is derived from the
-    prompt text and the stage tag, so equal requests get equal seeds.
+    ``stage`` is ``"state"`` or ``"turn"``. A request's seed is ``stable_seed(cfg.seed, prompt,
+    tag)`` with the tag ``stage`` or ``greedy-<stage>``, so equal requests get equal seeds.
     """
-    tag = f"greedy-{stage}" if greedy else stage
-    return (
-        prompt,
-        1 if greedy else cfg.k,
-        greedy,
-        cfg.temperature,
-        stable_seed(cfg.seed, prompt, tag),
-        DEFAULT_MAX_TOKENS,
-    )
+    tags = [f"greedy-{stage}" if greedy else stage for greedy in draws]
+    return [
+        (prompt, 1 if greedy else cfg.k, greedy, cfg.temperature, seed, DEFAULT_MAX_TOKENS)
+        for greedy, seed in zip(draws, stable_seeds(tags, cfg.seed, prompt))
+    ]
 
 
 def answer_wave(
@@ -144,7 +142,7 @@ def sample_dialogs(
     if known is None:
         known = {}
     state_requests = {
-        prompt: [generation_request(prompt, "state", cfg, greedy=greedy) for greedy in draws]
+        prompt: generation_requests(prompt, "state", cfg, draws)
         for prompt in dict.fromkeys(prompt for ps in prompts for prompt in ps)
         if prompt not in known
     }
@@ -174,9 +172,9 @@ def sample_dialogs(
             if isinstance(states, BackendError) or not states:
                 break
             turn_requests[prompt] = [
-                generation_request(act_prompt, "turn", cfg, greedy=greedy)
-                for act_prompt in [act_prompt_text(prompt, state) for state in states]
-                for greedy in draws
+                request
+                for state in states
+                for request in generation_requests(act_prompt_text(prompt, state), "turn", cfg, draws)
             ]
     turn_answers = answer_wave(backend, [r for rs in turn_requests.values() for r in rs])
 

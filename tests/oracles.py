@@ -6,12 +6,17 @@ of a regex, greedy multiset matching instead of Counter arithmetic, exhaustive
 replacement enumeration instead of the package's traversal. Two independent
 implementations rarely share a bug, so agreement is evidence of correctness.
 
+``generation_request`` spells out, with ``hashlib``, the request and seed
+that sampling sends for one prompt and draw, apart from
+``subtod.backends.stable_seed``.
+
 The adapters at the bottom only convert package objects into the plain data
 the oracles consume; they contain no evaluation logic of their own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 # --------------------------------------------------------------- plain text
@@ -184,6 +189,22 @@ def detect(dialogs, labels, goal, schemas, tables):
                     if not inform_success(goal, spliced, schemas, tables)[1]:
                         flips.add((winner["id"], t, kind, loser["id"]))
     return flips
+
+
+# ---------------------------------------------------------------- requests
+
+
+def generation_request(prompt, stage, cfg, *, greedy):
+    """The greedy (n=1) or ``k``-sample request that sampling sends for ``prompt``.
+
+    ``stage`` is ``"state"`` or ``"turn"``. The seed is the first 8 bytes,
+    big-endian, of the SHA-256 of ``"{cfg.seed}:{prompt}:{tag}"``, where the
+    tag is ``stage`` or ``greedy-<stage>``; 256 is the package's max_tokens.
+    """
+    tag = f"greedy-{stage}" if greedy else stage
+    digest = hashlib.sha256(f"{cfg.seed}:{prompt}:{tag}".encode("utf-8")).digest()
+    seed = int.from_bytes(digest[:8], "big")
+    return (prompt, 1 if greedy else cfg.k, greedy, cfg.temperature, seed, 256)
 
 
 # ----------------------------------------------- package-object adapters

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import hashlib
 import json
 import socket
 import sys
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subtod.backends import ErrorInjectionConfig, ErrorKind, ScriptedBackend, stable_seed
+from oracles import generation_request
+from subtod.backends import (
+    ErrorInjectionConfig,
+    ErrorKind,
+    ScriptedBackend,
+    stable_seed,
+    stable_seeds,
+)
 from subtod.cli import main
 from subtod.corpus import save_corpus
 from subtod.errors import BackendError
@@ -25,7 +33,7 @@ from subtod.http_backend import (
 )
 from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
 from subtod.model import contexts_of, normalize_value, placeholder
-from subtod.sampling import SamplingConfig, answer_wave, generation_request, sample_turn
+from subtod.sampling import SamplingConfig, answer_wave, sample_turn
 from subtod.synthetic import default_ontology
 from subtod.verbalize import (
     act_prompt_text,
@@ -129,6 +137,32 @@ def test_stable_seed_is_deterministic_and_sensitive():
     # Frozen so a refactor cannot silently reshuffle every seeded decision.
     assert stable_seed(0, "x") == 15838549821452497134
     assert stable_seed("a", 1, "state") == 10868619776756863047
+
+
+# Seed parts: ints, short strings of any script, and strings of several KB.
+_SEED_PARTS = st.one_of(
+    st.integers(),
+    st.text(max_size=20),
+    st.builds(
+        lambda text, copies: text * copies, st.text(min_size=1, max_size=8), st.integers(500, 1500)
+    ),
+)
+
+
+@settings(deadline=None)
+@given(parts=st.lists(_SEED_PARTS, max_size=4))
+@example(parts=[3, "hôtel: north;", "état"])
+@example(parts=["\u2603 snow " * 800])
+def test_stable_seed_is_the_first_8_bytes_of_the_sha256_of_its_joined_parts(parts):
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
+    assert stable_seed(*parts) == int.from_bytes(digest[:8], "big")
+
+
+@settings(deadline=None)
+@given(parts=st.lists(_SEED_PARTS, max_size=3), tags=st.lists(_SEED_PARTS, max_size=3))
+@example(parts=[5, "[U] zimmer für zwei"], tags=["greedy-state", "state"])
+def test_stable_seeds_equal_stable_seed_per_tag(parts, tags):
+    assert stable_seeds(tags, *parts) == [stable_seed(*parts, tag) for tag in tags]
 
 
 def test_scripted_greedy_returns_the_ground_truth(small_world):

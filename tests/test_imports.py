@@ -2,7 +2,8 @@
 
 Every name a module imports is used in that module; an import kept on
 purpose carries ``# noqa: F401`` on its statement's first line or on the
-imported name's own line. And only an HTTP run loads the HTTP stack.
+imported name's own line. Only an HTTP run loads the HTTP stack, and a
+scripted run loads no OpenSSL.
 """
 
 import ast
@@ -12,13 +13,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtod"
 NOQA = "# noqa: F401"
 # Modules that only the HTTP client needs; each costs start-up time and memory.
 HTTP_STACK = ("http.client", "ssl", "urllib.request", "email.parser")
+# ``hashlib`` loads OpenSSL's libcrypto; seeds take the interpreter's built-in SHA-256.
+OPENSSL = ("hashlib", "_hashlib")
 
 # Runs every command on a tiny corpus, with the scripted backend, then prints
-# the exit codes and which of the HTTP_STACK modules are loaded.
+# the exit codes and which of the modules named on its command line are loaded.
 _SCRIPTED_RUN = """
 import json, sys
 from pathlib import Path
@@ -69,12 +74,24 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
-def test_a_scripted_pipeline_loads_no_http_module(tmp_path):
+@pytest.fixture(scope="module")
+def scripted_run(tmp_path_factory):
+    """``_SCRIPTED_RUN``'s exit codes, and which of HTTP_STACK and OPENSSL it loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = tmp_path_factory.mktemp("scripted")
     # -S: no site hooks, so that only subtod's own imports count.
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _SCRIPTED_RUN, str(tmp_path), *HTTP_STACK],
+        [sys.executable, "-S", "-c", _SCRIPTED_RUN, str(out), *HTTP_STACK, *OPENSSL],
         check=True, env=env, capture_output=True, text=True,
     )
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 6, "loaded": []}
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_scripted_pipeline_loads_no_http_module(scripted_run):
+    assert scripted_run["codes"] == [0] * 6
+    assert [m for m in scripted_run["loaded"] if m in HTTP_STACK] == []
+
+
+def test_a_scripted_pipeline_loads_no_openssl(scripted_run):
+    assert scripted_run["codes"] == [0] * 6
+    assert [m for m in scripted_run["loaded"] if m in OPENSSL] == []

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import generation_request
 from subtod import cli, iteration, sampling, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
 from subtod.corpus import save_corpus
@@ -25,7 +26,7 @@ from subtod.iteration import (
     subsample_goals,
     write_jsonl,
 )
-from subtod.sampling import SamplingConfig, generation_request
+from subtod.sampling import SamplingConfig
 from subtod.subgoals import PairPolicy
 from subtod.synthetic import build_world
 from subtod.verbalize import serialize_state_prompt, state_prompts, state_text

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subtod.errors import BackendError, IncompleteSamples
-from subtod.backends import ErrorInjectionConfig, ScriptedBackend
+from subtod.backends import DEFAULT_MAX_TOKENS, ErrorInjectionConfig, ScriptedBackend, stable_seed
 from subtod.model import DialogAct, DialogContext, SystemTurn, contexts_of
 from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
 from subtod.synthetic import default_ontology
+from subtod.verbalize import split_act_prompt
 
 STATE_NORTH = "[B] hotel area: north;"
 STATE_SOUTH = "[B] hotel area: south;"
@@ -155,6 +156,27 @@ class RefusingBackend:
         return self.backend.generate(
             prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
         )
+
+
+@pytest.mark.parametrize("greedy_only", [False, True], ids=["k-sample", "greedy-only"])
+def test_every_request_carries_the_stable_seed_of_its_prompt_and_tag(small_world, greedy_only):
+    cfg = SamplingConfig(k=3, seed=5)
+    recorder = RefusingBackend(ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3))
+    dialogs = [contexts_of(dialog) for dialog in small_world.dialogs]
+    sample_dialogs(recorder, dialogs, cfg, small_world.ontology, greedy_only=greedy_only)
+    tags = {}
+    for prompt, n, greedy, temperature, seed, max_tokens in recorder.calls:
+        stage = "turn" if split_act_prompt(prompt)[1] else "state"
+        tag = f"greedy-{stage}" if greedy else stage
+        tags[tag] = tags.get(tag, 0) + 1
+        assert (n, temperature, max_tokens) == (1 if greedy else 3, 1.0, DEFAULT_MAX_TOKENS)
+        assert seed == stable_seed(5, prompt, tag), (prompt, tag)
+    if greedy_only:
+        assert set(tags) == {"greedy-state", "greedy-turn"}
+    else:
+        # Each draw of a prompt has its own request, and prompts have several states.
+        assert set(tags) == {"greedy-state", "state", "greedy-turn", "turn"}
+        assert tags["state"] == tags["greedy-state"] < tags["turn"] == tags["greedy-turn"]
 
 
 BLOCK_CFG = SamplingConfig(k=2, seed=3)
