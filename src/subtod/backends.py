@@ -28,7 +28,6 @@ from .model import (
     Dialog,
     SubgoalKind,
     UserGoal,
-    contexts_of,
     normalize_value,
     placeholder,
 )
@@ -175,7 +174,7 @@ class ScriptedBackend:
         # State prompt -> (dialog, turn, site index) of its first dialog.
         self._sites: dict[str, tuple[Dialog, int, int]] = {}
         for dialog in list(world.dialogs) + list(world.dev_dialogs):
-            for t, prompt in enumerate(state_prompts(contexts_of(dialog))):
+            for t, prompt in enumerate(state_prompts(dialog.turns)):
                 first, first_t, _ = self._sites.setdefault(prompt, (dialog, t, len(self._sites)))
                 if first is not dialog and first.turns[first_t].system != dialog.turns[t].system:
                     raise ValueError(

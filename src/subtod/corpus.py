@@ -73,6 +73,11 @@ _JSON_NAMES = {
 }
 
 
+def _is_json(value, kind: type) -> bool:
+    """``isinstance(value, kind)``, except that ``true`` and ``false`` are no numbers."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def expect_type(value, kind: type, where: str, *path, item: type | None = None):
     """``value``, if it is a ``kind`` whose items are all ``item``s.
 
@@ -87,10 +92,10 @@ def expect_type(value, kind: type, where: str, *path, item: type | None = None):
     """
     if item is not None and isinstance(value, kind):
         for key, entry in value.items() if kind is dict else enumerate(value):
-            if not isinstance(entry, item):
+            if not _is_json(entry, item):
                 value, kind, path = entry, item, (*path, key)
                 break
-    if not isinstance(value, kind):
+    if not _is_json(value, kind):
         if value is MISSING:
             *path, key = path
             problem = f"missing key {key!r}"
@@ -378,10 +383,20 @@ def load_predictions(path: str | Path) -> list[Dialog]:
 
     goal_id defaults to the dialog id, which matches a corpus dialog whose
     inline goal (and reference responses) the prediction is scored against.
+    Ids must be unique: each repeat is reported with the first one's place.
     """
     data = expect_type(read_json(path), dict, str(path))
     entries = expect_type(data.get("dialogs", MISSING), list, str(path), "dialogs")
-    return [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]
+    dialogs = [dialog_from_dict(e, f"{path}['dialogs'][{i}]") for i, e in enumerate(entries)]
+    first: dict[str, int] = {}
+    repeats = [
+        f"{path}['dialogs'][{i}]: id {d.id!r} is already used by ['dialogs'][{first[d.id]}]"
+        for i, d in enumerate(dialogs)
+        if first.setdefault(d.id, i) != i
+    ]
+    if repeats:
+        raise CorpusError("\n".join(repeats))
+    return dialogs
 
 
 def candidates_record(goal_id: str, labeled: Iterable[tuple[Dialog, bool]]) -> dict:

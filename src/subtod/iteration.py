@@ -39,7 +39,6 @@ from .model import (
     SubgoalKind,
     Turn,
     UserGoal,
-    contexts_of,
 )
 # sample_turn, parse_state and parse_act_response are unused here;
 # bench/tracer.py patches them by name.
@@ -171,25 +170,26 @@ def predict_greedy(
     cfg: SamplingConfig,
     ontology: Ontology,
 ) -> tuple[list[Dialog], list[tuple[str, str]]]:
-    """Greedy two-stage rollout over every source dialog's contexts.
+    """Greedy two-stage rollout over every source dialog's turns; source ids are unique.
 
-    Contexts are ground-truth prefixes, so the state requests of all dialogs
+    Prompts are ground-truth prefixes, so the state requests of all dialogs
     form one wave and the act/response requests, built from the parsed
     states, a second. Replies are parsed with ``ontology``'s vocabulary.
     Returns the predicted dialogs, in source order, and ``(dialog id,
     error)`` for each source whose requests failed, sorted.
     """
-    contexts = [contexts_of(source) for source in sources]
-    results = sample_dialogs(backend, contexts, cfg, ontology, greedy_only=True)
+    prompts = {source.id: state_prompts(source.turns) for source in sources}
+    results = sample_dialogs(backend, prompts, cfg, ontology, greedy_only=True)
     predicted = []
     skipped = []
-    for source, source_contexts, turn_sets in zip(sources, contexts, results):
+    for source in sources:
+        turn_sets = results[source.id]
         if isinstance(turn_sets, PipelineError):
             skipped.append((source.id, str(turn_sets)))
             continue
         turns = tuple(
-            Turn(user=context.user, system=turn_set[0][0])
-            for context, turn_set in zip(source_contexts, turn_sets)
+            Turn(user=turn.user, system=turn_set[0][0])
+            for turn, turn_set in zip(source.turns, turn_sets)
         )
         predicted.append(Dialog(id=source.id, goal_id=source.goal_id, turns=turns))
     return predicted, sorted(skipped)
@@ -244,7 +244,8 @@ def build_group(
     db: Database,
 ) -> CandidateGroup:
     """Sample every turn of one ground-truth dialog and label its candidates."""
-    [turn_sets] = sample_dialogs(backend, [contexts_of(source)], sampling, db.ontology)
+    prompts = {source.goal_id: state_prompts(source.turns)}
+    turn_sets = sample_dialogs(backend, prompts, sampling, db.ontology)[source.goal_id]
     if isinstance(turn_sets, PipelineError):
         raise turn_sets
     return label_candidates(source, goal, turn_sets, k, db)
@@ -289,7 +290,7 @@ def process_goals(
     )
     sampling = cfg.sampling()
     dialog_map = corpus.dialog_map()
-    prompts = {goal_id: state_prompts(contexts_of(dialog_map[goal_id])) for goal_id in goal_ids}
+    prompts = {goal_id: state_prompts(dialog_map[goal_id].turns) for goal_id in goal_ids}
     # The last goal, in goal order, whose dialog has each state prompt.
     last_goal = {prompt: goal_id for goal_id in goal_ids for prompt in prompts[goal_id]}
     known: dict[str, SampledTurnSet] = {}
@@ -297,13 +298,9 @@ def process_goals(
     skipped: list[tuple[str, str]] = []
     for start in range(0, len(goal_ids), BLOCK_SIZE):
         block = goal_ids[start : start + BLOCK_SIZE]
-        block_prompts = [prompts.pop(goal_id) for goal_id in block]
-        contexts = [contexts_of(dialog_map[goal_id]) for goal_id in block]
-        outcomes = sample_dialogs(
-            backend, contexts, sampling, corpus.ontology, prompts=block_prompts, known=known
-        )
-        sampled = dict(zip(block, outcomes))
-        for goal_id, goal_prompts in zip(block, block_prompts):
+        block_prompts = {goal_id: prompts.pop(goal_id) for goal_id in block}
+        sampled = sample_dialogs(backend, block_prompts, sampling, corpus.ontology, known=known)
+        for goal_id, goal_prompts in block_prompts.items():
             for prompt in goal_prompts:
                 if last_goal[prompt] == goal_id:
                     known.pop(prompt, None)

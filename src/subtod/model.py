@@ -129,7 +129,6 @@ class DialogContext:
     """The prefix of a dialog up to (and including) one user utterance."""
 
     goal_id: str
-    turn_index: int
     pairs: tuple[Turn, ...]
     user: str
 
@@ -167,19 +166,6 @@ def query(db: Database, domain: str, constraints: Mapping[str, str]) -> list[Ent
         else:
             matched.append(entity)
     return matched
-
-
-def contexts_of(dialog: Dialog) -> list[DialogContext]:
-    """One context per turn: the first t pairs plus turn t's user utterance."""
-    return [
-        DialogContext(
-            goal_id=dialog.goal_id,
-            turn_index=t,
-            pairs=dialog.turns[:t],
-            user=turn.user,
-        )
-        for t, turn in enumerate(dialog.turns)
-    ]
 
 
 def replace_turn(dialog: Dialog, t: int, kind: SubgoalKind, source: SystemTurn) -> Dialog:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seeds
 from .errors import BackendError, IncompleteSamples, PipelineError
@@ -105,45 +105,43 @@ def _replies_until_failure(
 
 def sample_dialogs(
     backend: GeneratorBackend,
-    dialogs: Sequence[Sequence[DialogContext]],
+    prompts: Mapping[str, Sequence[str]],
     cfg: SamplingConfig,
     ontology: Ontology,
     *,
-    prompts: Sequence[Sequence[str]] | None = None,
     known: dict[str, SampledTurnSet] | None = None,
     greedy_only: bool = False,
-) -> list[list[SampledTurnSet] | BackendError | IncompleteSamples]:
-    """Sample several dialogs' contexts in two waves: all states, then every distinct state's acts.
+) -> dict[str, list[SampledTurnSet] | BackendError | IncompleteSamples]:
+    """Sample several dialogs' turns in two waves: all states, then every distinct state's acts.
 
-    A context's turn set depends only on its state prompt, so each distinct
-    prompt is sampled once. ``prompts`` are the dialogs' state prompts
-    (``state_prompts`` of each dialog's contexts when not given). ``known``
-    maps prompts already sampled, by calls with the same ``cfg``,
+    ``prompts`` maps each dialog's key, its goal id (a corpus dialog's id),
+    to the state prompts of its turns in turn order (``state_prompts``). A turn's turn set depends
+    only on its state prompt, so each distinct prompt is sampled once.
+    ``known`` maps prompts already sampled, by calls with the same ``cfg``,
     ``ontology`` and ``greedy_only``, to their turn sets: those are reused,
     and every prompt this call samples without a failure is added to it.
 
-    Contexts are ground-truth prefixes, so no request waits on another
-    context's replies, and each wave holds every distinct request of every
-    other prompt (``answer_wave``). Each entry is one dialog's turn sets, or
-    the error that sampling its contexts alone raises: the first failure in
-    context order, a context's state requests before its act/response
-    requests. A prompt's act/response requests go out only if some dialog
-    reaches it with no state-stage failure before, so a failed state request
-    still lets the act/response requests of the contexts before it run.
-    ``greedy_only`` draws only the greedy state and completion; otherwise
-    each prompt gets the greedy request and the ``k``-sample one. Replies are
-    parsed with ``ontology``'s domains and act verbs.
+    Prompts are ground-truth prefixes, so no request waits on another
+    turn's replies, and each wave holds every distinct request of every
+    other prompt (``answer_wave``). The result maps each key, in the same
+    order, to its dialog's turn sets, or the error that sampling its turns
+    alone raises: the first failure in turn order, a turn's state requests
+    before its act/response requests. A prompt's act/response requests go
+    out only if some dialog reaches it with no state-stage failure before,
+    so a failed state request still lets the act/response requests of the
+    turns before it run. ``greedy_only`` draws only the greedy state and
+    completion; otherwise each prompt gets the greedy request and the
+    ``k``-sample one. Replies are parsed with ``ontology``'s domains and act
+    verbs.
     """
     domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
     # The ``greedy`` flag of each request per prompt, greedy first.
     draws: tuple[bool, ...] = (True,) if greedy_only else (True, False)
-    if prompts is None:
-        prompts = [state_prompts(contexts) for contexts in dialogs]
     if known is None:
         known = {}
     state_requests = {
         prompt: generation_requests(prompt, "state", cfg, draws)
-        for prompt in dict.fromkeys(prompt for ps in prompts for prompt in ps)
+        for prompt in dict.fromkeys(prompt for ps in prompts.values() for prompt in ps)
         if prompt not in known
     }
     state_answers = answer_wave(backend, [r for rs in state_requests.values() for r in rs])
@@ -164,7 +162,7 @@ def sample_dialogs(
 
     # The act/response requests of every new prompt that some dialog reaches.
     turn_requests: dict[str, list[Request]] = {}
-    for dialog_prompts in prompts:
+    for dialog_prompts in prompts.values():
         for prompt in dialog_prompts:
             if prompt in known or prompt in turn_requests:
                 continue
@@ -196,35 +194,33 @@ def sample_dialogs(
             turn_set.append(turns)
         known[prompt] = turn_set
 
-    results: list[list[SampledTurnSet] | BackendError | IncompleteSamples] = []
-    for contexts, dialog_prompts in zip(dialogs, prompts):
-        turn_sets = []
-        for context, prompt in zip(contexts, dialog_prompts):
+    results: dict[str, list[SampledTurnSet] | BackendError | IncompleteSamples] = {}
+    for key, dialog_prompts in prompts.items():
+        turn_sets = results[key] = []
+        for t, prompt in enumerate(dialog_prompts):
             if prompt in known:
                 turn_sets.append(known[prompt])
                 continue
             states = states_of[prompt]
             if isinstance(states, BackendError):
-                results.append(states)
+                results[key] = states
             elif not states:
-                results.append(
-                    IncompleteSamples(
-                        f"no usable states for goal {context.goal_id} turn {context.turn_index}"
-                    )
-                )
+                results[key] = IncompleteSamples(f"no usable states for goal {key} turn {t}")
             else:
-                results.append(turn_errors[prompt])
+                results[key] = turn_errors[prompt]
             break
-        else:
-            results.append(turn_sets)
     return results
 
 
 def sample_turn(
     backend: GeneratorBackend, context: DialogContext, cfg: SamplingConfig, ontology: Ontology
 ) -> SampledTurnSet:
-    """Sample one turn: ``sample_dialogs`` for a single context; its failure is raised."""
-    [result] = sample_dialogs(backend, [[context]], cfg, ontology)
+    """Sample ``context``'s turn: ``sample_dialogs`` over its prefix's prompts; a failure is raised.
+
+    A failure names the goal and turn that sampling the whole dialog would.
+    """
+    prompts = {context.goal_id: state_prompts([*context.pairs, context])}
+    result = sample_dialogs(backend, prompts, cfg, ontology)[context.goal_id]
     if isinstance(result, PipelineError):
         raise result
-    return result[0]
+    return result[-1]

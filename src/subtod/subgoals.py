@@ -24,16 +24,14 @@ from .evaluate import (
 from .model import (
     Database,
     Dialog,
-    DialogContext,
     SubgoalKind,
     SystemTurn,
     Turn,
     UserGoal,
-    contexts_of,
     replace_turn,  # noqa: F401  unused here; bench/tracer.py patches it by name
 )
 from .sampling import SampledTurnSet
-from .verbalize import act_prompt_text, serialize_state_prompt, state_text, turn_text
+from .verbalize import act_prompt_text, state_prompts, state_text, turn_text
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class CandidateGroup:
 class SubgoalSample:
     """One success-critical fragment with every replacement that broke it."""
 
-    context: DialogContext
+    prompt: str  # the state prompt of ``dialog_id``'s turn ``turn``
     kind: SubgoalKind
     positive: SystemTurn
     negatives: tuple[SystemTurn, ...]
@@ -160,7 +158,7 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
         winners = [(d, evaluator.splices(d)) for d in group.successful()]
     samples: list[SubgoalSample] = []
     for winner, splices in sorted(winners, key=lambda pair: pair[0].id):
-        contexts = contexts_of(winner)
+        prompts = state_prompts(winner.turns)
         for t in range(len(winner.turns)):
             original = winner.turns[t].system
             for kind in (SubgoalKind.STATE, SubgoalKind.ACT_RESPONSE):
@@ -176,7 +174,7 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
                 if negatives:
                     samples.append(
                         SubgoalSample(
-                            context=contexts[t],
+                            prompt=prompts[t],
                             kind=kind,
                             positive=original,
                             negatives=tuple(negatives),
@@ -189,10 +187,9 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
 
 
 def _prompt(sample: SubgoalSample) -> str:
-    prompt = serialize_state_prompt(sample.context)
     if sample.kind is SubgoalKind.STATE:
-        return prompt
-    return act_prompt_text(prompt, sample.positive.state)
+        return sample.prompt
+    return act_prompt_text(sample.prompt, sample.positive.state)
 
 
 def _text(kind: SubgoalKind, fragment: SystemTurn) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .model import BeliefState, DialogAct, DialogContext
+from .model import BeliefState, DialogAct, DialogContext, Turn
 
 TOKEN_CONTEXT = "[C]"
 TOKEN_USER = "[U]"
@@ -59,30 +59,27 @@ def _spaced(*parts: str) -> str:
     return " ".join(filter(None, parts))
 
 
-def state_prompts(contexts: Iterable[DialogContext]) -> list[str]:
-    """Each context's state prompt: ``[C]``, the ``[U]``/``[R]`` history, the current ``[U]``.
+def state_prompts(turns: Iterable[Turn]) -> list[str]:
+    """Each turn's state prompt: ``[C]``, the ``[U]``/``[R]`` history before it, its ``[U]``.
 
-    The encoded history carries over from one context to the next while the
-    next's history extends it, so the contexts of one dialog in turn order
-    (``contexts_of``) are encoded in one walk of its turns.
+    One walk over one dialog's turns in order; a turn's prompt extends the
+    previous one by that turn's response and its own user utterance. Only
+    ``user`` is read from the last item, so a ``DialogContext`` may end the
+    sequence.
     """
-    prompts = []
-    history, encoded = TOKEN_CONTEXT, ()
-    for context in contexts:
-        pairs = context.pairs
-        if pairs[: len(encoded)] != encoded:
-            history, encoded = TOKEN_CONTEXT, ()
-        for pair in pairs[len(encoded) :]:
-            user, response = _clean(pair.user), _clean(pair.system.response)
-            history = _spaced(history, TOKEN_USER, user, TOKEN_RESPONSE, response)
-        encoded = pairs
-        prompts.append(_spaced(history, TOKEN_USER, _clean(context.user)))
+    prompts: list[str] = []
+    history = TOKEN_CONTEXT
+    for turn in turns:
+        if prompts:
+            history = _spaced(prompts[-1], TOKEN_RESPONSE, _clean(previous.system.response))
+        prompts.append(_spaced(history, TOKEN_USER, _clean(turn.user)))
+        previous = turn
     return prompts
 
 
 def serialize_state_prompt(context: DialogContext) -> str:
-    """The state prompt of one context: ``state_prompts`` of ``[context]``."""
-    return state_prompts([context])[0]
+    """The state prompt of one context: the last of ``state_prompts`` over its pairs and itself."""
+    return state_prompts([*context.pairs, context])[-1]
 
 
 def act_prompt_text(state_prompt: str, state: BeliefState) -> str:

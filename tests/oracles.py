@@ -11,7 +11,8 @@ that sampling sends for one prompt and draw, apart from
 ``subtod.backends.stable_seed``.
 
 The adapters at the bottom only convert package objects into the plain data
-the oracles consume; they contain no evaluation logic of their own.
+the oracles consume, or a dialog into its per-turn ``DialogContext``s
+(``contexts_of``); they contain no evaluation logic of their own.
 """
 
 from __future__ import annotations
@@ -210,6 +211,15 @@ def generation_request(prompt, stage, cfg, *, greedy):
 # ----------------------------------------------- package-object adapters
 
 from subtod.corpus import dialog_to_dict, goal_to_dict  # noqa: E402
+from subtod.model import DialogContext  # noqa: E402
+
+
+def contexts_of(dialog):
+    """One context per turn: the first t pairs plus turn t's user utterance."""
+    return [
+        DialogContext(goal_id=dialog.goal_id, pairs=dialog.turns[:t], user=turn.user)
+        for t, turn in enumerate(dialog.turns)
+    ]
 
 
 def plain_dialog(dialog):

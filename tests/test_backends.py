@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import generation_request
+from oracles import contexts_of, generation_request
 from subtod.backends import (
     ErrorInjectionConfig,
     ErrorKind,
@@ -32,7 +32,7 @@ from subtod.http_backend import (
     _parse_reply,
 )
 from subtod.iteration import IterationConfig, build_group, map_goals, run_iteration
-from subtod.model import contexts_of, normalize_value, placeholder
+from subtod.model import normalize_value, placeholder
 from subtod.sampling import SamplingConfig, answer_wave, sample_turn
 from subtod.synthetic import default_ontology
 from subtod.verbalize import (
@@ -56,7 +56,7 @@ def _norm_state(state):
 
 
 def _state_prompt(dialog, t):
-    return serialize_state_prompt(contexts_of(dialog)[t])
+    return state_prompts(dialog.turns)[t]
 
 
 def _act_prompt(dialog, t, state=None):
@@ -816,7 +816,7 @@ def test_a_wave_over_https_returns_the_scripted_answers(https_server, small_worl
     scripted = ScriptedBackend(small_world, seed=2)
     server.serve_backend(scripted)
     dialogs = small_world.dialogs + small_world.dev_dialogs
-    prompts = [p for dialog in dialogs for p in state_prompts(contexts_of(dialog))]
+    prompts = [p for dialog in dialogs for p in state_prompts(dialog.turns)]
     wave = [(p, 1 if greedy else 2, greedy, 1.0, 0, 256) for p in prompts for greedy in (True, False)]
     wave = list(dict.fromkeys(wave))[:100]
     assert len(wave) == 100
@@ -853,15 +853,15 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(
     dialog = small_world.dialogs[0]
     goal = small_world.goals[dialog.goal_id]
     cfg = SamplingConfig(k=2, seed=4)
-    context = contexts_of(dialog)[1]
+    prompt = _state_prompt(dialog, 1)
     greedy_state = parse_state(
-        scripted.generate(serialize_state_prompt(context), 1, greedy=True)[0],
+        scripted.generate(prompt, 1, greedy=True)[0],
         domains=DOMAINS,
     ).state
     # The first request of the turn's act/response wave fails at once, while
     # the rest of the wave is still held by the server.
     failing = generation_request(
-        act_prompt_text(serialize_state_prompt(context), greedy_state), "turn", cfg, greedy=True
+        act_prompt_text(prompt, greedy_state), "turn", cfg, greedy=True
     )
     healthy = _scripted_answer(scripted)
     held, seen = _held(healthy)
@@ -963,8 +963,8 @@ def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
     sampling = cfg.sampling()
     goals_of = {}
     for dialog in small_world.dialogs:
-        for context in contexts_of(dialog):
-            goals_of.setdefault(serialize_state_prompt(context), set()).add(dialog.goal_id)
+        for prompt in state_prompts(dialog.turns):
+            goals_of.setdefault(prompt, set()).add(dialog.goal_id)
     # A state prompt that two goals of the single block share; its greedy request fails.
     prompt = min(p for p, goals in goals_of.items() if len(goals) > 1)
     failing = generation_request(prompt, "state", sampling, greedy=True)

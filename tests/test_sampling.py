@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import contexts_of
 from subtod.errors import BackendError, IncompleteSamples
 from subtod.backends import DEFAULT_MAX_TOKENS, ErrorInjectionConfig, ScriptedBackend, stable_seed
-from subtod.model import DialogAct, DialogContext, SystemTurn, contexts_of
+from subtod.model import DialogAct, DialogContext, SystemTurn
 from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
 from subtod.synthetic import default_ontology
-from subtod.verbalize import split_act_prompt
+from subtod.verbalize import split_act_prompt, state_prompts
 
 STATE_NORTH = "[B] hotel area: north;"
 STATE_SOUTH = "[B] hotel area: south;"
@@ -39,7 +40,12 @@ class FakeBackend:
 
 
 def _context():
-    return DialogContext(goal_id="g", turn_index=0, pairs=(), user="hotel in the north?")
+    return DialogContext(goal_id="g", pairs=(), user="hotel in the north?")
+
+
+def _prompts(dialogs):
+    """``sample_dialogs``' input for ``dialogs``: each goal id's state prompts."""
+    return {dialog.goal_id: state_prompts(dialog.turns) for dialog in dialogs}
 
 
 def test_config_validates_its_knobs():
@@ -162,8 +168,9 @@ class RefusingBackend:
 def test_every_request_carries_the_stable_seed_of_its_prompt_and_tag(small_world, greedy_only):
     cfg = SamplingConfig(k=3, seed=5)
     recorder = RefusingBackend(ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3))
-    dialogs = [contexts_of(dialog) for dialog in small_world.dialogs]
-    sample_dialogs(recorder, dialogs, cfg, small_world.ontology, greedy_only=greedy_only)
+    prompts = _prompts(small_world.dialogs)
+    results = sample_dialogs(recorder, prompts, cfg, small_world.ontology, greedy_only=greedy_only)
+    assert list(results) == list(prompts)
     tags = {}
     for prompt, n, greedy, temperature, seed, max_tokens in recorder.calls:
         stage = "turn" if split_act_prompt(prompt)[1] else "state"
@@ -187,8 +194,8 @@ def block_world(small_world):
     """``small_world``, a noisy backend for it, and every request its dialogs' sampling makes."""
     scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
     recorder = RefusingBackend(scripted)
-    dialogs = [contexts_of(dialog) for dialog in small_world.dialogs]
-    sample_dialogs(recorder, dialogs, BLOCK_CFG, small_world.ontology)
+    dialogs = small_world.dialogs
+    sample_dialogs(recorder, _prompts(dialogs), BLOCK_CFG, small_world.ontology)
     return small_world, scripted, dialogs, sorted(set(recorder.calls))
 
 
@@ -198,12 +205,16 @@ def test_block_sampling_equals_sampling_one_request_at_a_time(block_world, data)
     world, scripted, dialogs, requests = block_world
     refused = data.draw(st.lists(st.sampled_from(requests), max_size=6, unique=True))
     backend = RefusingBackend(scripted, refused)
-    block = sample_dialogs(backend, dialogs, BLOCK_CFG, world.ontology)
+    block = sample_dialogs(backend, _prompts(dialogs), BLOCK_CFG, world.ontology)
     # One call per distinct request, however many dialogs share it.
     assert len(backend.calls) == len(set(backend.calls))
-    for contexts, result in zip(dialogs, block, strict=True):
+    assert list(block) == [dialog.goal_id for dialog in dialogs]
+    for dialog in dialogs:
+        result = block[dialog.goal_id]
         try:
-            expected = [sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts]
+            expected = [
+                sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts_of(dialog)
+            ]
         except (BackendError, IncompleteSamples) as exc:
             assert (type(result), str(result)) == (type(exc), str(exc))
         else:
@@ -218,17 +229,23 @@ def test_blocks_that_share_a_memo_equal_sampling_one_request_at_a_time(block_wor
     cuts = sorted(data.draw(st.lists(st.integers(0, len(dialogs)), min_size=1, max_size=3)))
     backend = RefusingBackend(scripted, refused)
     known = {}
-    results = []
+    results = {}
     for start, end in zip([0, *cuts], [*cuts, len(dialogs)]):
         sent = len(backend.calls)
-        block = dialogs[start:end]
-        results += sample_dialogs(backend, block, BLOCK_CFG, world.ontology, known=known)
+        block = _prompts(dialogs[start:end])
+        block_results = sample_dialogs(backend, block, BLOCK_CFG, world.ontology, known=known)
+        assert list(block_results) == list(block)
+        results.update(block_results)
         # One call per distinct request of the block; a failed one is sent again later.
         block_calls = backend.calls[sent:]
         assert len(block_calls) == len(set(block_calls))
-    for contexts, result in zip(dialogs, results, strict=True):
+    assert list(results) == [dialog.goal_id for dialog in dialogs]
+    for dialog in dialogs:
+        result = results[dialog.goal_id]
         try:
-            expected = [sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts]
+            expected = [
+                sample_turn(backend, c, BLOCK_CFG, world.ontology) for c in contexts_of(dialog)
+            ]
         except (BackendError, IncompleteSamples) as exc:
             assert (type(result), str(result)) == (type(exc), str(exc))
         else:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import contexts_of
 from oracles import detect as oracle_detect
 from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, plain_schemas, plain_tables
 from reference import dialog_success, outcomes
@@ -18,7 +19,6 @@ from subtod.model import (
     Database,
     Dialog,
     DialogAct,
-    DialogContext,
     DomainSchema,
     GoalEntry,
     Ontology,
@@ -26,7 +26,6 @@ from subtod.model import (
     SystemTurn,
     Turn,
     UserGoal,
-    contexts_of,
     placeholder,
     replace_turn,
 )
@@ -130,7 +129,7 @@ def test_detection_finds_the_three_planted_sites(db3, mixed_group):
         assert sample.dialog_id == "cand-w"
         assert sample.goal_id == "g-1"
         assert sample.positive == winner.turns[sample.turn].system
-        assert sample.context == contexts_of(winner)[sample.turn]
+        assert sample.prompt == serialize_state_prompt(contexts_of(winner)[sample.turn])
     assert samples[0].negatives[0].state == {"hotel": {
         "area": "south", "pricerange": "moderate", "internet": "yes"}}
     assert samples[1].negatives[0].response == "it is in the north of town."
@@ -243,10 +242,6 @@ def test_sft_records_for_the_mixed_group(db3, mixed_group):
 
 
 def test_sft_target_verbalizes_a_train_state():
-    context = DialogContext(
-        goal_id="g", turn_index=0, pairs=(),
-        user="i need a train from london liverpool street to cambridge.",
-    )
     positive = SystemTurn(
         state={"train": {"departure": "london liverpool street",
                          "destination": "cambridge"}},
@@ -254,7 +249,8 @@ def test_sft_target_verbalizes_a_train_state():
         response="",
     )
     sample = SubgoalSample(
-        context=context, kind=SubgoalKind.STATE, positive=positive, negatives=(),
+        prompt="[C] [U] i need a train from london liverpool street to cambridge.",
+        kind=SubgoalKind.STATE, positive=positive, negatives=(),
         goal_id="g", dialog_id="d", turn=0,
     )
     [record] = emit_sft([sample])
@@ -313,14 +309,22 @@ def test_dpo_builds_each_sample_prompt_once(db3, mixed_group, monkeypatch):
     assert all(len(sample.negatives) >= 2 for sample in samples)
     built = []
 
-    def counting_serialize(context):
-        built.append(context)
-        return serialize_state_prompt(context)
+    def counting_act_prompt(state_prompt, state):
+        built.append((state_prompt, state))
+        return act_prompt_text(state_prompt, state)
 
-    monkeypatch.setattr(subgoals, "serialize_state_prompt", counting_serialize)
+    monkeypatch.setattr(subgoals, "act_prompt_text", counting_act_prompt)
     records = emit_dpo(samples, PairPolicy.ALL, set())
     assert len(records) == sum(len(sample.negatives) for sample in samples)
-    assert built == [sample.context for sample in samples]
+    # One act/response prompt per act/response sample; a state sample's prompt is its own.
+    assert built == [
+        (sample.prompt, sample.positive.state)
+        for sample in samples
+        if sample.kind is SubgoalKind.ACT_RESPONSE
+    ]
+    assert {r["prompt"] for r in records if r["kind"] == "state"} == {
+        sample.prompt for sample in samples if sample.kind is SubgoalKind.STATE
+    }
 
 
 def test_emission_order_ignores_input_order(db3, mixed_group):

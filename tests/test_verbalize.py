@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtod.model import DialogAct, DialogContext, SystemTurn, Turn, contexts_of
+from subtod.model import DialogAct, DialogContext, SystemTurn, Turn
 from subtod.verbalize import (
     _parse_act_response,
     _parse_state,
@@ -80,7 +80,7 @@ LENIENT_ACT_STRINGS = (
 
 
 def _context(user, pairs=()):
-    return DialogContext(goal_id="g", turn_index=len(pairs), pairs=tuple(pairs), user=user)
+    return DialogContext(goal_id="g", pairs=tuple(pairs), user=user)
 
 
 def test_state_prompt_with_empty_history():
@@ -132,14 +132,18 @@ def _token_by_token(context):
     return " ".join(part for part in parts if part)
 
 
-def test_state_prompts_of_contexts_in_any_order_match_token_by_token_encoding(small_world):
+def test_state_prompts_of_each_dialog_match_token_by_token_encoding(small_world):
     silent = Turn(user="  Okay ", system=SystemTurn(state={}, acts=(), response=""))
-    dialogs = [*small_world.dialogs[:4], small_world.dialogs[0]]
-    contexts = [c for dialog in dialogs for c in contexts_of(dialog)]
-    contexts += [_context("", [silent]), _context("And  then?", [silent, silent])]
-    for order in (contexts, contexts[::-1], contexts[1::2] + contexts[::2]):
-        assert state_prompts(order) == [_token_by_token(c) for c in order]
-    assert [serialize_state_prompt(c) for c in contexts] == state_prompts(contexts)
+    mute = Turn(user="", system=silent.system)
+    then = Turn(user="And  then?", system=silent.system)
+    dialogs = [dialog.turns for dialog in small_world.dialogs[:4]]
+    # Empty user utterances and empty responses drop out of the prompt.
+    dialogs += [(silent, mute, then), (silent, silent, then), (mute,)]
+    for turns in dialogs:
+        contexts = [_context(turn.user, turns[:t]) for t, turn in enumerate(turns)]
+        expected = [_token_by_token(context) for context in contexts]
+        assert state_prompts(turns) == expected
+        assert [serialize_state_prompt(context) for context in contexts] == expected
 
 
 def _act_prompt(context, state):
