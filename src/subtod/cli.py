@@ -31,7 +31,7 @@ from .corpus import (
     read_json,
     save_corpus,
 )
-from .errors import BackendError, PipelineError
+from .errors import BackendError, CorpusError, PipelineError
 from .evaluate import evaluate_corpus
 from .iteration import (  # noqa: F401
     DetectEmit,
@@ -93,9 +93,26 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_splits(path: str, ids: set[str], corpus: Corpus) -> None:
+    """Raise ``CorpusError`` unless ``ids`` are the train split, the dev split or both, in full."""
+    train, dev = {d.id for d in corpus.dialogs}, {d.id for d in corpus.dev_dialogs}
+    if ids in (train, dev, train | dev):
+        return
+    split, expected = (("the train split", train) if ids <= train
+                       else ("the dev split", dev) if ids <= dev
+                       else ("the train and dev splits", train | dev))
+    stray, missing = sorted(ids - expected), sorted(expected - ids)
+    problem = (f"ids {', '.join(map(repr, stray[:3]))} are in neither split" if stray else
+               f"missing {len(missing)} of the {len(expected)} ids of {split}, first "
+               + ", ".join(map(repr, missing[:3])))
+    raise CorpusError(f"{path}: predictions must cover the train split, the dev split or both, "
+                      f"in full; {problem}")
+
+
 def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     predictions = load_predictions(args.predictions)
+    _check_splits(args.predictions, {d.id for d in predictions}, corpus)
     goals = {**corpus.goals, **corpus.dev_goals}
     references = {**corpus.references(), **corpus.dev_references()}
     report = evaluate_corpus(predictions, goals, corpus.database, references)
@@ -156,9 +173,12 @@ def cmd_detect(args) -> int:
     modes = [TrainMode.SFT, TrainMode.DPO] if args.mode == "both" else [TrainMode(args.mode)]
     with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
         stage = DetectEmit(corpus.database, staging, modes, PairPolicy(args.pair_policy))
-        for goal_id, dialogs, labels in read_candidates(handle, corpus.goals):
-            stage(CandidateGroup(goal_id=goal_id, goal=corpus.goals[goal_id],
-                                 candidates=dialogs, labels=labels))
+        for where, goal_id, dialogs, labels in read_candidates(handle, corpus):
+            try:
+                stage(CandidateGroup(goal_id=goal_id, goal=corpus.goals[goal_id],
+                                     candidates=dialogs, labels=labels))
+            except CorpusError as exc:  # a success label the evaluation refutes
+                raise CorpusError(f"{where}: {exc}") from None
     _print_json({"n_subgoal_samples": sum(stage.kind_counts.values()), "written": stage.written})
     return 0
 

@@ -381,9 +381,9 @@ def load_corpus(path: str | Path) -> Corpus:
 def load_predictions(path: str | Path) -> list[Dialog]:
     """Predicted dialogs: ``{"dialogs": [{"id", "goal_id"?, "turns"}]}``.
 
-    goal_id defaults to the dialog id, which matches a corpus dialog whose
-    inline goal (and reference responses) the prediction is scored against.
-    Ids must be unique: each repeat is reported with the first one's place.
+    A prediction is scored against the inline goal (and reference responses)
+    of the corpus dialog with its id, so a ``goal_id`` must equal the id. Ids
+    must be unique: each repeat is reported with the first one's place.
     """
     data = expect_type(read_json(path), dict, str(path))
     entries = expect_type(data.get("dialogs", MISSING), list, str(path), "dialogs")
@@ -396,6 +396,10 @@ def load_predictions(path: str | Path) -> list[Dialog]:
     ]
     if repeats:
         raise CorpusError("\n".join(repeats))
+    for i, d in enumerate(dialogs):
+        if d.goal_id != d.id:
+            raise CorpusError(f"{path}['dialogs'][{i}]: goal_id {d.goal_id!r} is not the "
+                              f"dialog's id {d.id!r}; a prediction is scored against its own goal")
     return dialogs
 
 
@@ -406,13 +410,17 @@ def candidates_record(goal_id: str, labeled: Iterable[tuple[Dialog, bool]]) -> d
 
 
 def read_candidates(
-    handle: TextIO, goals: Mapping[str, UserGoal]
-) -> Iterator[tuple[str, tuple[Dialog, ...], tuple[bool, ...]]]:
-    """``(goal_id, dialogs, labels)`` per line of the candidates file open as ``handle``.
+    handle: TextIO, corpus: Corpus
+) -> Iterator[tuple[str, str, tuple[Dialog, ...], tuple[bool, ...]]]:
+    """``(where, goal_id, dialogs, labels)`` per line of the candidates file open as ``handle``.
 
-    Goal ids must be ``goals`` keys in ascending order, as ``sample`` writes them;
-    a bad line raises ``CorpusError`` naming the file and the line.
+    ``where`` names the file and the line. Goal ids must be ``corpus`` goal
+    ids in ascending order, as ``sample`` writes them, and each candidate must
+    be a dialog of its line's goal with the user turns of the corpus dialog of
+    that goal; a bad line raises ``CorpusError`` naming the file and the line.
     """
+    goals = corpus.goals
+    sources = {d.goal_id: d.turns for d in corpus.dialogs}
     previous = None
     for number, line in enumerate(handle, 1):
         if not line.strip():
@@ -438,4 +446,16 @@ def read_candidates(
         dialogs = tuple(
             dialog_from_dict(c, f"{where}: candidates[{i}]") for i, c in enumerate(candidates)
         )
-        yield goal_id, dialogs, labels
+        source = sources[goal_id]
+        for i, dialog in enumerate(dialogs):
+            place = f"{where}: candidates[{i}]"
+            if dialog.goal_id != goal_id:
+                raise CorpusError(f"{place}: goal id {dialog.goal_id!r} is not the line's")
+            if len(dialog.turns) != len(source):
+                raise CorpusError(f"{place}: {len(dialog.turns)} turns, but the corpus dialog of "
+                                  f"goal {goal_id!r} has {len(source)}")
+            for t, (turn, gold) in enumerate(zip(dialog.turns, source)):
+                if turn.user != gold.user:
+                    raise CorpusError(f"{place}['turns'][{t}]['user']: not the user utterance of "
+                                      f"the corpus dialog of goal {goal_id!r}")
+        yield where, goal_id, dialogs, labels

@@ -209,162 +209,6 @@ class _Exchange:
         self.outcome: tuple | Exception | None = None
 
 
-class _Loop:
-    """The backend's open wave of POSTs, driven by one selector on the thread that opened it.
-
-    ``wave`` holds the wave's exchanges that no ``generate`` call has taken
-    yet, in wave order. ``waiting`` holds the POSTs without a connection, in
-    order; the dial threads share it under the backend's lock. ``running``
-    holds those in flight in the order they were sent, so the first is the
-    first to time out.
-    """
-
-    def __init__(self, backend: HttpBackend, wave: Sequence[tuple]):
-        self.backend = backend
-        self.selector = _Selector()
-        self.wave = deque(_Exchange(tuple(request)) for request in wave)
-        self.waiting: deque[_Exchange] = deque(self.wave)
-        self.running: dict[_Exchange, None] = {}
-        self.dials = 0  # dials started for this loop and not yet ended
-        self.thread = threading.get_ident()
-        # A socket pair that finished dials wake the loop through; made the
-        # first time the loop waits for one.
-        self.wake: tuple[socket.socket, socket.socket] | None = None
-
-    def take(self, request: tuple) -> _Exchange:
-        """The wave's next exchange if it is ``request``'s, else a new POST of ``request``."""
-        if self.wave and self.wave[0].request == request:
-            return self.wave.popleft()
-        return self.queue(_Exchange(request))
-
-    def queue(self, exchange: _Exchange) -> _Exchange:
-        """Put ``exchange`` first among the POSTs waiting for a connection."""
-        exchange.outcome = None
-        with self.backend._lock:
-            self.waiting.appendleft(exchange)
-        return exchange
-
-    def close(self) -> None:
-        """Drop the POSTs waiting for a connection and await those in flight."""
-        with self.backend._lock:
-            self.waiting.clear()
-            self.backend._waiter = None  # a run cut short by an error may have left it set
-        while self.running:
-            self.run(next(iter(self.running)))
-        self.selector.close()
-        for sock in self.wake or ():
-            sock.close()
-
-    def run(self, exchange: _Exchange) -> None:
-        """Drive the wave's POSTs until ``exchange`` has its outcome."""
-        while True:
-            self._send_waiting()
-            done = exchange.outcome is not None
-            events = []
-            if not done:
-                first = next(iter(self.running), None)
-                events = self.selector.select(
-                    None if first is None else max(0.0, first.deadline - time.monotonic())
-                )
-            if self.wake is not None:
-                with self.backend._lock:
-                    self.backend._waiter = None
-            if done:
-                return
-            for key, _ in events:
-                if key.data is None:
-                    key.fileobj.recv(64)
-                else:
-                    self._read(key.data)
-            now = time.monotonic()
-            while self.running and (first := next(iter(self.running))).deadline <= now:
-                self._finish(first, TimeoutError("backend reply timed out"))
-
-    def _send_waiting(self) -> None:
-        """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
-
-        Dials never take the open connections past ``max_in_flight``. While a
-        POST waits on a dial, or nothing is in flight, the loop's wake socket is
-        the backend's ``_waiter``, so a connection that comes back wakes it.
-        """
-        backend = self.backend
-        ready, dials = [], []
-        with backend._lock:
-            if backend._closed:
-                # A dial would only be closed on arrival, and its POST dial again.
-                for exchange in self.waiting:
-                    exchange.outcome = BackendError(
-                        f"backend {backend.url} is closed", prompt=exchange.request[0]
-                    )
-                self.waiting.clear()
-            while self.waiting and backend._idle:
-                conn = backend._idle.pop()
-                if _closed_by_peer(conn.sock):
-                    conn.close()
-                    backend._open -= 1
-                else:
-                    ready.append((self.waiting.popleft(), conn))
-            while (
-                len(self.waiting) > self.dials + len(dials)
-                and backend._open < backend._max_in_flight
-            ):
-                backend._open += 1
-                dials.append(backend._connect())
-            self.dials += len(dials)
-            if self.waiting and (self.dials or not self.running):
-                if self.wake is None:
-                    self.wake = socket.socketpair()
-                    self.selector.register(self.wake[0], selectors.EVENT_READ)
-                backend._waiter = self.wake[1]
-        for conn in dials:
-            threading.Thread(target=backend._dial, args=(conn, self), daemon=True).start()
-        for exchange, conn in ready:
-            self._send(exchange, conn)
-
-    def _send(self, exchange: _Exchange, conn: http.client.HTTPConnection) -> None:
-        exchange.conn, exchange.buf = conn, bytearray()
-        exchange.deadline = time.monotonic() + self.backend.timeout
-        self.running[exchange] = None
-        self.selector.register(conn.sock, selectors.EVENT_READ, exchange)
-        try:
-            # The send may wait up to the timeout for buffer room; reads never block.
-            conn.sock.settimeout(self.backend.timeout)
-            conn.sock.sendall(self.backend._encode(exchange.request))
-            conn.sock.settimeout(0)
-        except OSError as exc:
-            self._finish(exchange, exc)
-
-    def _read(self, exchange: _Exchange) -> None:
-        sock = exchange.conn.sock
-        try:
-            data = sock.recv(_RECV_BYTES)
-            # TLS may hold decrypted bytes that the selector cannot see.
-            while data and isinstance(sock, ssl.SSLSocket) and sock.pending():
-                data += sock.recv(_RECV_BYTES)
-            exchange.buf += data
-            reply = _parse_reply(exchange.buf, eof=not data)
-            if reply is None and not data:
-                raise _BadReply("reply ended early")
-        except (BlockingIOError, ssl.SSLWantReadError):
-            return  # a TLS record not yet whole
-        except (OSError, _BadReply, _OversizedReply) as exc:
-            self._finish(exchange, exc)
-            return
-        if reply is not None:
-            self._finish(exchange, reply)
-
-    def _finish(self, exchange: _Exchange, outcome: tuple | Exception) -> None:
-        """Give ``exchange`` its outcome; pool its connection if the reply left it reusable."""
-        conn = exchange.conn
-        del self.running[exchange]
-        self.selector.unregister(conn.sock)
-        if not (isinstance(outcome, tuple) and outcome[3]):
-            conn.close()
-        self.backend._give_back(conn)
-        exchange.conn = exchange.buf = None
-        exchange.outcome = outcome
-
-
 class HttpBackend:
     """Client for a remote completion service.
 
@@ -379,17 +223,19 @@ class HttpBackend:
     A backend serves one calling thread at a time: that thread drives its
     wave of POSTs (see ``prefetch``; a lone ``generate`` is a wave of one)
     with one selector loop, inside ``generate``, and a call from another
-    thread while the wave is open raises ``RuntimeError``. A POST is one
-    ``sendall`` on a keep-alive connection, and its reply must arrive within
-    ``timeout``. At most ``max_in_flight`` POSTs are in flight at once, each
-    on a connection from a pool that never holds more than that many, open
-    or being dialed. ``http.client`` only dials them, on short-lived
-    threads, which covers TLS and proxy tunnels. A POST with no
-    idle connection starts a dial and takes the first connection to come
-    free, so a slow dial delays no POST while another connection is free.
-    ``http_proxy``/``https_proxy``/``no_proxy`` are read once, here; HTTPS
-    verifies against the system's CA store. Once the client is closed, a
-    POST that has no connection yet fails at once, without a retry.
+    thread while the wave is open raises ``RuntimeError``. The backend holds
+    the open wave itself. A POST is one ``sendall`` on a keep-alive
+    connection, and its reply must arrive within ``timeout``. At most
+    ``max_in_flight`` POSTs are in flight at once, each on a connection from
+    a pool that never holds more than that many, open or being dialed.
+    ``http.client`` only dials them, on short-lived threads, which covers TLS
+    and proxy tunnels; a dial that ends is the only thing that wakes a
+    waiting wave. A POST with no idle connection starts a dial and takes the
+    first connection to come free, so a slow dial delays no POST while
+    another connection is free. ``http_proxy``/``https_proxy``/``no_proxy``
+    are read once, here; HTTPS verifies against the system's CA store. Once
+    the client is closed, a POST that has no connection yet fails at once,
+    without a retry.
     """
 
     def __init__(
@@ -420,10 +266,24 @@ class HttpBackend:
         self._idle: list[http.client.HTTPConnection] = []
         self._open = 0
         self._closed = False
-        # The open wave's loop, and its wake socket while it waits on a connection.
-        self._wave: _Loop | None = None
-        self._waiter: socket.socket | None = None
-        # Guards the pool, _waiter and the wave's ``waiting`` and ``dials`` against dial threads.
+        # The open wave, driven by one selector on the thread ``_owner``.
+        # ``_wave`` holds its exchanges that no ``generate`` call has taken
+        # yet, in wave order, and is None while no wave is open. ``_waiting``
+        # holds the POSTs without a connection, in order; each wave gets a new
+        # one, so a late dial thread can only fail or count against its own
+        # wave. ``_running`` holds the POSTs in flight in the order they were
+        # sent, so the first is the first to time out. ``_dials`` counts the
+        # dials started for the wave and not yet ended, and ``_wake`` is the
+        # socket pair that ending dials wake the wave through, made the first
+        # time its POSTs wait on a dial.
+        self._wave: deque[_Exchange] | None = None
+        self._owner = 0
+        self._waiting: deque[_Exchange] = deque()
+        self._running: dict[_Exchange, None] = {}
+        self._dials = 0
+        self._selector: selectors.BaseSelector | None = None
+        self._wake: tuple[socket.socket, socket.socket] | None = None
+        # Guards the pool, _waiting, _dials and _wake against dial threads.
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -456,16 +316,29 @@ class HttpBackend:
         """
         with self._lock:
             if self._wave is not None:
-                if self._wave.thread == threading.get_ident():
+                if self._owner == threading.get_ident():
                     raise RuntimeError("prefetch blocks do not nest")
                 raise RuntimeError(f"backend {self.url} is in use by another thread")
-            loop = self._wave = _Loop(self, wave)
+            self._wave = deque(_Exchange(tuple(request)) for request in wave)
+            self._waiting = deque(self._wave)
+            self._owner = threading.get_ident()
+            self._dials = 0
+        self._running = {}
+        self._selector = _Selector()
         try:
             yield
         finally:
             try:
-                loop.close()
+                with self._lock:
+                    self._waiting.clear()
+                while self._running:
+                    self._run(next(iter(self._running)))
             finally:
+                with self._lock:
+                    wake, self._wake = self._wake, None
+                for sock in wake or ():
+                    sock.close()
+                self._selector.close()
                 self._wave = None
 
     def generate(
@@ -479,24 +352,31 @@ class HttpBackend:
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
-        lone = getattr(self._wave, "thread", None) != threading.get_ident()
+        lone = self._wave is None or self._owner != threading.get_ident()
         with self.prefetch([request]) if lone else contextlib.nullcontext():
-            return self._completions(self._wave, request)
+            return self._completions(request)
 
     def _encode(self, request: tuple) -> bytes:
         """The request message of ``request``: the prebuilt head, the body's length, the body."""
         body = json.dumps(dict(zip(_REQUEST_FIELDS, request))).encode("utf-8")
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def _completions(self, loop: _Loop, request: tuple) -> list[str]:
-        """The completions in ``loop``'s reply to ``request``; transient failures post again."""
+    def _completions(self, request: tuple) -> list[str]:
+        """The completions in the reply to ``request``; transient failures post again.
+
+        The reply is that of the wave's next exchange if it is ``request``'s,
+        else that of a new POST of ``request``.
+        """
         prompt, n = request[:2]
-        exchange = loop.take(request)
+        if self._wave and self._wave[0].request == request:
+            exchange = self._wave.popleft()
+        else:
+            exchange = self._queue(_Exchange(request))
         attempts = 0
         delay = self.backoff
         while True:
             attempts += 1
-            loop.run(exchange)
+            self._run(exchange)
             try:
                 if isinstance(exchange.outcome, Exception):
                     raise exchange.outcome
@@ -543,13 +423,122 @@ class HttpBackend:
                     ) from exc
                 time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), self.timeout))
                 delay *= 2
-                loop.queue(exchange)
+                self._queue(exchange)
 
-    def _dial(self, conn: http.client.HTTPConnection, loop: _Loop) -> None:
-        """Open ``conn`` into the pool for ``loop``.
+    def _queue(self, exchange: _Exchange) -> _Exchange:
+        """Put ``exchange`` first among the wave's POSTs waiting for a connection."""
+        exchange.outcome = None
+        with self._lock:
+            self._waiting.appendleft(exchange)
+        return exchange
 
-        If the dial fails while a POST of ``loop`` waits and no connection is
-        idle, the first POST waiting fails with the dial's error.
+    def _run(self, exchange: _Exchange) -> None:
+        """Drive the wave's POSTs until ``exchange`` has its outcome."""
+        while True:
+            self._send_waiting()
+            if exchange.outcome is not None:
+                return
+            first = next(iter(self._running), None)
+            events = self._selector.select(
+                None if first is None else max(0.0, first.deadline - time.monotonic())
+            )
+            for key, _ in events:
+                if key.data is None:
+                    key.fileobj.recv(_RECV_BYTES)  # every wake-up byte so far
+                else:
+                    self._read(key.data)
+            now = time.monotonic()
+            while self._running and (first := next(iter(self._running))).deadline <= now:
+                self._finish(first, TimeoutError("backend reply timed out"))
+
+    def _send_waiting(self) -> None:
+        """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
+
+        Dials never take the open connections past ``max_in_flight``. While a
+        POST waits on one of the wave's dials, or nothing is in flight, the
+        wave has its wake socket pair, so a dial that ends wakes it.
+        """
+        ready, dials = [], []
+        with self._lock:
+            if self._closed:
+                # A dial would only be closed on arrival, and its POST dial again.
+                for exchange in self._waiting:
+                    exchange.outcome = BackendError(
+                        f"backend {self.url} is closed", prompt=exchange.request[0]
+                    )
+                self._waiting.clear()
+            while self._waiting and self._idle:
+                conn = self._idle.pop()
+                if _closed_by_peer(conn.sock):
+                    conn.close()
+                    self._open -= 1
+                else:
+                    ready.append((self._waiting.popleft(), conn))
+            while (
+                len(self._waiting) > self._dials + len(dials)
+                and self._open < self._max_in_flight
+            ):
+                self._open += 1
+                dials.append(self._connect())
+            self._dials += len(dials)
+            if self._wake is None and self._waiting and (self._dials or not self._running):
+                self._wake = socket.socketpair()
+                self._selector.register(self._wake[0], selectors.EVENT_READ)
+        for conn in dials:
+            threading.Thread(target=self._dial, args=(conn, self._waiting), daemon=True).start()
+        for exchange, conn in ready:
+            self._send(exchange, conn)
+
+    def _send(self, exchange: _Exchange, conn: http.client.HTTPConnection) -> None:
+        exchange.conn, exchange.buf = conn, bytearray()
+        exchange.deadline = time.monotonic() + self.timeout
+        self._running[exchange] = None
+        self._selector.register(conn.sock, selectors.EVENT_READ, exchange)
+        try:
+            # The send may wait up to the timeout for buffer room; reads never block.
+            conn.sock.settimeout(self.timeout)
+            conn.sock.sendall(self._encode(exchange.request))
+            conn.sock.settimeout(0)
+        except OSError as exc:
+            self._finish(exchange, exc)
+
+    def _read(self, exchange: _Exchange) -> None:
+        sock = exchange.conn.sock
+        try:
+            data = sock.recv(_RECV_BYTES)
+            # TLS may hold decrypted bytes that the selector cannot see.
+            while data and isinstance(sock, ssl.SSLSocket) and sock.pending():
+                data += sock.recv(_RECV_BYTES)
+            exchange.buf += data
+            reply = _parse_reply(exchange.buf, eof=not data)
+            if reply is None and not data:
+                raise _BadReply("reply ended early")
+        except (BlockingIOError, ssl.SSLWantReadError):
+            return  # a TLS record not yet whole
+        except (OSError, _BadReply, _OversizedReply) as exc:
+            self._finish(exchange, exc)
+            return
+        if reply is not None:
+            self._finish(exchange, reply)
+
+    def _finish(self, exchange: _Exchange, outcome: tuple | Exception) -> None:
+        """Give ``exchange`` its outcome; pool its connection if the reply left it reusable."""
+        conn = exchange.conn
+        del self._running[exchange]
+        self._selector.unregister(conn.sock)
+        if not (isinstance(outcome, tuple) and outcome[3]):
+            conn.close()
+        with self._lock:
+            self._give_back(conn)
+        exchange.conn = exchange.buf = None
+        exchange.outcome = outcome
+
+    def _dial(self, conn: http.client.HTTPConnection, waiting: deque[_Exchange]) -> None:
+        """Open ``conn`` into the pool for the wave whose POSTs wait in ``waiting``.
+
+        If the dial fails while a POST of that wave waits and no connection is
+        idle, the first POST waiting fails with the dial's error. Either way,
+        the dial wakes the open wave, if it has a wake socket pair.
         """
         error = None
         try:
@@ -559,19 +548,18 @@ class HttpBackend:
             conn.close()
             error = exc
         with self._lock:
-            loop.dials -= 1
-            if error is not None and loop.waiting and not self._idle:
-                loop.waiting.popleft().outcome = error
-        self._give_back(conn)
+            if waiting is self._waiting:
+                self._dials -= 1
+                if error is not None and waiting and not self._idle:
+                    waiting.popleft().outcome = error
+            self._give_back(conn)
+            if self._wake is not None:
+                self._wake[1].send(b"\0")
 
     def _give_back(self, conn: http.client.HTTPConnection) -> None:
-        """Pool ``conn``, or close it if it is closed or the backend is; wake the waiting wave."""
-        with self._lock:
-            if conn.sock is None or self._closed:
-                conn.close()
-                self._open -= 1
-            else:
-                self._idle.append(conn)
-            if self._waiter is not None:
-                self._waiter.send(b"\0")
-                self._waiter = None
+        """Pool ``conn``, or close it if it is closed or the backend is; the caller holds the lock."""
+        if conn.sock is None or self._closed:
+            conn.close()
+            self._open -= 1
+        else:
+            self._idle.append(conn)

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import IncompleteSamples
+from .errors import CorpusError, IncompleteSamples
 from .evaluate import (
     DialogSplices,
     SpliceEvaluator,
@@ -146,7 +146,9 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
     a sample is emitted when at least one flip occurred. Replacements are
     evaluated incrementally by ``SpliceEvaluator``, which agrees with
     ``dialog_success`` on the spliced dialog; a group that ``label_success``
-    labeled brings its evaluator's splices along.
+    labeled brings its evaluator's splices along. In a group without them, as
+    read from a candidates file, a successful label that the evaluation of
+    its dialog refutes raises ``CorpusError`` naming the candidate.
     """
     failed = sorted(group.unsuccessful(), key=lambda d: d.id)
     if not failed:
@@ -156,6 +158,11 @@ def detect_subgoals(group: CandidateGroup, db: Database) -> list[SubgoalSample]:
     else:
         evaluator = SpliceEvaluator(group.goal, db)
         winners = [(d, evaluator.splices(d)) for d in group.successful()]
+        for dialog, splices in winners:
+            if not splices.unspliced_success:
+                index = next(i for i, d in enumerate(group.candidates) if d is dialog)
+                raise CorpusError(f"candidates[{index}] {dialog.id!r} is labeled successful, "
+                                  "but fails the evaluation")
     samples: list[SubgoalSample] = []
     for winner, splices in sorted(winners, key=lambda pair: pair[0].id):
         prompts = state_prompts(winner.turns)

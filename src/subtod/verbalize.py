@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .model import BeliefState, DialogAct, DialogContext, Turn
+from .model import BeliefState, DialogAct, Turn
 
 TOKEN_CONTEXT = "[C]"
 TOKEN_USER = "[U]"
@@ -75,11 +75,6 @@ def state_prompts(turns: Iterable[Turn]) -> list[str]:
         prompts.append(_spaced(history, TOKEN_USER, _clean(turn.user)))
         previous = turn
     return prompts
-
-
-def serialize_state_prompt(context: DialogContext) -> str:
-    """The state prompt of one context: the last of ``state_prompts`` over its pairs and itself."""
-    return state_prompts([*context.pairs, context])[-1]
 
 
 def act_prompt_text(state_prompt: str, state: BeliefState) -> str:

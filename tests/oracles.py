@@ -11,8 +11,9 @@ that sampling sends for one prompt and draw, apart from
 ``subtod.backends.stable_seed``.
 
 The adapters at the bottom only convert package objects into the plain data
-the oracles consume, or a dialog into its per-turn ``DialogContext``s
-(``contexts_of``); they contain no evaluation logic of their own.
+the oracles consume, a dialog into its per-turn ``DialogContext``s
+(``contexts_of``), or one context into its state prompt
+(``serialize_state_prompt``); they contain no evaluation logic of their own.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ def generation_request(prompt, stage, cfg, *, greedy):
 
 from subtod.corpus import dialog_to_dict, goal_to_dict  # noqa: E402
 from subtod.model import DialogContext  # noqa: E402
+from subtod.verbalize import state_prompts  # noqa: E402
 
 
 def contexts_of(dialog):
@@ -220,6 +222,11 @@ def contexts_of(dialog):
         DialogContext(goal_id=dialog.goal_id, pairs=dialog.turns[:t], user=turn.user)
         for t, turn in enumerate(dialog.turns)
     ]
+
+
+def serialize_state_prompt(context):
+    """The state prompt of one context: the last of ``state_prompts`` over its pairs and itself."""
+    return state_prompts([*context.pairs, context])[-1]
 
 
 def plain_dialog(dialog):

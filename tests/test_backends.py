@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import contexts_of, generation_request
+from oracles import contexts_of, generation_request, serialize_state_prompt
 from subtod.backends import (
     ErrorInjectionConfig,
     ErrorKind,
@@ -39,7 +39,6 @@ from subtod.verbalize import (
     act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_state_prompt,
     state_prompts,
 )
 
@@ -716,6 +715,28 @@ def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_serv
         assert backend._idle == []
     finally:
         dial.released.set()
+
+
+def test_a_dial_an_earlier_wave_left_held_does_not_count_toward_the_next_waves_dials(
+    keep_alive_server,
+):
+    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+    # Wave 1 dials twice: the held dial, and one that serves both its POSTs.
+    dial = _wave_with_a_held_dial(keep_alive_server, backend, size=2)
+    try:
+        assert len(dial.connections) == 2
+        assert backend._idle == [dial.connections[1]]
+        # Each reply is held, so no POST of wave 2 can reuse another's connection.
+        responder, _ = _held(lambda payload: (200, {"completions": ["stub"]}), 0.2)
+        keep_alive_server.respond_with(responder)
+        wave = [(f"again {i}", 1, True, 1.0, i, 256) for i in range(3)]
+        assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
+        # One POST takes the pooled connection, and each of the other two
+        # dials anew: the held dial is wave 1's, not wave 2's.
+        assert len(dial.connections) == 4
+    finally:
+        dial.released.set()
+        backend.close()
 
 
 def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_server):

@@ -110,6 +110,45 @@ def test_evaluate_rejects_a_repeated_predictions_id_with_both_places(corpus10, t
     ]
 
 
+def test_evaluate_rejects_a_prediction_scored_against_another_dialogs_goal(
+    corpus10, tmp_path, capsys
+):
+    corpus, path = corpus10
+    entries = [dialog_to_dict(d) for d in corpus.dialogs]
+    entries[1]["goal_id"] = entries[0]["id"]
+    predictions = tmp_path / "pred.json"
+    predictions.write_text(json.dumps({"dialogs": entries}))
+    capsys.readouterr()
+    assert main(["evaluate", "--corpus", path, "--predictions", str(predictions)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictions}['dialogs'][1]: goal_id {entries[0]['id']!r} ")
+    assert repr(entries[1]["id"]) in err
+
+
+def test_evaluate_scores_only_whole_splits(corpus10, tmp_path, capsys):
+    corpus, path = corpus10
+    train = [dialog_to_dict(d) for d in corpus.dialogs]
+    dev = [dialog_to_dict(d) for d in corpus.dev_dialogs]
+    predictions = tmp_path / "pred.json"
+    for dialogs in (dev, train + dev):
+        predictions.write_text(json.dumps({"dialogs": dialogs}))
+        assert main(["evaluate", "--corpus", path, "--predictions", str(predictions)]) == 0
+        assert _stdout_json(capsys)["n_dialogs"] == len(dialogs)
+    # Leaving dialogs out would raise the rates over the dialogs left.
+    for dialogs, missing, left_out in (
+        (train[2:], "2 of the 10 ids of the train split", train[:2]),
+        (dev[1:], "1 of the 2 ids of the dev split", dev[:1]),
+        (train[:3] + dev, "7 of the 12 ids of the train and dev splits", train[3:6]),
+    ):
+        predictions.write_text(json.dumps({"dialogs": dialogs}))
+        assert main(["evaluate", "--corpus", path, "--predictions", str(predictions)]) == 2
+        first = ", ".join(repr(d["id"]) for d in left_out)
+        assert capsys.readouterr().err == (
+            f"error: {predictions}: predictions must cover the train split, the dev split or "
+            f"both, in full; missing {missing}, first {first}\n"
+        )
+
+
 def test_evaluate_per_domain_table(corpus10, tmp_path, capsys):
     corpus, path = corpus10
     predictions = tmp_path / "pred.json"
@@ -263,6 +302,78 @@ def test_detect_rejects_success_labels_that_are_not_booleans(corpus10, tmp_path,
     assert err == (f"error: {bad_file} line 2: candidates[0]['success']: "
                    'expected true or false, got "false"\n')
     assert not (out / "sft.jsonl").exists()
+
+
+def _edited_candidates(corpus10, tmp_path, capsys, edit):
+    """Run ``detect`` on ``sample``'s candidates for ``corpus10`` with one line edited.
+
+    ``edit(entry)`` edits a parsed line in place and returns the index of the
+    candidate it edited, or ``None`` to leave the line and edit the next. The
+    run must exit 2 and write no output. Returns stderr, the edited line's
+    place, the candidate's index and the edited line.
+    """
+    candidates, detect, out = _staged_candidates(corpus10, tmp_path)
+    capsys.readouterr()
+    lines = candidates.read_text(encoding="utf-8").splitlines(keepends=True)
+    for number, line in enumerate(lines, 1):
+        entry = json.loads(line)
+        index = edit(entry)
+        if index is not None:
+            break
+    lines[number - 1] = json.dumps(entry) + "\n"
+    bad_file = tmp_path / "edited.jsonl"
+    bad_file.write_text("".join(lines), encoding="utf-8")
+    assert main([*detect, "--candidates", str(bad_file)]) == 2
+    assert not (out / "sft.jsonl").exists()
+    return capsys.readouterr().err, f"error: {bad_file} line {number}", index, entry
+
+
+def test_detect_rejects_a_success_label_that_the_evaluation_refutes(corpus10, tmp_path, capsys):
+    def relabel(entry):
+        labels = [c["success"] for c in entry["candidates"]]
+        if labels.count(False) < 2:  # keep a failing candidate, so that detection runs
+            return None
+        entry["candidates"][labels.index(False)]["success"] = True
+        return labels.index(False)
+
+    err, place, index, entry = _edited_candidates(corpus10, tmp_path, capsys, relabel)
+    candidate_id = entry["candidates"][index]["id"]
+    assert err == (f"{place}: candidates[{index}] {candidate_id!r} is labeled successful, "
+                   "but fails the evaluation\n")
+
+
+def test_detect_rejects_a_candidate_of_another_goal(corpus10, tmp_path, capsys):
+    def regoal(entry):
+        entry["candidates"][1]["goal_id"] = "dlg-99999"
+        return 1
+
+    err, place, _, _ = _edited_candidates(corpus10, tmp_path, capsys, regoal)
+    assert err == f"{place}: candidates[1]: goal id 'dlg-99999' is not the line's\n"
+
+
+def test_detect_rejects_a_candidate_whose_turn_count_differs_from_the_corpus(
+    corpus10, tmp_path, capsys
+):
+    def shorten(entry):
+        del entry["candidates"][2]["turns"][-1]
+        return 2
+
+    err, place, _, entry = _edited_candidates(corpus10, tmp_path, capsys, shorten)
+    turns = len(entry["candidates"][2]["turns"])
+    assert err == (f"{place}: candidates[2]: {turns} turns, but the corpus dialog of goal "
+                   f"{entry['goal_id']!r} has {turns + 1}\n")
+
+
+def test_detect_rejects_a_candidate_whose_user_turn_differs_from_the_corpus(
+    corpus10, tmp_path, capsys
+):
+    def reword(entry):
+        entry["candidates"][0]["turns"][1]["user"] = "i need a taxi to the moon"
+        return 0
+
+    err, place, _, entry = _edited_candidates(corpus10, tmp_path, capsys, reword)
+    assert err == (f"{place}: candidates[0]['turns'][1]['user']: not the user utterance of the "
+                   f"corpus dialog of goal {entry['goal_id']!r}\n")
 
 
 @pytest.mark.parametrize(

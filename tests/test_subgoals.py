@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contexts_of
+from oracles import contexts_of, serialize_state_prompt
 from oracles import detect as oracle_detect
 from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, plain_schemas, plain_tables
 from reference import dialog_success, outcomes
@@ -40,7 +40,7 @@ from subtod.subgoals import (
     emit_sft,
     label_success,
 )
-from subtod.verbalize import act_prompt_text, serialize_state_prompt
+from subtod.verbalize import act_prompt_text
 
 
 def test_assemble_builds_k_squared_plus_one_candidates(small_world):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_state_prompt
 from subtod.model import DialogAct, DialogContext, SystemTurn, Turn
 from subtod.verbalize import (
     _parse_act_response,
@@ -13,7 +14,6 @@ from subtod.verbalize import (
     act_prompt_text,
     parse_act_response,
     parse_state,
-    serialize_state_prompt,
     state_prompts,
     state_text,
     turn_text,
