@@ -4,8 +4,9 @@ Subcommands: ``synth`` writes a synthetic corpus, ``evaluate`` scores a
 predictions file, ``sample`` generates and labels candidate dialogs,
 ``detect`` turns labeled candidates into training records, ``iterate`` runs
 the full per-iteration pipeline, and ``stats`` renders report files as a
-table. Exit codes: 0 on success, 2 on input or validation problems, 3 when
-the generation backend is unreachable.
+table. Exit codes: 0 on success, 2 on input or validation problems, 3 on a
+backend failure, including a run whose every goal was skipped; any other
+exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ def cmd_sample(args) -> int:
         }
     )
     if not labels and skipped:
-        print(f"error: backend failure: every goal was skipped: {skipped[0][1]}", file=sys.stderr)
-        return 3
+        raise BackendError(f"every goal was skipped: {skipped[0][1]}")
     return 0
 
 
@@ -192,9 +192,7 @@ def cmd_iterate(args) -> int:
         report = run_iteration(corpus, cfg, backend)
     _print_json(report.to_dict())
     if report.n_goals_sampled == 0 and report.skipped:
-        print(f"error: backend failure: every goal was skipped: {report.skipped[0][1]}",
-              file=sys.stderr)
-        return 3
+        raise BackendError(f"every goal was skipped: {report.skipped[0][1]}")
     return 0
 
 
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"error: backend failure: {exc}", file=sys.stderr)
         return 3
-    except (PipelineError, ValueError, OSError, KeyError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

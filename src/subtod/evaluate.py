@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import LengthMismatch, MissingGoal
+from .errors import CorpusError
 from .model import (
     BeliefState,
     Database,
@@ -226,7 +226,7 @@ def corpus_bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     the numerator with a small epsilon instead of zeroing the whole score.
     """
     if len(hypotheses) != len(references):
-        raise LengthMismatch(
+        raise ValueError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
     totals = [0] * BLEU_ORDER
@@ -279,17 +279,17 @@ def evaluate_corpus(
     refs: list[str] = []
     for dialog in ordered:
         if dialog.goal_id not in goals:
-            raise MissingGoal(f"goal {dialog.goal_id!r} for dialog {dialog.id!r} not found")
+            raise CorpusError(f"goal {dialog.goal_id!r} for dialog {dialog.id!r} not found")
         outcomes = SpliceEvaluator(goals[dialog.goal_id], db).splices(dialog).outcomes
         inform_hits += all(inform for _, inform, _ in outcomes)
         success_hits += all(success for _, _, success in outcomes)
         for domain, inform, success in outcomes:
             by_domain.setdefault(domain, []).append((inform, success))
         if dialog.id not in references:
-            raise MissingGoal(f"no reference dialog for id {dialog.id!r}")
+            raise CorpusError(f"no reference dialog for id {dialog.id!r}")
         ref_turns = references[dialog.id]
         if len(ref_turns) != len(dialog.turns):
-            raise LengthMismatch(
+            raise CorpusError(
                 f"dialog {dialog.id!r}: {len(dialog.turns)} turns vs "
                 f"{len(ref_turns)} references"
             )

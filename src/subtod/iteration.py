@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import GeneratorBackend, stable_seed
 from .corpus import Corpus, expect_type
-from .errors import BackendError, CorpusError, IncompleteSamples, PipelineError
+from .errors import BackendError, CorpusError
 from .evaluate import evaluate_corpus
 from .model import (
     Database,
@@ -184,7 +184,7 @@ def predict_greedy(
     skipped = []
     for source in sources:
         turn_sets = results[source.id]
-        if isinstance(turn_sets, PipelineError):
+        if isinstance(turn_sets, BackendError):
             skipped.append((source.id, str(turn_sets)))
             continue
         turns = tuple(
@@ -246,7 +246,7 @@ def build_group(
     """Sample every turn of one ground-truth dialog and label its candidates."""
     prompts = {source.goal_id: state_prompts(source.turns)}
     turn_sets = sample_dialogs(backend, prompts, sampling, db.ontology)[source.goal_id]
-    if isinstance(turn_sets, PipelineError):
+    if isinstance(turn_sets, BackendError):
         raise turn_sets
     return label_candidates(source, goal, turn_sets, k, db)
 
@@ -262,7 +262,7 @@ def map_goals(goal_ids: Sequence[str], fn, workers: int = 1) -> tuple[dict, list
     for goal_id in goal_ids:
         try:
             results[goal_id] = fn(goal_id)
-        except (BackendError, IncompleteSamples) as exc:
+        except BackendError as exc:
             skipped.append((goal_id, str(exc)))
     skipped.sort()
     return results, skipped
@@ -307,7 +307,7 @@ def process_goals(
 
         def process(goal_id: str) -> tuple[bool, ...]:
             turn_sets = sampled.pop(goal_id)
-            if isinstance(turn_sets, PipelineError):
+            if isinstance(turn_sets, BackendError):
                 raise turn_sets
             group = label_candidates(
                 dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database

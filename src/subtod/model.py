@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import UnknownDomain, UnknownSlot
+from .errors import CorpusError
 
 # domain -> slot -> value
 BeliefState = dict[str, dict[str, str]]
@@ -66,7 +66,7 @@ class Ontology:
         try:
             return self.domains[domain]
         except KeyError:
-            raise UnknownDomain(f"domain {domain!r} is not in the ontology") from None
+            raise CorpusError(f"domain {domain!r} is not in the ontology") from None
 
     def domain_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.domains))
@@ -148,10 +148,10 @@ def query(db: Database, domain: str, constraints: Mapping[str, str]) -> list[Ent
     """
     schema = db.ontology.schema(domain)
     if not schema.entity_bearing:
-        raise UnknownDomain(f"domain {domain!r} is not entity-bearing")
+        raise CorpusError(f"domain {domain!r} is not entity-bearing")
     for slot in constraints:
         if slot not in schema.informable:
-            raise UnknownSlot(f"slot {slot!r} is not informable for domain {domain!r}")
+            raise CorpusError(f"slot {slot!r} is not informable for domain {domain!r}")
     table = db.tables.get(domain, ())
     wanted = {
         slot: normalize_value(value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seeds
-from .errors import BackendError, IncompleteSamples, PipelineError
+from .errors import BackendError
 from .model import BeliefState, DialogContext, Ontology, SystemTurn
 from .verbalize import (
     act_prompt_text,
@@ -111,7 +111,7 @@ def sample_dialogs(
     *,
     known: dict[str, SampledTurnSet] | None = None,
     greedy_only: bool = False,
-) -> dict[str, list[SampledTurnSet] | BackendError | IncompleteSamples]:
+) -> dict[str, list[SampledTurnSet] | BackendError]:
     """Sample several dialogs' turns in two waves: all states, then every distinct state's acts.
 
     ``prompts`` maps each dialog's key, its goal id (a corpus dialog's id),
@@ -194,7 +194,7 @@ def sample_dialogs(
             turn_set.append(turns)
         known[prompt] = turn_set
 
-    results: dict[str, list[SampledTurnSet] | BackendError | IncompleteSamples] = {}
+    results: dict[str, list[SampledTurnSet] | BackendError] = {}
     for key, dialog_prompts in prompts.items():
         turn_sets = results[key] = []
         for t, prompt in enumerate(dialog_prompts):
@@ -205,7 +205,7 @@ def sample_dialogs(
             if isinstance(states, BackendError):
                 results[key] = states
             elif not states:
-                results[key] = IncompleteSamples(f"no usable states for goal {key} turn {t}")
+                results[key] = BackendError(f"no usable states for goal {key} turn {t}")
             else:
                 results[key] = turn_errors[prompt]
             break
@@ -221,6 +221,6 @@ def sample_turn(
     """
     prompts = {context.goal_id: state_prompts([*context.pairs, context])}
     result = sample_dialogs(backend, prompts, cfg, ontology)[context.goal_id]
-    if isinstance(result, PipelineError):
+    if isinstance(result, BackendError):
         raise result
     return result[-1]

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import CorpusError, IncompleteSamples
+from .errors import CorpusError
 from .evaluate import (
     DialogSplices,
     SpliceEvaluator,
@@ -91,7 +91,7 @@ def assemble_candidates(
     dialog always comes first.
     """
     if len(samples) != len(source.turns):
-        raise IncompleteSamples(
+        raise ValueError(
             f"dialog {source.id!r}: {len(source.turns)} turns but "
             f"{len(samples)} turn sample sets"
         )

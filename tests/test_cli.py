@@ -745,12 +745,30 @@ def test_unreachable_backend_exits_3(corpus1, tmp_path, capsys, monkeypatch):
         "iterate", "--corpus", corpus1, "--out", str(tmp_path / "a"),
         "--backend", "http", "--url", url, "--goal-fraction", "1.0",
     ]) == 3
-    assert "backend" in capsys.readouterr().err.lower()
+    out, err = capsys.readouterr()
+    assert "backend" in err.lower()
+    # The report still reaches stdout and the output directory.
+    report = json.loads(out)
+    assert json.loads((tmp_path / "a" / "report.json").read_text()) == report
+    assert err == f"error: backend failure: every goal was skipped: {report['skipped'][0][1]}\n"
 
     assert main([
         "sample", "--corpus", corpus1, "--out", str(tmp_path / "b"),
         "--backend", "http", "--url", url, "--goal-fraction", "1.0",
     ]) == 3
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert (tmp_path / "b" / "candidates.jsonl").read_bytes() == b""
+    assert err == f"error: backend failure: every goal was skipped: {summary['skipped'][0][1]}\n"
+
+
+def test_a_key_error_is_a_bug_not_bad_input(corpus1, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr("subtod.cli.run_iteration", broken)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["iterate", "--corpus", corpus1, "--out", str(tmp_path)])
 
 
 def test_stats_renders_sorted_fixed_width_rows(corpus10, tmp_path, capsys):

@@ -10,7 +10,7 @@ from oracles import inform_success as oracle_inform_success
 from oracles import plain_dialog, plain_goal, plain_schemas, plain_tables
 from oracles import tokenize as oracle_tokenize
 from reference import NotInGoal, domain_outcome, outcomes
-from subtod.errors import LengthMismatch, MissingGoal
+from subtod.errors import CorpusError
 from subtod.evaluate import (
     DOMAIN_COLUMN_ORDER,
     SpliceEvaluator,
@@ -253,7 +253,7 @@ def test_bleu_two_sentence_fixture_matches_the_frozen_oracle_value():
 
 
 def test_bleu_rejects_mismatched_corpora():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError):
         corpus_bleu(["a"], [])
 
 
@@ -349,9 +349,9 @@ def test_evaluate_corpus_orders_domain_columns(small_world):
 
 def test_evaluate_corpus_reports_missing_pieces(db3, hotel_goal, hotel_dialog):
     references = {hotel_dialog.id: [t.system.response for t in hotel_dialog.turns]}
-    with pytest.raises(MissingGoal):
+    with pytest.raises(CorpusError):
         evaluate_corpus([hotel_dialog], {}, db3, references)
-    with pytest.raises(MissingGoal):
+    with pytest.raises(CorpusError):
         evaluate_corpus([hotel_dialog], {"h-1": hotel_goal}, db3, {})
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorpusError):
         evaluate_corpus([hotel_dialog], {"h-1": hotel_goal}, db3, {"h-1": ["one"]})

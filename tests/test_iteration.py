@@ -126,6 +126,27 @@ def test_map_goals_propagates_programming_errors():
             map_goals(["g-0"], fn, workers)
 
 
+def test_a_turn_set_count_mismatch_stops_the_run(small_world, tmp_path, monkeypatch):
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=5, out_dir=tmp_path)
+    run_iteration(small_world, cfg, ScriptedBackend(small_world))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    # One goal gets one turn set too few: a caller bug, not a skipped goal.
+    short_goal = sorted(small_world.goals)[0]
+    sample_dialogs = iteration.sample_dialogs
+
+    def one_turn_set_short(*args, **kwargs):
+        results = sample_dialogs(*args, **kwargs)
+        if short_goal in results:
+            results[short_goal] = results[short_goal][:-1]
+        return results
+
+    monkeypatch.setattr(iteration, "sample_dialogs", one_turn_set_short)
+    with pytest.raises(ValueError, match="turn sample sets"):
+        run_iteration(small_world, cfg, ScriptedBackend(small_world))
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_predict_greedy_reproduces_the_ground_truth(small_world):
     backend = ScriptedBackend(small_world)
     dialogs = list(small_world.dialogs[4:7])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import contexts_of, plain_tables, query as oracle_query
-from subtod.errors import UnknownDomain, UnknownSlot
+from subtod.errors import CorpusError
 from subtod.model import (
     SubgoalKind,
     normalize_value,
@@ -49,11 +49,11 @@ def test_query_normalizes_case_and_whitespace(db3):
 
 
 def test_query_rejects_unknown_domain_and_slot(db3):
-    with pytest.raises(UnknownDomain):
+    with pytest.raises(CorpusError):
         query(db3, "spa", {})
-    with pytest.raises(UnknownDomain):
+    with pytest.raises(CorpusError):
         query(db3, "taxi", {})  # no entity table to search
-    with pytest.raises(UnknownSlot):
+    with pytest.raises(CorpusError):
         query(db3, "hotel", {"parking": "yes"})
 
 

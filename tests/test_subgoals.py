@@ -13,7 +13,6 @@ from oracles import detect_flip_set, detect_flips, plain_dialog, plain_goal, pla
 from reference import dialog_success, outcomes
 from subtod import subgoals
 from subtod.backends import ScriptedBackend
-from subtod.errors import IncompleteSamples
 from subtod.evaluate import SpliceEvaluator
 from subtod.model import (
     Database,
@@ -98,7 +97,7 @@ def test_assemble_clamps_to_whatever_survived_dedup():
 
 def test_assemble_requires_samples_for_every_turn(small_world):
     dialog = small_world.dialogs[0]
-    with pytest.raises(IncompleteSamples, match="turn sample sets"):
+    with pytest.raises(ValueError, match="turn sample sets"):
         assemble_candidates(dialog, [], 2)
 
 
