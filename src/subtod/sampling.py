@@ -3,6 +3,9 @@
 For each distinct dialog context, that is each distinct state prompt, draw a
 greedy belief state plus ``k`` sampled ones, then for every distinct
 surviving state draw a greedy act/response completion plus ``k`` sampled ones.
+Once a prompt has two or more distinct states, the greedy state gets only
+its greedy completion: candidates read the greedy state only in the
+all-greedy dialog, with its greedy completion (``assemble_candidates``).
 Duplicates are removed early (keeping the first occurrence, so the greedy
 variant survives any tie) because identical fragments can only produce
 identical downstream dialogs. The requests of each stage, across all dialogs
@@ -13,6 +16,7 @@ backend that can prefetch sends concurrently.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,8 +40,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 # The arguments of one ``generate`` call: (prompt, n, greedy, temperature, seed, max_tokens).
@@ -46,7 +50,8 @@ Request = tuple[str, int, bool, float, int, int]
 
 # Deduplicated generations for one turn: per distinct state (greedy first),
 # the distinct system turns sampled for it (greedy first), all sharing that
-# state. Distinct indices are distinct fragments.
+# state. When there are several states, slot 0 holds just the greedy turn.
+# Distinct indices are distinct fragments.
 SampledTurnSet = list[list[SystemTurn]]
 
 
@@ -160,8 +165,10 @@ def sample_dialogs(
             if state not in states:
                 states.append(state)
 
-    # The act/response requests of every new prompt that some dialog reaches.
-    turn_requests: dict[str, list[Request]] = {}
+    # The act/response requests of every new prompt that some dialog reaches,
+    # per distinct state. Once a prompt has two distinct states, candidates
+    # read only the greedy turn of the greedy state, so it gets only that draw.
+    turn_requests: dict[str, list[list[Request]]] = {}
     for dialog_prompts in prompts.values():
         for prompt in dialog_prompts:
             if prompt in known or prompt in turn_requests:
@@ -169,24 +176,28 @@ def sample_dialogs(
             states = states_of[prompt]
             if isinstance(states, BackendError) or not states:
                 break
+            greedy_state_draws = draws if len(states) == 1 else draws[:1]
             turn_requests[prompt] = [
-                request
-                for state in states
-                for request in generation_requests(act_prompt_text(prompt, state), "turn", cfg, draws)
+                generation_requests(
+                    act_prompt_text(prompt, state), "turn", cfg, draws if i else greedy_state_draws
+                )
+                for i, state in enumerate(states)
             ]
-    turn_answers = answer_wave(backend, [r for rs in turn_requests.values() for r in rs])
+    turn_answers = answer_wave(
+        backend, [r for per_state in turn_requests.values() for rs in per_state for r in rs]
+    )
 
     turn_errors: dict[str, BackendError] = {}
-    for prompt, requests in turn_requests.items():
-        turn_replies, error = _replies_until_failure(turn_answers, requests)
+    for prompt, per_state in turn_requests.items():
+        turn_replies, error = _replies_until_failure(turn_answers, [r for rs in per_state for r in rs])
         if error is not None:
             turn_errors[prompt] = error
             continue
         replies = iter(turn_replies)
         turn_set: SampledTurnSet = []
-        for state in states_of[prompt]:
+        for state, requests in zip(states_of[prompt], per_state):
             turns: list[SystemTurn] = []
-            for raw in (raw for _ in draws for raw in next(replies)):
+            for raw in (raw for _ in requests for raw in next(replies)):
                 parsed = parse_act_response(raw, domains=domains, verbs=verbs)
                 turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
                 if turn not in turns:

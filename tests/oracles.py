@@ -8,7 +8,8 @@ implementations rarely share a bug, so agreement is evidence of correctness.
 
 ``generation_request`` spells out, with ``hashlib``, the request and seed
 that sampling sends for one prompt and draw, apart from
-``subtod.backends.stable_seed``.
+``subtod.backends.stable_seed``. ``sampled_turn_set`` samples one prompt by
+sending every draw, one request at a time, with none left out.
 
 The adapters at the bottom only convert package objects into the plain data
 the oracles consume, a dialog into its per-turn ``DialogContext``s
@@ -207,6 +208,48 @@ def generation_request(prompt, stage, cfg, *, greedy):
     digest = hashlib.sha256(f"{cfg.seed}:{prompt}:{tag}".encode("utf-8")).digest()
     seed = int.from_bytes(digest[:8], "big")
     return (prompt, 1 if greedy else cfg.k, greedy, cfg.temperature, seed, 256)
+
+
+# ---------------------------------------------------------------- sampling
+
+from subtod.model import SystemTurn  # noqa: E402
+from subtod.verbalize import act_prompt_text, parse_act_response, parse_state  # noqa: E402
+
+
+def _draw_replies(backend, prompt, stage, cfg):
+    """The replies to ``prompt``'s greedy request, then to its ``k``-sample one."""
+    replies = []
+    for greedy in (True, False):
+        _, n, _, temperature, seed, max_tokens = generation_request(prompt, stage, cfg, greedy=greedy)
+        replies += backend.generate(
+            prompt, n, greedy=greedy, temperature=temperature, seed=seed, max_tokens=max_tokens
+        )
+    return replies
+
+
+def sampled_turn_set(backend, prompt, cfg, ontology):
+    """One state prompt's turn set from every draw: per distinct state, its distinct turns.
+
+    The greedy and ``k``-sample state requests give the distinct states, and
+    each distinct state's greedy and ``k``-sample act/response requests give
+    its distinct system turns; each list keeps first occurrences, greedy first.
+    """
+    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
+    states = []
+    for raw in _draw_replies(backend, prompt, "state", cfg):
+        state = parse_state(raw, domains=domains).state
+        if state not in states:
+            states.append(state)
+    turn_set = []
+    for state in states:
+        turns = []
+        for raw in _draw_replies(backend, act_prompt_text(prompt, state), "turn", cfg):
+            parsed = parse_act_response(raw, domains=domains, verbs=verbs)
+            turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
+            if turn not in turns:
+                turns.append(turn)
+        turn_set.append(turns)
+    return turn_set
 
 
 # ----------------------------------------------- package-object adapters

@@ -873,6 +873,16 @@ def test_an_out_of_range_noise_rate_or_dev_count_exits_2(flags, corpus1, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "iterate"])
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_a_non_finite_temperature_exits_2(command, temperature, corpus1, tmp_path, capsys):
+    # Over HTTP it would be posted as NaN or Infinity, which is not JSON.
+    out = tmp_path / "out"
+    assert main([command, "--corpus", corpus1, "--out", str(out), "--temperature", temperature]) == 2
+    assert f"temperature must be positive and finite, got {temperature}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
 def test_argparse_rejects_unknown_commands():
     with pytest.raises(SystemExit) as info:
         main(["bogus"])

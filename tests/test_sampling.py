@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contexts_of
+from oracles import contexts_of, generation_request, sampled_turn_set
 from subtod.errors import BackendError
 from subtod.backends import DEFAULT_MAX_TOKENS, ErrorInjectionConfig, ScriptedBackend, stable_seed
+from subtod.iteration import IterationConfig, process_goals
 from subtod.model import DialogAct, DialogContext, SystemTurn
 from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
+from subtod.subgoals import assemble_candidates
 from subtod.synthetic import default_ontology
-from subtod.verbalize import split_act_prompt, state_prompts
+from subtod.verbalize import act_prompt_text, split_act_prompt, state_prompts
 
 STATE_NORTH = "[B] hotel area: north;"
 STATE_SOUTH = "[B] hotel area: south;"
@@ -75,8 +77,9 @@ def test_distinct_generations_all_survive():
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
     assert [turns[0].state["hotel"]["area"] for turns in turn_set] == ["north", "south", "west"]
+    # With other states, the greedy state holds only its greedy turn: no candidate reads more.
+    assert [len(turns) for turns in turn_set] == [1, 3, 3]
     for turns in turn_set:
-        assert len(turns) == 3
         assert turns[0].response == "it is in the north."
 
 
@@ -85,6 +88,10 @@ def test_dedup_keeps_the_greedy_variant_first():
                           TURN_BASE, [TURN_BASE, TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
     assert [turns[0].state["hotel"]["area"] for turns in turn_set] == ["north", "south"]
+    # A prompt with one state: its greedy state gets the k samples too.
+    backend = FakeBackend(STATE_NORTH, [STATE_NORTH, STATE_NORTH],
+                          TURN_BASE, [TURN_BASE, TURN_ASK])
+    turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
     assert [turn.response for turn in turn_set[0]] == [
         "it is in the north.",
         "what price range?",
@@ -96,13 +103,15 @@ def test_call_plan_and_distinct_stage_seeds():
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
     sample_turn(backend, _context(), SamplingConfig(k=2, seed=11), ONTOLOGY)
     prompts = [c[0] for c in backend.calls]
-    # One greedy + one sampled call for states, then one pair per distinct state.
-    assert len(backend.calls) == 2 + 2 * 3
+    # One greedy + one sampled call for states, then one pair per distinct state,
+    # except the greedy state's sampled call, which no candidate would read.
+    assert len(backend.calls) == 2 + 2 * 3 - 1
     assert backend.calls[0][1:3] == (1, True)
     assert backend.calls[1][1:3] == (2, False)
     assert backend.calls[0][3] != backend.calls[1][3]
     assert prompts[0] == prompts[1]
     assert len(set(prompts[2:])) == 3  # one act prompt per distinct state
+    assert [call[1:3] for call in backend.calls if call[0] == prompts[2]] == [(1, True)]
 
 
 def test_unparseable_generations_degrade_to_empty_state_and_bare_response():
@@ -110,8 +119,9 @@ def test_unparseable_generations_degrade_to_empty_state_and_bare_response():
                           TURN_BASE, ["there is no response token", TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
     assert {} in [turns[0].state for turns in turn_set]  # garbage state degrades to empty
+    assert [turn.response for turn in turn_set[0]] == ["it is in the north."]
     # A reply without [R] becomes a turn with no acts and the whole text as its response.
-    for turns in turn_set:
+    for turns in turn_set[1:]:
         bare = [turn for turn in turns if turn.response == "there is no response token"]
         assert [turn.acts for turn in bare] == [()]
 
@@ -132,8 +142,8 @@ def test_scripted_world_yields_full_turn_sets(small_world):
     turn_set = sample_turn(backend, context, SamplingConfig(k=2, seed=1), small_world.ontology)
     assert len(turn_set) == 3
     assert turn_set[0][0].state == dialog.turns[0].system.state
+    assert [len(turns) for turns in turn_set] == [1, 3, 3]
     for turns in turn_set:
-        assert len(turns) == 3
         assert turns[0].response == dialog.turns[0].system.response
 
 
@@ -181,9 +191,81 @@ def test_every_request_carries_the_stable_seed_of_its_prompt_and_tag(small_world
     if greedy_only:
         assert set(tags) == {"greedy-state", "greedy-turn"}
     else:
-        # Each draw of a prompt has its own request, and prompts have several states.
+        # Each draw of a prompt has its own request, and prompts have several states,
+        # whose greedy one gets no k-sample act/response request.
         assert set(tags) == {"greedy-state", "state", "greedy-turn", "turn"}
-        assert tags["state"] == tags["greedy-state"] < tags["turn"] == tags["greedy-turn"]
+        assert tags["state"] == tags["greedy-state"] < tags["turn"] < tags["greedy-turn"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_candidates_equal_those_of_sampling_every_draw(small_world, k):
+    cfg = SamplingConfig(k=k, seed=5)
+    backend = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
+    results = sample_dialogs(backend, _prompts(small_world.dialogs), cfg, small_world.ontology)
+    several_states = False
+    for dialog in small_world.dialogs:
+        reference = [
+            sampled_turn_set(backend, prompt, cfg, small_world.ontology)
+            for prompt in state_prompts(dialog.turns)
+        ]
+        several_states |= any(len(turn_set) > 1 for turn_set in reference)
+        assert assemble_candidates(dialog, results[dialog.goal_id], k) == assemble_candidates(
+            dialog, reference, k
+        )
+    assert several_states
+
+
+def test_no_request_is_sent_that_no_candidate_reads(small_world):
+    cfg = SamplingConfig(k=3, seed=5)
+    scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
+    recorder = RefusingBackend(scripted)
+    prompts = _prompts(small_world.dialogs)
+    sample_dialogs(recorder, prompts, cfg, small_world.ontology)
+    turn_calls = {}
+    for request in recorder.calls:
+        prompt, is_turn = split_act_prompt(request[0])
+        if is_turn:
+            turn_calls.setdefault(prompt, []).append(request)
+    assert set(turn_calls) == {prompt for ps in prompts.values() for prompt in ps}
+    several_states = False
+    for prompt, calls in turn_calls.items():
+        turn_set = sampled_turn_set(scripted, prompt, cfg, small_world.ontology)
+        states = [turns[0].state for turns in turn_set]
+        assert len(calls) == 2 * len(states) - (len(states) > 1), prompt
+        if len(states) > 1:
+            several_states = True
+            greedy_act_prompt = act_prompt_text(prompt, states[0])
+            assert not [call for call in calls if call[0] == greedy_act_prompt and not call[2]]
+    assert several_states
+
+
+def test_a_goal_runs_when_only_a_request_no_candidate_reads_would_fail(small_world):
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3)
+    sampling = cfg.sampling()
+    scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
+    dialogs = small_world.dialog_map()
+    # The first goal with a prompt of several states, and that prompt's greedy state's k-sample
+    # act/response request.
+    goal_id, unread = next(
+        (goal_id, generation_request(act_prompt_text(prompt, turn_set[0][0].state), "turn",
+                                     sampling, greedy=False))
+        for goal_id in sorted(small_world.goals)
+        for prompt in state_prompts(dialogs[goal_id].turns)
+        for turn_set in [sampled_turn_set(scripted, prompt, sampling, small_world.ontology)]
+        if len(turn_set) > 1
+    )
+
+    def run(backend):
+        groups = {}
+        _, skipped = process_goals(
+            small_world, cfg, backend, lambda group: groups.setdefault(group.goal_id, group)
+        )
+        return groups, skipped
+
+    clean, _ = run(scripted)
+    groups, skipped = run(RefusingBackend(scripted, [unread]))
+    assert goal_id not in dict(skipped)
+    assert groups == clean
 
 
 BLOCK_CFG = SamplingConfig(k=2, seed=3)
