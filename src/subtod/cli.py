@@ -142,6 +142,7 @@ def _iteration_config(args, **emission) -> IterationConfig:
 
 def cmd_sample(args) -> int:
     corpus = load_corpus(args.corpus)
+    cfg = _iteration_config(args)
     with closing(_make_backend(args, corpus)) as backend, staged_outputs(args.out) as staging:
         path = staging / "candidates.jsonl"
         path.touch()
@@ -149,7 +150,7 @@ def cmd_sample(args) -> int:
         def write_group(group: CandidateGroup) -> None:
             write_jsonl(path, [candidates_record(group.goal_id, group.labeled())])
 
-        labels, skipped = process_goals(corpus, _iteration_config(args), backend, write_group)
+        labels, skipped = process_goals(corpus, cfg, backend, write_group)
     n_candidates = sum(map(len, labels.values()))
     n_successful = sum(map(sum, labels.values()))
     _print_json(

@@ -240,6 +240,10 @@ def _load_split(
             errors.append(f"{split}[{i}]: id {dialog.id!r} is already used by {places[dialog.id]}")
             continue
         places[dialog.id] = f"{split}[{i}]"
+        if dialog.goal_id != dialog.id:
+            errors.append(f"{split}[{i}]: goal_id {dialog.goal_id!r} is not the dialog's id "
+                          f"{dialog.id!r}; each dialog carries its own goal")
+            continue
         dialogs.append(dialog)
         if "goal" in entry:
             goals[dialog.goal_id] = goal_from_dict(entry["goal"], f"dialog {dialog.id!r}['goal']")

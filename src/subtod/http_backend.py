@@ -196,7 +196,7 @@ def _route(parts: urllib.parse.SplitResult, timeout: float):
 class _Exchange:
     """One POST: its request tuple, then its connection and reply bytes, then its outcome.
 
-    The outcome is ``_parse_reply``'s tuple or the exception that ended the POST.
+    The outcome is the reply's ``(status, Retry-After value, body)`` or the error that ended it.
     """
 
     __slots__ = ("request", "conn", "buf", "deadline", "outcome")
@@ -220,14 +220,14 @@ class HttpBackend:
     problems and replies over ``MAX_REPLY_BYTES`` fail fast. Determinism is
     best-effort and entirely up to the service.
 
-    A backend serves one calling thread at a time: that thread drives its
-    wave of POSTs (see ``prefetch``; a lone ``generate`` is a wave of one)
-    with one selector loop, inside ``generate``, and a call from another
-    thread while the wave is open raises ``RuntimeError``. The backend holds
-    the open wave itself. A POST is one ``sendall`` on a keep-alive
-    connection, and its reply must arrive within ``timeout``. At most
-    ``max_in_flight`` POSTs are in flight at once, each on a connection from
-    a pool that never holds more than that many, open or being dialed.
+    A backend serves one calling thread at a time: that thread sends a wave
+    of POSTs (see ``prefetch``; a lone ``generate`` and each retry are waves
+    of one) with one selector loop, which returns once every POST of the
+    wave has its outcome. A call from another thread while a ``prefetch``
+    block is open raises ``RuntimeError``. A POST is one ``sendall`` on a
+    keep-alive connection, and its reply must arrive within ``timeout``. At
+    most ``max_in_flight`` POSTs are in flight at once, each on a connection
+    from a pool that never holds more than that many, open or being dialed.
     ``http.client`` only dials them, on short-lived threads, which covers TLS
     and proxy tunnels; a dial that ends is the only thing that wakes a
     waiting wave. A POST with no idle connection starts a dial and takes the
@@ -266,32 +266,32 @@ class HttpBackend:
         self._idle: list[http.client.HTTPConnection] = []
         self._open = 0
         self._closed = False
-        # The open wave, driven by one selector on the thread ``_owner``.
-        # ``_wave`` holds its exchanges that no ``generate`` call has taken
-        # yet, in wave order, and is None while no wave is open. ``_waiting``
-        # holds the POSTs without a connection, in order; each wave gets a new
-        # one, so a late dial thread can only fail or count against its own
-        # wave. ``_running`` holds the POSTs in flight in the order they were
-        # sent, so the first is the first to time out. ``_dials`` counts the
-        # dials started for the wave and not yet ended, and ``_wake`` is the
-        # socket pair that ending dials wake the wave through, made the first
-        # time its POSTs wait on a dial.
-        self._wave: deque[_Exchange] | None = None
+        # The open prefetch block, on the thread ``_owner``: its answered
+        # exchanges that no ``generate`` call has taken yet, in wave order, or
+        # None. The rest is one ``_post`` call's: ``_waiting`` holds the POSTs
+        # without a connection, in order, and each call gets a new one, so a
+        # late dial thread can only fail or count against its own call.
+        # ``_running`` holds the POSTs in flight in the order they were sent,
+        # so the first is the first to time out. ``_dials`` counts the dials
+        # started and not yet ended, and ``_wake`` is the socket pair that
+        # ending dials wake the loop through, made when a POST waits on one.
+        self._replies: deque[_Exchange] | None = None
         self._owner = 0
         self._waiting: deque[_Exchange] = deque()
         self._running: dict[_Exchange, None] = {}
         self._dials = 0
         self._selector: selectors.BaseSelector | None = None
         self._wake: tuple[socket.socket, socket.socket] | None = None
-        # Guards the pool, _waiting, _dials and _wake against dial threads.
+        # Guards the pool, _replies, _waiting, _dials and _wake against other threads.
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the idle connections and mark the backend closed; wake no wave.
+        """Close the idle connections and mark the backend closed; wake no loop.
 
-        A POST still waiting for a connection fails when its wave next runs.
-        A dial in progress is not awaited: its connection is closed when it
-        completes, as is any connection in use when it comes back.
+        A POST waiting for a connection fails once a dial wakes its loop; the
+        replies an open ``prefetch`` block holds stay. A dial in progress is
+        not awaited: its connection is closed when it completes, as is any
+        connection in use when it comes back.
         """
         with self._lock:
             self._closed = True
@@ -302,44 +302,29 @@ class HttpBackend:
 
     @contextlib.contextmanager
     def prefetch(self, wave: Sequence[tuple]) -> Iterator[None]:
-        """Send a wave of requests concurrently for the ``generate`` calls in the block.
+        """Answer a wave of requests concurrently for the ``generate`` calls in the block.
 
         Each request is a ``(prompt, n, greedy, temperature, seed, max_tokens)``
-        tuple. Inside the block, a ``generate`` call on this thread for the
-        wave's next request returns that request's reply, or raises its error,
-        instead of posting again; any other call posts on its own. Requests are
-        sent in wave order as connections allow, and each ``generate`` call
-        drives the POSTs until its own reply is in. On exit, requests nobody
-        took are dropped or awaited, so a wave cut short by an error leaves
-        nothing for later calls. Blocks do not nest, and while one is open,
-        another thread's ``prefetch`` or ``generate`` raises ``RuntimeError``.
+        tuple. They are sent in wave order as connections allow, and the
+        block opens once each has its first reply or error. Inside it, a
+        ``generate`` call on this thread for the wave's next request takes
+        that reply, or raises its error, instead of posting again; any other
+        call posts on its own. Replies nobody took are dropped on exit.
+        Blocks do not nest, and while one is open, another thread's
+        ``prefetch`` or ``generate`` raises ``RuntimeError``.
         """
         with self._lock:
-            if self._wave is not None:
+            if self._replies is not None:
                 if self._owner == threading.get_ident():
                     raise RuntimeError("prefetch blocks do not nest")
                 raise RuntimeError(f"backend {self.url} is in use by another thread")
-            self._wave = deque(_Exchange(tuple(request)) for request in wave)
-            self._waiting = deque(self._wave)
+            self._replies = deque(_Exchange(tuple(request)) for request in wave)
             self._owner = threading.get_ident()
-            self._dials = 0
-        self._running = {}
-        self._selector = _Selector()
         try:
+            self._post(self._replies)
             yield
         finally:
-            try:
-                with self._lock:
-                    self._waiting.clear()
-                while self._running:
-                    self._run(next(iter(self._running)))
-            finally:
-                with self._lock:
-                    wake, self._wake = self._wake, None
-                for sock in wake or ():
-                    sock.close()
-                self._selector.close()
-                self._wave = None
+            self._replies = None
 
     def generate(
         self,
@@ -352,37 +337,32 @@ class HttpBackend:
         max_tokens: int = DEFAULT_MAX_TOKENS,
     ) -> list[str]:
         request = (prompt, n, greedy, temperature, seed, max_tokens)
-        lone = self._wave is None or self._owner != threading.get_ident()
+        lone = self._replies is None or self._owner != threading.get_ident()
         with self.prefetch([request]) if lone else contextlib.nullcontext():
-            return self._completions(request)
+            if self._replies and self._replies[0].request == request:
+                exchange = self._replies.popleft()
+            else:
+                self._post([exchange := _Exchange(request)])
+            return self._completions(exchange)
 
     def _encode(self, request: tuple) -> bytes:
         """The request message of ``request``: the prebuilt head, the body's length, the body."""
         body = json.dumps(dict(zip(_REQUEST_FIELDS, request))).encode("utf-8")
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def _completions(self, request: tuple) -> list[str]:
-        """The completions in the reply to ``request``; transient failures post again.
-
-        The reply is that of the wave's next exchange if it is ``request``'s,
-        else that of a new POST of ``request``.
-        """
-        prompt, n = request[:2]
-        if self._wave and self._wave[0].request == request:
-            exchange = self._wave.popleft()
-        else:
-            exchange = self._queue(_Exchange(request))
+    def _completions(self, exchange: _Exchange) -> list[str]:
+        """The completions in the reply ``exchange`` has; transient failures post it again."""
+        prompt, n = exchange.request[:2]
         attempts = 0
         delay = self.backoff
         while True:
             attempts += 1
-            self._run(exchange)
             try:
                 if isinstance(exchange.outcome, Exception):
                     raise exchange.outcome
-                status, headers, data, _ = exchange.outcome
+                status, retry_after, data = exchange.outcome
                 if status == 429 or status >= 500:
-                    wait = headers.get("retry-after", "") if status in (429, 503) else ""
+                    wait = retry_after if status in (429, 503) else ""
                     raise _RetryableStatus(status, float(wait) if wait.isdecimal() else 0.0)
                 if status != 200:
                     raise BackendError(
@@ -423,40 +403,52 @@ class HttpBackend:
                     ) from exc
                 time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), self.timeout))
                 delay *= 2
-                self._queue(exchange)
+                exchange.outcome = None
+                self._post([exchange])
 
-    def _queue(self, exchange: _Exchange) -> _Exchange:
-        """Put ``exchange`` first among the wave's POSTs waiting for a connection."""
-        exchange.outcome = None
+    def _post(self, exchanges: Sequence[_Exchange]) -> None:
+        """Send ``exchanges`` in order as connections allow; return once each has its outcome.
+
+        Only this sends POSTs. If the loop raises, a POST still in flight
+        ends with an error, so its connection is closed and uncounted.
+        """
         with self._lock:
-            self._waiting.appendleft(exchange)
-        return exchange
-
-    def _run(self, exchange: _Exchange) -> None:
-        """Drive the wave's POSTs until ``exchange`` has its outcome."""
-        while True:
-            self._send_waiting()
-            if exchange.outcome is not None:
-                return
-            first = next(iter(self._running), None)
-            events = self._selector.select(
-                None if first is None else max(0.0, first.deadline - time.monotonic())
-            )
-            for key, _ in events:
-                if key.data is None:
-                    key.fileobj.recv(_RECV_BYTES)  # every wake-up byte so far
-                else:
-                    self._read(key.data)
-            now = time.monotonic()
-            while self._running and (first := next(iter(self._running))).deadline <= now:
-                self._finish(first, TimeoutError("backend reply timed out"))
+            self._waiting = deque(exchanges)
+            self._dials = 0
+        self._selector = _Selector()
+        try:
+            while True:
+                self._send_waiting()
+                if not (self._running or self._waiting):
+                    return
+                first = next(iter(self._running), None)
+                events = self._selector.select(
+                    None if first is None else max(0.0, first.deadline - time.monotonic())
+                )
+                for key, _ in events:
+                    if key.data is None:
+                        key.fileobj.recv(_RECV_BYTES)  # every wake-up byte so far
+                    else:
+                        self._read(key.data)
+                now = time.monotonic()
+                while self._running and (first := next(iter(self._running))).deadline <= now:
+                    self._finish(first, TimeoutError("backend reply timed out"))
+        finally:
+            while self._running:
+                self._finish(next(iter(self._running)), ConnectionAbortedError("POST abandoned"))
+            with self._lock:
+                self._waiting = deque()
+                wake, self._wake = self._wake, None
+            for sock in wake or ():
+                sock.close()
+            self._selector.close()
 
     def _send_waiting(self) -> None:
         """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
 
         Dials never take the open connections past ``max_in_flight``. While a
-        POST waits on one of the wave's dials, or nothing is in flight, the
-        wave has its wake socket pair, so a dial that ends wakes it.
+        POST waits on one of this call's dials, or nothing is in flight, the
+        loop has its wake socket pair, so a dial that ends wakes it.
         """
         ready, dials = [], []
         with self._lock:
@@ -526,7 +518,10 @@ class HttpBackend:
         conn = exchange.conn
         del self._running[exchange]
         self._selector.unregister(conn.sock)
-        if not (isinstance(outcome, tuple) and outcome[3]):
+        if isinstance(outcome, tuple):  # a reply keeps its status, Retry-After value and body
+            status, headers, body, reusable = outcome
+            outcome = status, headers.get("retry-after", ""), body
+        if not (isinstance(outcome, tuple) and reusable):
             conn.close()
         with self._lock:
             self._give_back(conn)
@@ -534,11 +529,11 @@ class HttpBackend:
         exchange.outcome = outcome
 
     def _dial(self, conn: http.client.HTTPConnection, waiting: deque[_Exchange]) -> None:
-        """Open ``conn`` into the pool for the wave whose POSTs wait in ``waiting``.
+        """Open ``conn`` into the pool for the ``_post`` call whose POSTs wait in ``waiting``.
 
-        If the dial fails while a POST of that wave waits and no connection is
+        If the dial fails while a POST of that call waits and no connection is
         idle, the first POST waiting fails with the dial's error. Either way,
-        the dial wakes the open wave, if it has a wake socket pair.
+        the dial wakes the running loop, if it has a wake socket pair.
         """
         error = None
         try:

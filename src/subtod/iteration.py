@@ -84,6 +84,7 @@ class IterationConfig:
             raise ValueError(f"goal_fraction must be in (0, 1], got {self.goal_fraction}")
         if self.iteration_index < 0:
             raise ValueError(f"iteration_index must be non-negative, got {self.iteration_index}")
+        self.sampling()  # checks k and temperature
 
     def sampling(self) -> SamplingConfig:
         return SamplingConfig(

@@ -616,10 +616,11 @@ def test_a_connection_the_server_closed_is_replaced_without_a_retry(
 
 
 class _HeldDial:
-    """Wraps a backend's ``_connect``: its first connection's ``connect()`` awaits ``released``."""
+    """Wraps a backend's ``_connect``: connection ``held`` (from 0) dials once ``released``."""
 
-    def __init__(self, backend):
+    def __init__(self, backend, held=0):
         self.connections = []
+        self._held = held
         self.dialing = threading.Event()
         self.released = threading.Event()
         self._lock = threading.Lock()
@@ -630,8 +631,8 @@ class _HeldDial:
         conn = self._connect()
         with self._lock:
             self.connections.append(conn)
-            first = len(self.connections) == 1
-        if first:
+            held = len(self.connections) == self._held + 1
+        if held:
             dial = conn.connect
 
             def held():
@@ -644,7 +645,7 @@ class _HeldDial:
 
     @property
     def held(self):
-        return self.connections[0]
+        return self.connections[self._held]
 
 
 def _wave_with_a_held_dial(server, backend, size=64):
@@ -754,23 +755,27 @@ def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_s
 
 def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server):
     # Each reply closes its connection, so the first reply leaves the rest of
-    # the wave waiting on a new dial.
+    # the wave waiting on a new dial, which is held until the backend is closed.
     backend = HttpBackend(completion_server.url, max_in_flight=1)
-    dials = []
-    connect = backend._connect
-    backend._connect = lambda: dials.append(connect()) or dials[-1]
+    dial = _HeldDial(backend, held=1)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
-    with backend.prefetch(wave):
-        assert backend.generate("prompt 0", 1, greedy=True, seed=0) == ["stub"]
+    answers = {}
+    thread = threading.Thread(target=lambda: answers.update(answer_wave(backend, wave)))
+    thread.start()
+    try:
+        assert dial.dialing.wait(10)
         backend.close()
-        dialed = len(dials)
         start = time.monotonic()
-        for prompt, n, greedy, temperature, seed, max_tokens in wave[1:]:
-            with pytest.raises(BackendError, match=f"backend {completion_server.url} is closed"):
-                backend.generate(prompt, n, greedy=greedy, temperature=temperature, seed=seed,
-                                 max_tokens=max_tokens)
-        assert time.monotonic() - start < 3
-    assert len(dials) == dialed == 2
+    finally:
+        dial.released.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 3
+    assert len(dial.connections) == 2
+    assert answers[wave[0]] == ["stub"]
+    for request in wave[1:]:
+        assert isinstance(answers[request], BackendError)
+        assert str(answers[request]) == f"backend {completion_server.url} is closed"
     assert [payload["prompt"] for payload in completion_server.payloads] == ["prompt 0"]
     # The late dial's connection is closed, not pooled.
     deadline = time.monotonic() + 10
@@ -778,6 +783,20 @@ def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server):
         time.sleep(0.01)
     assert backend._open == 0
     assert backend._idle == []
+
+
+def test_a_prefetch_block_opens_with_its_wave_answered(completion_server):
+    backend = HttpBackend(completion_server.url, max_in_flight=2)
+    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(5)]
+    try:
+        with backend.prefetch(wave):
+            assert len(completion_server.payloads) == len(wave)
+            for prompt, n, greedy, temperature, seed, max_tokens in wave:
+                assert backend.generate(prompt, n, greedy=greedy, temperature=temperature,
+                                        seed=seed, max_tokens=max_tokens) == ["stub"]
+            assert len(completion_server.payloads) == len(wave)
+    finally:
+        backend.close()
 
 
 def test_prefetch_blocks_do_not_nest_and_another_request_posts_on_its_own(completion_server):
@@ -801,10 +820,10 @@ def test_prefetch_blocks_do_not_nest_and_another_request_posts_on_its_own(comple
 def test_a_lone_generate_and_a_finished_wave_leave_no_wave_behind(completion_server):
     backend = HttpBackend(completion_server.url)
     assert backend.generate("lone", 1, greedy=True) == ["stub"]
-    assert backend._wave is None
+    assert backend._replies is None
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
     assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
-    assert backend._wave is None
+    assert backend._replies is None
     assert len(completion_server.payloads) == 4
 
 
@@ -912,7 +931,7 @@ def test_failed_wave_skips_the_goal_and_leaves_no_reply_behind(
     assert skipped_with(remote) == expected
     # The rest of the failed wave was awaited, and none of it is kept.
     assert seen["now"] == 0
-    assert remote._wave is None
+    assert remote._replies is None
 
     completion_server.respond_with(healthy)
     before = len(completion_server.payloads)

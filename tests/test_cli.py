@@ -859,16 +859,28 @@ def test_stats_on_a_malformed_report_exits_2_and_names_its_place(case, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {path}{message}")
 
 
-@pytest.mark.parametrize("flags", [
-    ["iterate", "--noise-rate", "1.5"], ["iterate", "--noise-rate", "nan"],
-    ["sample", "--noise-rate", "-1"], ["synth", "--goals", "2", "--dev", "-1"],
-], ids=["rate-1.5", "rate-nan", "rate-minus-1", "dev-minus-1"])
-def test_an_out_of_range_noise_rate_or_dev_count_exits_2(flags, corpus1, tmp_path, capsys):
+RATE_ERROR = "noise rate must be in [0, 1]"
+K_ERROR = "k must be at least 1, got 0"
+TEMPERATURE_ERROR = "temperature must be positive and finite, got nan"
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["iterate", "--noise-rate", "1.5"], RATE_ERROR),
+    (["iterate", "--noise-rate", "nan"], RATE_ERROR),
+    (["sample", "--noise-rate", "-1"], RATE_ERROR),
+    (["synth", "--goals", "2", "--dev", "-1"], "dev_goals must be non-negative"),
+    (["iterate", "--k", "0"], K_ERROR), (["iterate", "--temperature", "nan"], TEMPERATURE_ERROR),
+    (["sample", "--k", "0"], K_ERROR), (["sample", "--temperature", "nan"], TEMPERATURE_ERROR),
+    (["sample", "--goal-fraction", "0"], "goal_fraction must be in (0, 1], got 0.0"),
+    (["sample", "--workers", "0"], "workers must be at least 1, got 0"),
+], ids=["rate-1.5", "rate-nan", "rate-minus-1", "dev-minus-1", "iterate-k-0",
+        "iterate-temperature-nan", "sample-k-0", "sample-temperature-nan",
+        "sample-goal-fraction-0", "sample-workers-0"])
+def test_an_out_of_range_noise_rate_or_dev_count_exits_2(flags, expected, corpus1, tmp_path,
+                                                         capsys):
     out = tmp_path / "out"
-    synth = flags[0] == "synth"
-    corpus = [] if synth else ["--corpus", corpus1]
+    corpus = [] if flags[0] == "synth" else ["--corpus", corpus1]
     assert main([*flags, *corpus, "--out", str(out)]) == 2
-    expected = "dev_goals must be non-negative" if synth else "noise rate must be in [0, 1]"
     assert expected in capsys.readouterr().err
     assert not out.exists()
 
@@ -880,7 +892,7 @@ def test_a_non_finite_temperature_exits_2(command, temperature, corpus1, tmp_pat
     out = tmp_path / "out"
     assert main([command, "--corpus", corpus1, "--out", str(out), "--temperature", temperature]) == 2
     assert f"temperature must be positive and finite, got {temperature}" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 def test_argparse_rejects_unknown_commands():

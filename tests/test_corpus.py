@@ -173,6 +173,25 @@ def test_a_dialog_id_used_twice_is_reported_with_both_places(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("split", ["dialogs", "dev_dialogs"])
+def test_a_dialog_whose_goal_id_is_not_its_id_is_refused(split, tmp_path, capsys):
+    # Goals are stored under goal_id, so dlg-00000's goal would be dropped.
+    path = tmp_path / "corpus.json"
+    assert main(["synth", "--goals", "4", "--dev", "2", "--seed", "3", "--out", str(path)]) == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    first, second = data[split][:2]
+    first["goal_id"] = second["id"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["iterate", "--corpus", str(path), "--out", str(out), "--goal-fraction", "1.0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: {split}[0]: goal_id {second['id']!r} is not the dialog's id "
+        f"{first['id']!r}; each dialog carries its own goal\n"
+    )
+    assert not out.exists()
+
+
 def test_entity_missing_its_name_slot_raises():
     data = tiny_corpus_dict()
     data["database"]["hotel"].append({"area": "south"})
