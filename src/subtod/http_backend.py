@@ -1,28 +1,26 @@
 """The HTTP client backend: ``HttpBackend`` POSTs each generation request to a completion service.
 
 It lives apart from ``subtod.backends`` because of what it loads:
-``http.client`` (and through it ``email``), ``ssl``, ``socket``,
-``selectors``, ``threading`` and ``urllib.request`` add megabytes and tens
-of milliseconds to a process's start. ``subtod.cli`` imports this module
-only once it has parsed ``--backend http``, so no other run pays for them.
+``socket``, ``selectors`` and ``threading`` add tens of milliseconds to a
+process's start. ``subtod.cli`` imports this module only once it has parsed
+``--backend http``, so no other run pays for them. The client dials with
+plain sockets; it loads ``ssl`` only for an ``https://`` URL and
+``urllib.request`` only when a proxy variable for the URL's scheme is set.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import contextlib
-import functools
-import http.client
 import json
+import os
 import selectors
 import socket
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .backends import DEFAULT_MAX_TOKENS
 from .errors import BackendError
@@ -51,8 +49,8 @@ class _OversizedReply(Exception):
     """A reply body over ``MAX_REPLY_BYTES``; not retried."""
 
 
-def _closed_by_peer(sock: socket.socket) -> bool:
-    """True unless a read of the idle, non-blocking ``sock`` would wait.
+def _closed_by_peer(sock: socket.socket, would_wait: tuple[type[OSError], ...]) -> bool:
+    """True unless a read of the idle, non-blocking ``sock`` would wait, raising one of ``would_wait``.
 
     A read that does not wait finds that the server closed the connection (or
     misbehaved). One that finds only TLS records, such as the session tickets
@@ -60,7 +58,7 @@ def _closed_by_peer(sock: socket.socket) -> bool:
     """
     try:
         sock.recv(1)
-    except (BlockingIOError, ssl.SSLWantReadError):
+    except would_wait:
         return False
     except OSError:
         pass
@@ -149,9 +147,11 @@ def _chunks(data: bytes, pos: int) -> tuple[bytes, int] | None:
 def _route(parts: urllib.parse.SplitResult, timeout: float):
     """How to reach the URL ``parts``: a connection factory, and every POST's head up to its length.
 
-    Honours ``http_proxy``/``https_proxy``/``no_proxy``, read once here: a
-    plain-HTTP request goes to the proxy with the absolute URL as its target,
-    an HTTPS one through a CONNECT tunnel.
+    The third value is what a read that would wait raises: TLS raises its own
+    error, and ``ssl`` is loaded only for HTTPS. Honours
+    ``http_proxy``/``https_proxy``/``no_proxy``, read once here: a plain-HTTP
+    request goes to the proxy with the absolute URL as its target, an HTTPS
+    one through a CONNECT tunnel.
     """
     https = parts.scheme == "https"
     default_port = 443 if https else 80
@@ -163,34 +163,86 @@ def _route(parts: urllib.parse.SplitResult, timeout: float):
         "Content-Type": "application/json",
     }
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-    tunnel = None
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and not urllib.request.proxy_bypass(f"{host}:{port}"):
+    tunnel = proxy = None
+    if any(name.lower() == f"{parts.scheme}_proxy" and value for name, value in os.environ.items()):
+        # Loaded only when a proxy may apply: urllib.request costs megabytes.
+        from urllib.request import getproxies, proxy_bypass
+
+        proxy = getproxies().get(parts.scheme)
+        if proxy and proxy_bypass(f"{host}:{port}"):
+            proxy = None
+    if proxy:
         via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
             raise ValueError(f"{parts.scheme}_proxy must be http://host[:port], got {proxy!r}")
         auth = {}
         if via.username is not None:
             credentials = ":".join(urllib.parse.unquote(v or "") for v in (via.username, via.password))
-            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+            encoded = binascii.b2a_base64(credentials.encode(), newline=False).decode()
+            auth["Proxy-Authorization"] = f"Basic {encoded}"
         if https:
-            tunnel = (host, port, auth)
+            lines = [f"CONNECT {origin}:{port} HTTP/1.1", f"Host: {origin}:{port}"]
+            tunnel = "\r\n".join([*lines, *(f"{k}: {v}" for k, v in auth.items()), "", ""]).encode()
         else:
             target = urllib.parse.urlunsplit(parts._replace(fragment=""))
             headers.update(auth)
         host, port = via.hostname, via.port or 80
-    factory = http.client.HTTPConnection
+    context, would_wait = None, (BlockingIOError,)
     if https:
-        factory = functools.partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+        import ssl  # only HTTPS loads OpenSSL
 
-    def connect() -> http.client.HTTPConnection:
-        conn = factory(host, port, timeout=timeout)
-        if tunnel is not None:
-            conn.set_tunnel(*tunnel)
-        return conn
+        context = ssl.create_default_context()
+        context.set_alpn_protocols(["http/1.1"])
+        would_wait += (ssl.SSLWantReadError,)
+
+    def dial() -> socket.socket:
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tunnel is not None:
+                _open_tunnel(sock, tunnel)
+            if context is not None:
+                # Verified against the backend's name, never the proxy's.
+                sock = context.wrap_socket(sock, server_hostname=parts.hostname)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
-    return connect, "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
+    head = "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
+    return (lambda: _Connection(dial)), head, would_wait
+
+
+def _open_tunnel(sock: socket.socket, head: bytes) -> None:
+    """Send the CONNECT ``head`` on ``sock``; a reply but 2xx raises ``OSError``, which is retried."""
+    sock.sendall(head)
+    reply = b""
+    while b"\r\n\r\n" not in reply:
+        data = sock.recv(_RECV_BYTES)
+        if not data or len(reply) > MAX_REPLY_BYTES:
+            raise OSError("proxy sent no whole reply to CONNECT")
+        reply += data
+    status_line = reply.partition(b"\r\n")[0].decode("latin-1")
+    version, _, status = status_line.partition(" ")
+    if not (version.startswith("HTTP/1.") and status[:1] == "2"):
+        raise OSError(f"proxy refused CONNECT: {status_line!r}")
+
+
+class _Connection:
+    """A connection to the backend: ``connect()`` dials it, then ``sock`` is open until ``close()``."""
+
+    def __init__(self, dial: Callable[[], socket.socket]):
+        self.sock: socket.socket | None = None
+        self._dial = dial
+
+    def connect(self) -> None:
+        self.sock = self._dial()
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            sock.close()
 
 
 class _Exchange:
@@ -203,7 +255,7 @@ class _Exchange:
 
     def __init__(self, request: tuple):
         self.request = request
-        self.conn: http.client.HTTPConnection | None = None
+        self.conn: _Connection | None = None
         self.buf: bytearray | None = None
         self.deadline = 0.0
         self.outcome: tuple | Exception | None = None
@@ -228,8 +280,8 @@ class HttpBackend:
     keep-alive connection, and its reply must arrive within ``timeout``. At
     most ``max_in_flight`` POSTs are in flight at once, each on a connection
     from a pool that never holds more than that many, open or being dialed.
-    ``http.client`` only dials them, on short-lived threads, which covers TLS
-    and proxy tunnels; a dial that ends is the only thing that wakes a
+    They are dialed on short-lived threads, with plain sockets, which covers
+    TLS and proxy tunnels; a dial that ends is the only thing that wakes a
     waiting wave. A POST with no idle connection starts a dial and takes the
     first connection to come free, so a slow dial delays no POST while
     another connection is free. ``http_proxy``/``https_proxy``/``no_proxy``
@@ -248,6 +300,9 @@ class HttpBackend:
         max_in_flight: int = 64,
     ):
         parts = urllib.parse.urlsplit(url)
+        if "@" in parts.netloc:
+            # A proxy would get them in the clear, and error messages name the URL.
+            raise ValueError(f"backend url must not hold credentials, got one for {parts.hostname!r}")
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
         if max_in_flight < 1:
@@ -259,11 +314,11 @@ class HttpBackend:
         self.backoff = backoff
         self.url = url
         self._max_in_flight = max_in_flight
-        self._connect, self._head = _route(parts, timeout)
+        self._connect, self._head, self._would_wait = _route(parts, timeout)
         # Idle keep-alive connections, most recently used last, and the count
         # of connections idle, in use or being dialed, which never exceeds
         # max_in_flight; a POST holds one, so that also bounds the POSTs.
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._open = 0
         self._closed = False
         # The open prefetch block, on the thread ``_owner``: its answered
@@ -461,7 +516,7 @@ class HttpBackend:
                 self._waiting.clear()
             while self._waiting and self._idle:
                 conn = self._idle.pop()
-                if _closed_by_peer(conn.sock):
+                if _closed_by_peer(conn.sock, self._would_wait):
                     conn.close()
                     self._open -= 1
                 else:
@@ -481,7 +536,7 @@ class HttpBackend:
         for exchange, conn in ready:
             self._send(exchange, conn)
 
-    def _send(self, exchange: _Exchange, conn: http.client.HTTPConnection) -> None:
+    def _send(self, exchange: _Exchange, conn: _Connection) -> None:
         exchange.conn, exchange.buf = conn, bytearray()
         exchange.deadline = time.monotonic() + self.timeout
         self._running[exchange] = None
@@ -499,13 +554,13 @@ class HttpBackend:
         try:
             data = sock.recv(_RECV_BYTES)
             # TLS may hold decrypted bytes that the selector cannot see.
-            while data and isinstance(sock, ssl.SSLSocket) and sock.pending():
+            while data and hasattr(sock, "pending") and sock.pending():
                 data += sock.recv(_RECV_BYTES)
             exchange.buf += data
             reply = _parse_reply(exchange.buf, eof=not data)
             if reply is None and not data:
                 raise _BadReply("reply ended early")
-        except (BlockingIOError, ssl.SSLWantReadError):
+        except self._would_wait:
             return  # a TLS record not yet whole
         except (OSError, _BadReply, _OversizedReply) as exc:
             self._finish(exchange, exc)
@@ -528,7 +583,7 @@ class HttpBackend:
         exchange.conn = exchange.buf = None
         exchange.outcome = outcome
 
-    def _dial(self, conn: http.client.HTTPConnection, waiting: deque[_Exchange]) -> None:
+    def _dial(self, conn: _Connection, waiting: deque[_Exchange]) -> None:
         """Open ``conn`` into the pool for the ``_post`` call whose POSTs wait in ``waiting``.
 
         If the dial fails while a POST of that call waits and no connection is
@@ -551,7 +606,7 @@ class HttpBackend:
             if self._wake is not None:
                 self._wake[1].send(b"\0")
 
-    def _give_back(self, conn: http.client.HTTPConnection) -> None:
+    def _give_back(self, conn: _Connection) -> None:
         """Pool ``conn``, or close it if it is closed or the backend is; the caller holds the lock."""
         if conn.sock is None or self._closed:
             conn.close()

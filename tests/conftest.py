@@ -1,6 +1,10 @@
+import contextlib
 import datetime
 import ipaddress
 import json
+import selectors
+import socket
+import socketserver
 import ssl
 import sys
 import threading
@@ -404,6 +408,85 @@ def https_server(tmp_path):
     server = CompletionServer(keep_alive=True, tls=context)
     yield server, ca_file
     server.close()
+
+
+class _TunnelHandler(socketserver.BaseRequestHandler):
+    """Reads one CONNECT head and answers it; after a 2xx answer, relays bytes both ways."""
+
+    def handle(self):
+        client, server = self.request, self.server
+        head = b""
+        while b"\r\n\r\n" not in head:
+            data = client.recv(65536)
+            if not data:
+                return
+            head += data
+        request, *lines = head.partition(b"\r\n\r\n")[0].decode("latin-1").split("\r\n")
+        with server.lock:
+            server.heads.append((request, dict(line.split(": ", 1) for line in lines)))
+        if not server.status.startswith("2"):
+            client.sendall(f"HTTP/1.1 {server.status}\r\nContent-Length: 0\r\n\r\n".encode())
+            return
+        host, port = request.split(" ")[1].rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            with server.lock:
+                server.upstreams.append(upstream)
+            try:
+                client.sendall(f"HTTP/1.1 {server.status}\r\n\r\n".encode())
+                with selectors.DefaultSelector() as selector:
+                    selector.register(client, selectors.EVENT_READ, upstream)
+                    selector.register(upstream, selectors.EVENT_READ, client)
+                    while True:
+                        for key, _ in selector.select():
+                            data = key.fileobj.recv(65536)
+                            if not data:
+                                return
+                            key.data.sendall(data)
+            finally:
+                with server.lock:
+                    server.upstreams.remove(upstream)
+
+
+class TunnelProxy(socketserver.ThreadingTCPServer):
+    """An HTTP proxy on 127.0.0.1 that only tunnels.
+
+    It answers each CONNECT with ``status``; after a 2xx answer, it relays
+    bytes between the client and the CONNECT target until either side
+    closes. ``heads`` holds each CONNECT's request line and headers, in
+    arrival order.
+    """
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _TunnelHandler)
+        self.status = "200 Connection established"
+        self.heads = []
+        self.upstreams = []
+        self.lock = threading.Lock()
+        self.origin = f"http://127.0.0.1:{self.server_address[1]}"
+        threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
+
+    def handle_error(self, request, client_address):
+        # A client that gave up closes its end while a relay still writes to it.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+    def close(self):
+        # Ends every relay, so that server_close() can join the handler threads.
+        with self.lock:
+            for upstream in self.upstreams:
+                with contextlib.suppress(OSError):  # the server may have reset it
+                    upstream.shutdown(socket.SHUT_RDWR)
+        self.shutdown()
+        self.server_close()
+
+
+@pytest.fixture
+def tunnel_proxy():
+    proxy = TunnelProxy()
+    yield proxy
+    proxy.close()
 
 
 @pytest.fixture

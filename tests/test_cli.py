@@ -668,6 +668,23 @@ def test_iterate_over_http_matches_scripted(corpus10, tmp_path, capsys,
             assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes(), flags
 
 
+def test_a_backend_url_with_credentials_exits_2_without_echoing_them(
+    corpus10, tmp_path, capsys, completion_server, monkeypatch
+):
+    # Fails at the parent, which ran to the end and dropped the credentials.
+    _, path = corpus10
+    monkeypatch.delenv("SUIT_BACKEND_URL", raising=False)
+    url = completion_server.url.replace("//", "//user:s3cret@")
+    assert main([
+        "iterate", "--corpus", path, "--out", str(tmp_path / "out"),
+        "--backend", "http", "--url", url, "--goal-fraction", "0.3",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "must not hold credentials" in err
+    assert "s3cret" not in err
+    assert completion_server.payloads == []
+
+
 def test_http_runs_close_their_connections(corpus10, tmp_path, capsys, keep_alive_server,
                                            monkeypatch):
     """The CLI closes the HTTP backend it built: no socket is left to the collector."""

@@ -2,8 +2,8 @@
 
 Every name a module imports is used in that module; an import kept on
 purpose carries ``# noqa: F401`` on its statement's first line or on the
-imported name's own line. Only an HTTP run loads the HTTP stack, and a
-scripted run loads no OpenSSL.
+imported name's own line. Neither a scripted run nor an ``http://`` run
+loads the HTTP stack or OpenSSL: the HTTP client dials with plain sockets.
 """
 
 import ast
@@ -15,9 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from subtod.backends import ScriptedBackend
+from subtod.cli import main
+from subtod.corpus import load_corpus
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtod"
 NOQA = "# noqa: F401"
-# Modules that only the HTTP client needs; each costs start-up time and memory.
+# Modules the HTTP client needs only for HTTPS or a proxy; each costs start-up time and memory.
 HTTP_STACK = ("http.client", "ssl", "urllib.request", "email.parser")
 # ``hashlib`` loads OpenSSL's libcrypto; seeds take the interpreter's built-in SHA-256.
 OPENSSL = ("hashlib", "_hashlib")
@@ -45,6 +49,18 @@ predictions.write_text(json.dumps({"dialogs": dialogs}))
 codes.append(main(["evaluate", "--corpus", corpus, "--predictions", str(predictions)]))
 codes.append(main(["stats", "--report", str(out / "iterate" / "report.json")]))
 print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
+
+# Runs ``iterate`` over HTTP, then prints its exit code and which of the
+# modules named on its command line are loaded.
+_HTTP_RUN = """
+import json, sys
+from subtod.cli import main
+
+corpus, out, url, *modules = sys.argv[1:]
+code = main(["iterate", "--corpus", corpus, "--out", out, "--goal-fraction", "1.0", "--k", "3",
+             "--backend", "http", "--url", url])
+print(json.dumps({"code": code, "loaded": [m for m in modules if m in sys.modules]}))
 """
 
 
@@ -95,3 +111,22 @@ def test_a_scripted_pipeline_loads_no_http_module(scripted_run):
 def test_a_scripted_pipeline_loads_no_openssl(scripted_run):
     assert scripted_run["codes"] == [0] * 6
     assert [m for m in scripted_run["loaded"] if m in OPENSSL] == []
+
+
+def test_an_http_run_loads_no_http_stack_and_no_openssl(completion_server, tmp_path):
+    # Fails at the parent, whose client dialed through http.client. The
+    # server runs in this process: http.server itself imports http.client.
+    corpus = tmp_path / "corpus.json"
+    assert main(["synth", "--goals", "3", "--dev", "1", "--seed", "5", "--out", str(corpus)]) == 0
+    completion_server.serve_backend(ScriptedBackend(load_corpus(corpus)))
+    # No proxy variable, so that the run has no reason to load urllib.request.
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy") and name != "SUIT_BACKEND_URL"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _HTTP_RUN, str(corpus), str(tmp_path / "out"),
+         completion_server.url, *HTTP_STACK, *OPENSSL],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+    assert completion_server.payloads
