@@ -3,24 +3,22 @@
 It lives apart from ``subtod.backends`` because of what it loads:
 ``socket``, ``selectors`` and ``threading`` add tens of milliseconds to a
 process's start. ``subtod.cli`` imports this module only once it has parsed
-``--backend http``, so no other run pays for them. The client dials with
-plain sockets; it loads ``ssl`` only for an ``https://`` URL and
-``urllib.request`` only when a proxy variable for the URL's scheme is set.
+``--backend http``, so no other run pays for them. The client speaks plain
+HTTP only and dials with plain sockets, so it loads none of ``ssl``,
+``http.client`` or ``urllib.request``.
 """
 
 from __future__ import annotations
 
-import binascii
 import contextlib
 import json
-import os
 import selectors
 import socket
 import threading
 import time
 import urllib.parse
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .backends import DEFAULT_MAX_TOKENS
 from .errors import BackendError
@@ -49,16 +47,15 @@ class _OversizedReply(Exception):
     """A reply body over ``MAX_REPLY_BYTES``; not retried."""
 
 
-def _closed_by_peer(sock: socket.socket, would_wait: tuple[type[OSError], ...]) -> bool:
-    """True unless a read of the idle, non-blocking ``sock`` would wait, raising one of ``would_wait``.
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True unless a read of the idle, non-blocking ``sock`` would wait.
 
     A read that does not wait finds that the server closed the connection (or
-    misbehaved). One that finds only TLS records, such as the session tickets
-    a TLS 1.3 server sends after the handshake, waits: the connection stays.
+    misbehaved).
     """
     try:
         sock.recv(1)
-    except would_wait:
+    except BlockingIOError:
         return False
     except OSError:
         pass
@@ -144,100 +141,32 @@ def _chunks(data: bytes, pos: int) -> tuple[bytes, int] | None:
         pos += 2
 
 
-def _route(parts: urllib.parse.SplitResult, timeout: float):
-    """How to reach the URL ``parts``: a connection factory, and every POST's head up to its length.
-
-    The third value is what a read that would wait raises: TLS raises its own
-    error, and ``ssl`` is loaded only for HTTPS. Honours
-    ``http_proxy``/``https_proxy``/``no_proxy``, read once here: a plain-HTTP
-    request goes to the proxy with the absolute URL as its target, an HTTPS
-    one through a CONNECT tunnel.
-    """
-    https = parts.scheme == "https"
-    default_port = 443 if https else 80
-    host, port = parts.hostname, parts.port or default_port
+def _route(parts: urllib.parse.SplitResult, port: int, timeout: float):
+    """A connection factory for the ``http://`` URL ``parts``, and every POST's head up to its length."""
+    host = parts.hostname
     origin = f"[{host}]" if ":" in host else host
-    headers = {
-        "Host": origin if port == default_port else f"{origin}:{port}",
-        "Accept-Encoding": "identity",
-        "Content-Type": "application/json",
-    }
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-    tunnel = proxy = None
-    if any(name.lower() == f"{parts.scheme}_proxy" and value for name, value in os.environ.items()):
-        # Loaded only when a proxy may apply: urllib.request costs megabytes.
-        from urllib.request import getproxies, proxy_bypass
-
-        proxy = getproxies().get(parts.scheme)
-        if proxy and proxy_bypass(f"{host}:{port}"):
-            proxy = None
-    if proxy:
-        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        if via.scheme != "http" or not via.hostname:
-            raise ValueError(f"{parts.scheme}_proxy must be http://host[:port], got {proxy!r}")
-        auth = {}
-        if via.username is not None:
-            credentials = ":".join(urllib.parse.unquote(v or "") for v in (via.username, via.password))
-            encoded = binascii.b2a_base64(credentials.encode(), newline=False).decode()
-            auth["Proxy-Authorization"] = f"Basic {encoded}"
-        if https:
-            lines = [f"CONNECT {origin}:{port} HTTP/1.1", f"Host: {origin}:{port}"]
-            tunnel = "\r\n".join([*lines, *(f"{k}: {v}" for k, v in auth.items()), "", ""]).encode()
-        else:
-            target = urllib.parse.urlunsplit(parts._replace(fragment=""))
-            headers.update(auth)
-        host, port = via.hostname, via.port or 80
-    context, would_wait = None, (BlockingIOError,)
-    if https:
-        import ssl  # only HTTPS loads OpenSSL
-
-        context = ssl.create_default_context()
-        context.set_alpn_protocols(["http/1.1"])
-        would_wait += (ssl.SSLWantReadError,)
-
-    def dial() -> socket.socket:
-        sock = socket.create_connection((host, port), timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if tunnel is not None:
-                _open_tunnel(sock, tunnel)
-            if context is not None:
-                # Verified against the backend's name, never the proxy's.
-                sock = context.wrap_socket(sock, server_hostname=parts.hostname)
-        except BaseException:
-            sock.close()
-            raise
-        return sock
-
-    lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
-    head = "\r\n".join([*lines, "Content-Length: "]).encode("ascii")
-    return (lambda: _Connection(dial)), head, would_wait
-
-
-def _open_tunnel(sock: socket.socket, head: bytes) -> None:
-    """Send the CONNECT ``head`` on ``sock``; a reply but 2xx raises ``OSError``, which is retried."""
-    sock.sendall(head)
-    reply = b""
-    while b"\r\n\r\n" not in reply:
-        data = sock.recv(_RECV_BYTES)
-        if not data or len(reply) > MAX_REPLY_BYTES:
-            raise OSError("proxy sent no whole reply to CONNECT")
-        reply += data
-    status_line = reply.partition(b"\r\n")[0].decode("latin-1")
-    version, _, status = status_line.partition(" ")
-    if not (version.startswith("HTTP/1.") and status[:1] == "2"):
-        raise OSError(f"proxy refused CONNECT: {status_line!r}")
+    lines = [
+        f"POST {target} HTTP/1.1",
+        f"Host: {origin}" if port == 80 else f"Host: {origin}:{port}",
+        "Accept-Encoding: identity",
+        "Content-Type: application/json",
+        "Content-Length: ",
+    ]
+    return (lambda: _Connection((host, port), timeout)), "\r\n".join(lines).encode("ascii")
 
 
 class _Connection:
-    """A connection to the backend: ``connect()`` dials it, then ``sock`` is open until ``close()``."""
+    """A connection to ``address``: ``connect()`` dials it, then ``sock`` is open until ``close()``."""
 
-    def __init__(self, dial: Callable[[], socket.socket]):
+    def __init__(self, address: tuple[str, int], timeout: float):
         self.sock: socket.socket | None = None
-        self._dial = dial
+        self._address = address
+        self._timeout = timeout
 
     def connect(self) -> None:
-        self.sock = self._dial()
+        self.sock = socket.create_connection(self._address, self._timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def close(self) -> None:
         sock, self.sock = self.sock, None
@@ -280,14 +209,13 @@ class HttpBackend:
     keep-alive connection, and its reply must arrive within ``timeout``. At
     most ``max_in_flight`` POSTs are in flight at once, each on a connection
     from a pool that never holds more than that many, open or being dialed.
-    They are dialed on short-lived threads, with plain sockets, which covers
-    TLS and proxy tunnels; a dial that ends is the only thing that wakes a
-    waiting wave. A POST with no idle connection starts a dial and takes the
-    first connection to come free, so a slow dial delays no POST while
-    another connection is free. ``http_proxy``/``https_proxy``/``no_proxy``
-    are read once, here; HTTPS verifies against the system's CA store. Once
-    the client is closed, a POST that has no connection yet fails at once,
-    without a retry.
+    They are dialed on short-lived threads, with plain sockets; a dial that
+    ends is the only thing that wakes a waiting wave. A POST with no idle
+    connection starts a dial and takes the first connection to come free, so
+    a slow dial delays no POST while another connection is free. Once the
+    client is closed, a POST that has no connection yet fails at once,
+    without a retry. The client speaks plain HTTP only, straight to the
+    service: an ``https://`` URL is refused, and no proxy variable is read.
     """
 
     def __init__(
@@ -301,10 +229,21 @@ class HttpBackend:
     ):
         parts = urllib.parse.urlsplit(url)
         if "@" in parts.netloc:
-            # A proxy would get them in the clear, and error messages name the URL.
+            # The client would silently drop them, and error messages name the URL.
             raise ValueError(f"backend url must not hold credentials, got one for {parts.hostname!r}")
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"backend url must look like http[s]://host[:port]/path, got {url!r}")
+        if parts.scheme == "https":
+            raise ValueError(
+                "backend url must be http://, not https://; to reach an HTTPS service, "
+                "point the url at a local TLS-terminating tunnel (such as stunnel)"
+            )
+        try:
+            port = parts.port or 80
+        except ValueError:  # not a number from 0 to 65535
+            port = None
+        if parts.scheme != "http" or not parts.hostname or port is None:
+            # Nothing before an "@" is shown: it may be a password.
+            shown = "..." + url[url.rindex("@"):] if "@" in url else url
+            raise ValueError(f"backend url must look like http://host[:port]/path, got {shown!r}")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
         if not timeout > 0:
@@ -314,7 +253,7 @@ class HttpBackend:
         self.backoff = backoff
         self.url = url
         self._max_in_flight = max_in_flight
-        self._connect, self._head, self._would_wait = _route(parts, timeout)
+        self._connect, self._head = _route(parts, port, timeout)
         # Idle keep-alive connections, most recently used last, and the count
         # of connections idle, in use or being dialed, which never exceeds
         # max_in_flight; a POST holds one, so that also bounds the POSTs.
@@ -516,7 +455,7 @@ class HttpBackend:
                 self._waiting.clear()
             while self._waiting and self._idle:
                 conn = self._idle.pop()
-                if _closed_by_peer(conn.sock, self._would_wait):
+                if _closed_by_peer(conn.sock):
                     conn.close()
                     self._open -= 1
                 else:
@@ -550,18 +489,14 @@ class HttpBackend:
             self._finish(exchange, exc)
 
     def _read(self, exchange: _Exchange) -> None:
-        sock = exchange.conn.sock
         try:
-            data = sock.recv(_RECV_BYTES)
-            # TLS may hold decrypted bytes that the selector cannot see.
-            while data and hasattr(sock, "pending") and sock.pending():
-                data += sock.recv(_RECV_BYTES)
+            data = exchange.conn.sock.recv(_RECV_BYTES)
             exchange.buf += data
             reply = _parse_reply(exchange.buf, eof=not data)
             if reply is None and not data:
                 raise _BadReply("reply ended early")
-        except self._would_wait:
-            return  # a TLS record not yet whole
+        except BlockingIOError:
+            return  # a spurious wake-up
         except (OSError, _BadReply, _OversizedReply) as exc:
             self._finish(exchange, exc)
             return

@@ -1,11 +1,4 @@
-import contextlib
-import datetime
-import ipaddress
 import json
-import selectors
-import socket
-import socketserver
-import ssl
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -201,8 +194,6 @@ class _StubHandler(BaseHTTPRequestHandler):
     """
 
     def setup(self):
-        if self.server.tls is not None:
-            self.request.do_handshake()
         super().setup()
         with self.server.lock:
             self.server.connections += 1
@@ -241,13 +232,6 @@ class _StubHTTPServer(ThreadingHTTPServer):
     # connections at once, and a dropped SYN is resent only after 1 s.
     request_queue_size = 64
 
-    def get_request(self):
-        sock, address = super().get_request()
-        if self.tls is not None:
-            # The handshake runs on the connection's own thread, in setup().
-            sock = self.tls.wrap_socket(sock, server_side=True, do_handshake_on_connect=False)
-        return sock, address
-
     def shutdown_request(self, request):
         super().shutdown_request(request)
         with self.lock:
@@ -264,14 +248,12 @@ class CompletionServer:
     """A stub completion service on 127.0.0.1.
 
     HTTP/1.0 by default, closing the connection after every reply; with
-    ``keep_alive`` it speaks HTTP/1.1 and keeps connections open. With
-    ``tls``, an ``ssl.SSLContext``, it serves HTTPS.
+    ``keep_alive`` it speaks HTTP/1.1 and keeps connections open.
     """
 
-    def __init__(self, keep_alive=False, tls=None):
+    def __init__(self, keep_alive=False):
         handler = _KeepAliveHandler if keep_alive else _StubHandler
         self._httpd = _StubHTTPServer(("127.0.0.1", 0), handler)
-        self._httpd.tls = tls
         self._httpd.lock = threading.Condition()
         self._httpd.payloads = []
         self._httpd.requests = []
@@ -288,7 +270,7 @@ class CompletionServer:
         )
         self._thread.start()
         host, port = self._httpd.server_address
-        self.origin = f"{'https' if tls else 'http'}://{host}:{port}"
+        self.origin = f"http://{host}:{port}"
         self.url = f"{self.origin}/v1/completions"
 
     def _read(self, name):
@@ -346,147 +328,6 @@ def completion_server():
     server = CompletionServer()
     yield server
     server.close()
-
-
-def _throwaway_tls(tmp_path):
-    """A server ``ssl.SSLContext`` for 127.0.0.1, and the file of the CA that signed its certificate."""
-    x509 = pytest.importorskip("cryptography.x509")
-    from cryptography.hazmat.primitives import hashes, serialization
-    from cryptography.hazmat.primitives.asymmetric import ec
-    from cryptography.x509.oid import NameOID
-
-    now = datetime.datetime.now(datetime.timezone.utc)
-
-    def certificate(name, key, issuer, issuer_key, extensions):
-        builder = (
-            x509.CertificateBuilder()
-            .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)]))
-            .issuer_name(issuer)
-            .public_key(key.public_key())
-            .serial_number(x509.random_serial_number())
-            .not_valid_before(now - datetime.timedelta(minutes=5))
-            .not_valid_after(now + datetime.timedelta(hours=1))
-            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), False)
-            .add_extension(
-                x509.AuthorityKeyIdentifier.from_issuer_public_key(issuer_key.public_key()), False
-            )
-        )
-        for extension, critical in extensions:
-            builder = builder.add_extension(extension, critical)
-        return builder.sign(issuer_key, hashes.SHA256())
-
-    ca_key, key = ec.generate_private_key(ec.SECP256R1()), ec.generate_private_key(ec.SECP256R1())
-    ca_name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "throwaway test ca")])
-    usage = dict.fromkeys(
-        ("content_commitment", "data_encipherment", "key_agreement", "encipher_only",
-         "decipher_only"), False
-    )
-    ca = certificate("throwaway test ca", ca_key, ca_name, ca_key, [
-        (x509.BasicConstraints(ca=True, path_length=None), True),
-        (x509.KeyUsage(digital_signature=True, key_encipherment=False, key_cert_sign=True,
-                       crl_sign=True, **usage), True),
-    ])
-    leaf = certificate("127.0.0.1", key, ca_name, ca_key, [
-        (x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), False),
-        (x509.BasicConstraints(ca=False, path_length=None), True),
-        (x509.ExtendedKeyUsage([x509.oid.ExtendedKeyUsageOID.SERVER_AUTH]), False),
-    ])
-    pem = serialization.Encoding.PEM
-    (tmp_path / "ca.pem").write_bytes(ca.public_bytes(pem))
-    (tmp_path / "server.pem").write_bytes(leaf.public_bytes(pem) + key.private_bytes(
-        pem, serialization.PrivateFormat.PKCS8, serialization.NoEncryption()
-    ))
-    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    context.load_cert_chain(tmp_path / "server.pem")
-    return context, tmp_path / "ca.pem"
-
-
-@pytest.fixture
-def https_server(tmp_path):
-    """A keep-alive stub over HTTPS, and the file of the throwaway CA that signed its certificate."""
-    context, ca_file = _throwaway_tls(tmp_path)
-    server = CompletionServer(keep_alive=True, tls=context)
-    yield server, ca_file
-    server.close()
-
-
-class _TunnelHandler(socketserver.BaseRequestHandler):
-    """Reads one CONNECT head and answers it; after a 2xx answer, relays bytes both ways."""
-
-    def handle(self):
-        client, server = self.request, self.server
-        head = b""
-        while b"\r\n\r\n" not in head:
-            data = client.recv(65536)
-            if not data:
-                return
-            head += data
-        request, *lines = head.partition(b"\r\n\r\n")[0].decode("latin-1").split("\r\n")
-        with server.lock:
-            server.heads.append((request, dict(line.split(": ", 1) for line in lines)))
-        if not server.status.startswith("2"):
-            client.sendall(f"HTTP/1.1 {server.status}\r\nContent-Length: 0\r\n\r\n".encode())
-            return
-        host, port = request.split(" ")[1].rsplit(":", 1)
-        with socket.create_connection((host, int(port))) as upstream:
-            with server.lock:
-                server.upstreams.append(upstream)
-            try:
-                client.sendall(f"HTTP/1.1 {server.status}\r\n\r\n".encode())
-                with selectors.DefaultSelector() as selector:
-                    selector.register(client, selectors.EVENT_READ, upstream)
-                    selector.register(upstream, selectors.EVENT_READ, client)
-                    while True:
-                        for key, _ in selector.select():
-                            data = key.fileobj.recv(65536)
-                            if not data:
-                                return
-                            key.data.sendall(data)
-            finally:
-                with server.lock:
-                    server.upstreams.remove(upstream)
-
-
-class TunnelProxy(socketserver.ThreadingTCPServer):
-    """An HTTP proxy on 127.0.0.1 that only tunnels.
-
-    It answers each CONNECT with ``status``; after a 2xx answer, it relays
-    bytes between the client and the CONNECT target until either side
-    closes. ``heads`` holds each CONNECT's request line and headers, in
-    arrival order.
-    """
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _TunnelHandler)
-        self.status = "200 Connection established"
-        self.heads = []
-        self.upstreams = []
-        self.lock = threading.Lock()
-        self.origin = f"http://127.0.0.1:{self.server_address[1]}"
-        threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        ).start()
-
-    def handle_error(self, request, client_address):
-        # A client that gave up closes its end while a relay still writes to it.
-        if not isinstance(sys.exc_info()[1], OSError):
-            super().handle_error(request, client_address)
-
-    def close(self):
-        # Ends every relay, so that server_close() can join the handler threads.
-        with self.lock:
-            for upstream in self.upstreams:
-                with contextlib.suppress(OSError):  # the server may have reset it
-                    upstream.shutdown(socket.SHUT_RDWR)
-        self.shutdown()
-        self.server_close()
-
-
-@pytest.fixture
-def tunnel_proxy():
-    proxy = TunnelProxy()
-    yield proxy
-    proxy.close()
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Scripted backend behavior, error injection, and the HTTP client."""
 
-import base64
 import dataclasses
 import hashlib
 import json
 import socket
+import string
 import sys
 import threading
 import time
@@ -847,80 +847,6 @@ def test_a_wave_longer_than_twice_max_in_flight_returns_every_reply_in_order(kee
     assert keep_alive_server.connections <= 4
 
 
-def test_a_wave_over_https_returns_the_scripted_answers(https_server, small_world, monkeypatch):
-    server, ca_file = https_server
-    # The client trusts the throwaway CA through OpenSSL's default verify paths.
-    monkeypatch.setenv("SSL_CERT_FILE", str(ca_file))
-    for name in ("https_proxy", "HTTPS_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    scripted = ScriptedBackend(small_world, seed=2)
-    server.serve_backend(scripted)
-    dialogs = small_world.dialogs + small_world.dev_dialogs
-    prompts = [p for dialog in dialogs for p in state_prompts(dialog.turns)]
-    wave = [(p, 1 if greedy else 2, greedy, 1.0, 0, 256) for p in prompts for greedy in (True, False)]
-    wave = list(dict.fromkeys(wave))[:100]
-    assert len(wave) == 100
-    backend = HttpBackend(server.url, max_in_flight=8)
-    try:
-        assert answer_wave(backend, wave) == {
-            request: scripted.generate(request[0], request[1], greedy=request[2])
-            for request in wave
-        }
-    finally:
-        backend.close()
-    assert server.url.startswith("https://")
-    assert len(server.payloads) == 100
-    assert server.connections <= 8
-
-
-def _via_tunnel_proxy(monkeypatch, https_server, tunnel_proxy):
-    """Route HTTPS through ``tunnel_proxy`` as ``user``/``p@ss``, trusting ``https_server``'s CA."""
-    server, ca_file = https_server
-    monkeypatch.setenv("SSL_CERT_FILE", str(ca_file))
-    for name in ("HTTPS_PROXY", "no_proxy", "NO_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("https_proxy", tunnel_proxy.origin.replace("//", "//user:p%40ss@"))
-    return server
-
-
-def test_https_through_a_proxy_runs_in_a_connect_tunnel(https_server, tunnel_proxy, monkeypatch):
-    # Pins behaviour that holds since the client honours https_proxy.
-    server = _via_tunnel_proxy(monkeypatch, https_server, tunnel_proxy)
-    server.respond_with(lambda payload: (200, {"completions": [payload["prompt"]]}))
-    wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(12)]
-    backend = HttpBackend(server.url, max_in_flight=4)
-    try:
-        assert answer_wave(backend, wave) == {request: [request[0]] for request in wave}
-    finally:
-        backend.close()
-    port = server.url.split(":")[2].split("/")[0]
-    auth = "Basic " + base64.b64encode(b"user:p@ss").decode()
-    # Every connection is a tunnel to the backend, dialed with the proxy's credentials.
-    assert 1 <= len(tunnel_proxy.heads) == server.connections <= 4
-    for request, headers in tunnel_proxy.heads:
-        assert request.split(" ")[:2] == ["CONNECT", f"127.0.0.1:{port}"]
-        assert headers["Proxy-Authorization"] == auth
-    # Inside the tunnel, the POSTs name only the path, and carry no proxy credentials.
-    assert [target for target, _ in server.requests] == ["/v1/completions"] * 12
-    assert all("Proxy-Authorization" not in headers for _, headers in server.requests)
-
-
-def test_a_refused_connect_is_retried_like_a_network_error(https_server, tunnel_proxy,
-                                                          monkeypatch):
-    # Pins behaviour that holds since the client honours https_proxy.
-    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
-    server = _via_tunnel_proxy(monkeypatch, https_server, tunnel_proxy)
-    tunnel_proxy.status = "407 Proxy Authentication Required"
-    backend = HttpBackend(server.url, max_retries=2)
-    try:
-        with pytest.raises(BackendError, match="backend unreachable after 3 attempts: .*407"):
-            backend.generate("p", 1, greedy=True)
-    finally:
-        backend.close()
-    assert len(tunnel_proxy.heads) == 3
-    assert server.connections == 0
-
-
 def test_every_pooled_connection_sets_tcp_nodelay(keep_alive_server):
     # Pins behaviour that holds while http.client dialed: a POST's one write
     # must not wait for the last POST's acknowledgement.
@@ -1203,41 +1129,15 @@ def test_a_reply_that_is_not_an_object_skips_the_goal(completion_server, small_w
     )
 
 
-def test_http_backend_honours_proxy_variables(completion_server, monkeypatch):
-    for name in ("http_proxy", "https_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    # The backend host resolves nowhere: only the proxy can reach it.
-    resolve = socket.getaddrinfo
-
-    def getaddrinfo(host, *args, **kwargs):
-        if host == "backend.invalid":
-            raise socket.gaierror(socket.EAI_NONAME, "unresolvable")
-        return resolve(host, *args, **kwargs)
-
-    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
-    proxy = completion_server.origin.replace("//", "//user:p%40ss@")
-    monkeypatch.setenv("http_proxy", proxy)
-    proxied = HttpBackend("http://backend.invalid/v1/completions?model=m", max_retries=0)
-    assert proxied.generate("p", 1, greedy=True) == ["stub"]
-    [(target, headers)] = completion_server.requests
-    assert target == "http://backend.invalid/v1/completions?model=m"
-    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
-
-    # no_proxy covers the stub server's host: it is reached directly.
-    monkeypatch.setenv("no_proxy", "example.org, 127.0.0.1")
-    direct = HttpBackend(completion_server.url, max_retries=0)
-    assert direct.generate("p", 1, greedy=True) == ["stub"]
-    (target, headers) = completion_server.requests[1]
-    assert target == "/v1/completions"
-    assert "Proxy-Authorization" not in headers
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
         *(pytest.param({"url": url}, "backend url must look like", id=url)
-          for url in ("127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1")),
+          for url in ("127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1",
+                      "http://host:99999/v1")),
+        # Fails at the parent, which posted over TLS.
+        pytest.param({"url": "https://host/v1"}, "point the url at a local TLS-terminating tunnel",
+                     id="https://host/v1"),
         *(pytest.param({name: value}, f"{name} must be {rule}, got {value}", id=f"{name}={value}")
           for name, value, rule in (("max_in_flight", 0, "at least 1"), ("timeout", 0, "positive"),
                                     ("timeout", -1, "positive"))),
@@ -1259,6 +1159,27 @@ def test_a_backend_url_with_credentials_is_refused_without_echoing_them(url):
         HttpBackend(url)
     assert "s3cret" not in str(info.value)
     assert "user" not in str(info.value)
+
+
+# RFC 3986 userinfo characters but ":", which ends the user name.
+_USERINFO = string.ascii_letters + string.digits + "-._~!$&'()*+,;="
+
+
+@given(
+    scheme=st.sampled_from(["", "http://", "https://", "ftp://"]),
+    user=st.text(_USERINFO).map("user-{}".format),
+    password=st.none() | st.text(_USERINFO + ":").map("s3cret-{}".format),
+)
+@example(scheme="", user="user", password="s3cret")
+@example(scheme="http://", user="user", password="s3cret/with-a-slash")
+def test_no_error_about_a_backend_url_echoes_its_userinfo(scheme, user, password):
+    # Fails at the parent, which echoed the scheme-less url, and a password
+    # before its first "/" as a port that is not a number.
+    userinfo = user if password is None else f"{user}:{password}"
+    with pytest.raises(ValueError) as info:
+        HttpBackend(f"{scheme}{userinfo}@backend.invalid:8080/v1")
+    assert user not in str(info.value)
+    assert "s3cret" not in str(info.value)
 
 
 _TOKENS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-", min_size=1,

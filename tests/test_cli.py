@@ -668,6 +668,28 @@ def test_iterate_over_http_matches_scripted(corpus10, tmp_path, capsys,
             assert (http_out / name).read_bytes() == (scripted_out / name).read_bytes(), flags
 
 
+@pytest.mark.parametrize("variable", ["http_proxy", "HTTP_PROXY"])
+def test_a_proxy_variable_leaves_an_http_run_unchanged(variable, corpus10, tmp_path, capsys,
+                                                     completion_server, monkeypatch):
+    # Fails at the parent, which sent every POST to the proxy.
+    _, path = corpus10
+    completion_server.serve_backend(
+        ScriptedBackend(load_corpus(path), ErrorInjectionConfig(rate=0.5), seed=7)
+    )
+    for name in ("SUIT_BACKEND_URL", "http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    run = ["iterate", "--corpus", path, "--goal-fraction", "1.0", "--seed", "7",
+           "--backend", "http", "--url", completion_server.url]
+    assert main([*run, "--out", str(tmp_path / "direct")]) == 0
+    # Nothing listens on port 1; a client that posted there would retry without waiting.
+    monkeypatch.setenv(variable, "http://127.0.0.1:1")
+    monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
+    assert main([*run, "--out", str(tmp_path / "proxied")]) == 0
+    capsys.readouterr()
+    for name in ("sft.jsonl", "report.json"):
+        assert (tmp_path / "proxied" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+
 def test_a_backend_url_with_credentials_exits_2_without_echoing_them(
     corpus10, tmp_path, capsys, completion_server, monkeypatch
 ):

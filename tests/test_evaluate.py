@@ -1,5 +1,7 @@
 """INFORM/SUCCESS evaluation, corpus BLEU, COMBINED, and report aggregation."""
 
+import dataclasses
+import math
 import random
 import re
 
@@ -252,6 +254,13 @@ def test_bleu_two_sentence_fixture_matches_the_frozen_oracle_value():
     assert score == pytest.approx(oracle_bleu(BLEU_FIXTURE_HYPS, BLEU_FIXTURE_REFS), abs=1e-9)
 
 
+def test_bleu_of_one_short_hypothesis_matches_the_hand_computed_value():
+    # Pins behaviour that already holds. Four tokens give one 4-gram in total,
+    # so every precision is 1/1 and only the brevity penalty exp(1 - 6/4) counts.
+    score = corpus_bleu(["the cat sat on"], ["the cat sat on the mat"])
+    assert score == pytest.approx(100.0 * math.exp(-0.5), abs=1e-9)
+
+
 def test_bleu_rejects_mismatched_corpora():
     with pytest.raises(ValueError):
         corpus_bleu(["a"], [])
@@ -329,6 +338,47 @@ def test_evaluate_corpus_counts_seven_of_ten_successes(db3, hotel_goal, hotel_di
     assert dict(report.per_domain) == {"hotel": (100.0, 70.0)}
     assert report.combined == pytest.approx(report.bleu + 85.0, abs=1e-9)
     assert report.to_dict()["per_domain"]["hotel"] == {"inform": 100.0, "success": 70.0}
+
+
+def test_evaluate_corpus_counts_a_dialog_only_when_every_goal_domain_holds(
+    db3, hotel_goal, hotel_dialog
+):
+    # Pins behaviour that already holds. In each failed dialog one domain holds and the
+    # other does not: d-1's taxi names no phone, d-2's hotel offer queries the wrong area.
+    taxi = {"departure": "alpha hotel", "destination": "gamma hotel"}
+    goal = UserGoal(domains={
+        **hotel_goal.domains, "taxi": GoalEntry(constraints=taxi, requests=frozenset({"phone"})),
+    })
+    booked = Turn(
+        user="i also need a taxi from alpha hotel to gamma hotel.",
+        system=SystemTurn(
+            state={**hotel_dialog.turns[-1].system.state, "taxi": dict(taxi)},
+            acts=(DialogAct("taxi", "inform", "phone"),),
+            response="booked! the contact number is [taxi_phone].",
+        ),
+    )
+    both = Dialog(id="d-0", goal_id="g", turns=(*hotel_dialog.turns, booked))
+    hotel_only = _with_response(dataclasses.replace(both, id="d-1"), 2, "your taxi is booked.")
+    south = {"hotel": {**hotel_goal.domains["hotel"].constraints, "area": "south"}}
+    taxi_only = _with_state(dataclasses.replace(both, id="d-2"), 0, south)
+    dialogs = [both, hotel_only, taxi_only]
+    references = {d.id: [t.system.response for t in d.turns] for d in dialogs}
+    report = evaluate_corpus(dialogs, {"g": goal}, db3, references)
+    assert report.inform == pytest.approx(200 / 3)
+    assert report.success == pytest.approx(100 / 3)
+    assert set(report.per_domain) == {"hotel", "taxi"}
+    assert report.per_domain["hotel"] == pytest.approx((200 / 3, 200 / 3))
+    assert report.per_domain["taxi"] == pytest.approx((100.0, 200 / 3))
+
+
+def test_a_splice_past_the_last_turn_raises_index_error(db3, hotel_goal, hotel_dialog):
+    # Pins behaviour that already holds.
+    splices = SpliceEvaluator(hotel_goal, db3).splices(hotel_dialog)
+    fragment = hotel_dialog.turns[0].system
+    for kind in SubgoalKind:
+        assert splices.success(len(hotel_dialog.turns) - 1, kind, fragment) in (True, False)
+        with pytest.raises(IndexError, match="turn 2 out of range"):
+            splices.success(len(hotel_dialog.turns), kind, fragment)
 
 
 def test_evaluate_corpus_orders_domain_columns(small_world):

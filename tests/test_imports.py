@@ -21,7 +21,8 @@ from subtod.corpus import load_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtod"
 NOQA = "# noqa: F401"
-# Modules the HTTP client needs only for HTTPS or a proxy; each costs start-up time and memory.
+# The standard library's HTTP and TLS stack, which the plain-socket HTTP client
+# never needs; each module costs start-up time and memory.
 HTTP_STACK = ("http.client", "ssl", "urllib.request", "email.parser")
 # ``hashlib`` loads OpenSSL's libcrypto; seeds take the interpreter's built-in SHA-256.
 OPENSSL = ("hashlib", "_hashlib")
@@ -130,3 +131,18 @@ def test_an_http_run_loads_no_http_stack_and_no_openssl(completion_server, tmp_p
     )
     assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
     assert completion_server.payloads
+
+
+def test_an_https_url_exits_2_naming_a_tunnel_and_loads_no_ssl(tmp_path):
+    # Fails at the parent, which loaded ssl to post over TLS.
+    corpus = tmp_path / "corpus.json"
+    assert main(["synth", "--goals", "3", "--dev", "1", "--seed", "5", "--out", str(corpus)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    env.pop("SUIT_BACKEND_URL", None)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _HTTP_RUN, str(corpus), str(tmp_path / "out"),
+         "https://127.0.0.1:1/v1", *HTTP_STACK, *OPENSSL],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 2, "loaded": []}
+    assert "TLS-terminating tunnel" in done.stderr

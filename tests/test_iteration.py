@@ -8,12 +8,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import generation_request
+from oracles import (
+    detect,
+    generation_request,
+    plain_dialog,
+    plain_goal,
+    plain_schemas,
+    plain_tables,
+)
 from subtod import cli, iteration, sampling, subgoals
 from subtod.backends import BackendError, ErrorInjectionConfig, ScriptedBackend
 from subtod.corpus import save_corpus
-from subtod.evaluate import SpliceEvaluator, evaluate_corpus
+from subtod.evaluate import SpliceEvaluator, dialog_success, evaluate_corpus
 from subtod.iteration import (
     IterationConfig,
     IterationReport,
@@ -21,14 +30,22 @@ from subtod.iteration import (
     build_group,
     map_goals,
     predict_greedy,
+    process_goals,
     run_iteration,
     subsample_goals,
     write_jsonl,
 )
+from subtod.model import SubgoalKind, SystemTurn, replace_turn
 from subtod.sampling import SamplingConfig
-from subtod.subgoals import PairPolicy
+from subtod.subgoals import PairPolicy, detect_subgoals
 from subtod.synthetic import build_world
-from subtod.verbalize import state_prompts, state_text
+from subtod.verbalize import (
+    act_prompt_text,
+    parse_act_response,
+    parse_state,
+    state_prompts,
+    state_text,
+)
 from test_verbalize import MULTIWOZ_ACT_VERBS, MULTIWOZ_DOMAINS
 
 
@@ -248,6 +265,115 @@ def test_an_iterate_run_builds_one_splice_evaluator_per_goal(small_world, tmp_pa
     assert report.n_dialogs_unsuccessful > 0
     assert sum(report.n_subgoal_samples.values()) > 0
     assert len(built) == report.n_goals_sampled == len(small_world.goals)
+
+
+def test_the_report_counts_the_subgoal_samples_the_oracle_detects(small_world, tmp_path):
+    # Pins behaviour that already holds: one sample per winner, turn and kind with a flip.
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=13, out_dir=tmp_path)
+
+    def noisy():
+        return ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.6), seed=13)
+
+    report = run_iteration(small_world, cfg, noisy())
+    groups = []
+    process_goals(small_world, cfg, noisy(), groups.append)
+    db = small_world.database
+    expected = {kind.value: 0 for kind in SubgoalKind}
+    for group in groups:
+        flips = detect([plain_dialog(d) for d in group.candidates], group.labels,
+                       plain_goal(group.goal), plain_schemas(db), plain_tables(db))
+        for _, _, kind in {flip[:3] for flip in flips}:
+            expected[kind] += 1
+    assert len(groups) == len(small_world.goals)
+    assert all(expected.values())
+    assert report.n_subgoal_samples == expected
+
+
+def _injected_fragments(world, cfg, noisy, clean):
+    """Each goal's injected fragments by ``(goal id, turn, kind)``, found from the replies alone.
+
+    A fragment is injected when the noisy backend's ``k``-sample reply to the
+    gold state prompt, or to its act prompt for the gold state, differs from
+    the noise-free backend's at the same sample. A state fragment is its
+    state; an act/response fragment is a system turn with the gold state.
+    """
+    sampling = cfg.sampling()
+    domains, verbs = frozenset(world.ontology.domains), world.ontology.act_verbs()
+    injected = {}
+    for dialog in world.dialogs:
+        for t, prompt in enumerate(state_prompts(dialog.turns)):
+            gold = dialog.turns[t].system
+            stages = (("state", prompt, SubgoalKind.STATE),
+                      ("turn", act_prompt_text(prompt, gold.state), SubgoalKind.ACT_RESPONSE))
+            for stage, stage_prompt, kind in stages:
+                request = generation_request(stage_prompt, stage, sampling, greedy=False)
+                replies = [
+                    backend.generate(stage_prompt, request[1], greedy=False,
+                                     temperature=request[3], seed=request[4])
+                    for backend in (noisy, clean)
+                ]
+                for noisy_reply, clean_reply in zip(*replies):
+                    if noisy_reply == clean_reply:
+                        continue
+                    if kind is SubgoalKind.STATE:
+                        fragment = SystemTurn(state=parse_state(noisy_reply, domains=domains).state,
+                                              acts=gold.acts, response=gold.response)
+                    else:
+                        parsed = parse_act_response(noisy_reply, domains=domains, verbs=verbs)
+                        fragment = SystemTurn(state=gold.state, acts=parsed.acts,
+                                              response=parsed.response)
+                    injected.setdefault((dialog.goal_id, t, kind), []).append(fragment)
+    return injected
+
+
+def _same_fragment(kind, a, b):
+    if kind is SubgoalKind.STATE:
+        return a.state == b.state
+    return (a.acts, a.response) == (b.acts, b.response)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_goals=st.integers(3, 40),
+    world_seed=st.integers(0, 1000),
+    k=st.integers(1, 3),
+    rate=st.floats(0.2, 1.0),
+    seed=st.integers(0, 1000),
+)
+def test_detection_rejects_exactly_the_harmful_injected_fragments(n_goals, world_seed, k, rate,
+                                                                   seed):
+    # Pins behaviour that already holds, on both sides of the injection oracle.
+    world = build_world(n_goals, seed=world_seed, dev_goals=0)
+    noisy = ScriptedBackend(world, ErrorInjectionConfig(rate=rate), seed=seed)
+    cfg = IterationConfig(k=k, goal_fraction=1.0, seed=seed)
+    injected = _injected_fragments(world, cfg, noisy, ScriptedBackend(world, seed=seed))
+    db = world.database
+    negatives = {}
+
+    def handle(group):
+        for sample in detect_subgoals(group, db):
+            negatives.setdefault((sample.goal_id, sample.turn, sample.kind), []).extend(
+                sample.negatives
+            )
+
+    labels, skipped = process_goals(world, cfg, noisy, handle)
+    assert skipped == [] and len(labels) == len(world.goals)
+    # Every negative is an injected fragment of its goal, turn and kind.
+    for (goal_id, t, kind), found in negatives.items():
+        for negative in found:
+            assert any(_same_fragment(kind, negative, fragment)
+                       for fragment in injected.get((goal_id, t, kind), ()))
+    # Every injected fragment that alone breaks the gold dialog is a negative of its goal.
+    dialogs = world.dialog_map()
+    for (goal_id, t, kind), fragments in injected.items():
+        if not any(labels[goal_id]):
+            continue
+        goal = world.goals[goal_id]
+        for fragment in fragments:
+            if dialog_success(replace_turn(dialogs[goal_id], t, kind, fragment), goal, db):
+                continue
+            assert any(_same_fragment(kind, fragment, negative)
+                       for negative in negatives.get((goal_id, t, kind), ()))
 
 
 @pytest.fixture(scope="module")

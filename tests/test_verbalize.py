@@ -260,6 +260,14 @@ def test_parse_acts_reports_missing_act_token_and_unknown_verbs():
     assert any("before any domain" in d for d in orphan.diagnostics)
 
 
+def test_a_clause_of_only_booking_is_reported_not_raised():
+    # Pins behaviour that already holds: the parsers never raise.
+    parsed = parse_act_response("[A] booking; [R] hi", **MULTIWOZ)
+    assert parsed.acts == ()
+    assert parsed.response == "hi"
+    assert parsed.diagnostics == ("act clause without a verb: 'booking'",)
+
+
 def test_parse_acts_bare_verb_inherits_the_running_domain():
     parsed = parse_act_response(
         "[A] attraction inform NAME; general [R] anything else?", **MULTIWOZ
