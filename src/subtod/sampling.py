@@ -4,13 +4,14 @@ For each distinct dialog context, that is each distinct state prompt, draw a
 greedy belief state plus ``k`` sampled ones, then for every distinct
 surviving state draw a greedy act/response completion plus ``k`` sampled ones.
 Once a prompt has two or more distinct states, the greedy state gets only
-its greedy completion: candidates read the greedy state only in the
-all-greedy dialog, with its greedy completion (``assemble_candidates``).
-Duplicates are removed early (keeping the first occurrence, so the greedy
-variant survives any tie) because identical fragments can only produce
-identical downstream dialogs. The requests of each stage, across all dialogs
-sampled together, form one wave with one call per distinct request, which a
-backend that can prefetch sends concurrently.
+its greedy completion and each sampled state only its ``k`` sampled ones:
+candidates read the greedy state only in the all-greedy dialog, with its
+greedy completion, and a sampled state only with its sampled completions
+(``assemble_candidates``). Duplicates are removed early (keeping the first
+occurrence, so the greedy variant survives any tie) because identical
+fragments can only produce identical downstream dialogs. The requests of
+each stage, across all dialogs sampled together, form one wave with one call
+per distinct request, which a backend that can prefetch sends concurrently.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ Request = tuple[str, int, bool, float, int, int]
 
 
 # Deduplicated generations for one turn: per distinct state (greedy first),
-# the distinct system turns sampled for it (greedy first), all sharing that
-# state. When there are several states, slot 0 holds just the greedy turn.
-# Distinct indices are distinct fragments.
+# the distinct system turns sampled for it, all sharing that state. A lone
+# state lists its greedy turn, then its samples; when there are several,
+# slot 0 holds just the greedy turn and every other slot just its state's
+# samples. Distinct indices are distinct fragments.
 SampledTurnSet = list[list[SystemTurn]]
 
 
@@ -135,9 +137,10 @@ def sample_dialogs(
     out only if some dialog reaches it with no state-stage failure before,
     so a failed state request still lets the act/response requests of the
     turns before it run. ``greedy_only`` draws only the greedy state and
-    completion; otherwise each prompt gets the greedy request and the
-    ``k``-sample one. Replies are parsed with ``ontology``'s domains and act
-    verbs.
+    completion; otherwise each prompt gets the greedy state request and the
+    ``k``-sample one, and each of its states the act/response draws that the
+    module docstring names. Replies are parsed with ``ontology``'s domains
+    and act verbs.
     """
     domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
     # The ``greedy`` flag of each request per prompt, greedy first.
@@ -167,7 +170,8 @@ def sample_dialogs(
 
     # The act/response requests of every new prompt that some dialog reaches,
     # per distinct state. Once a prompt has two distinct states, candidates
-    # read only the greedy turn of the greedy state, so it gets only that draw.
+    # read only the greedy turn of the greedy state and only the sampled
+    # turns of the others, so each state gets only that draw.
     turn_requests: dict[str, list[list[Request]]] = {}
     for dialog_prompts in prompts.values():
         for prompt in dialog_prompts:
@@ -176,10 +180,10 @@ def sample_dialogs(
             states = states_of[prompt]
             if isinstance(states, BackendError) or not states:
                 break
-            greedy_state_draws = draws if len(states) == 1 else draws[:1]
             turn_requests[prompt] = [
                 generation_requests(
-                    act_prompt_text(prompt, state), "turn", cfg, draws if i else greedy_state_draws
+                    act_prompt_text(prompt, state), "turn", cfg,
+                    draws if len(states) == 1 else (i == 0,),
                 )
                 for i, state in enumerate(states)
             ]

@@ -86,28 +86,32 @@ def assemble_candidates(
 ) -> list[Dialog]:
     """Build the k*k+1 candidate dialogs for one goal, duplicates dropped.
 
-    Generation lists are greedy-first, so sampled choice a at a turn maps to
-    list slot a+1, clamped to whatever survived deduplication. The all-greedy
-    dialog always comes first.
+    State lists are greedy-first, so sampled state choice a at a turn maps to
+    slot a+1. The greedy state's turns are greedy-first too, so continuation
+    choice b maps to its slot b+1, while a sampled state's list holds only
+    its samples, so b maps to slot b (see ``SampledTurnSet``). Every slot is
+    clamped to whatever survived deduplication. The all-greedy dialog always
+    comes first.
     """
     if len(samples) != len(source.turns):
         raise ValueError(
             f"dialog {source.id!r}: {len(source.turns)} turns but "
             f"{len(samples)} turn sample sets"
         )
-    choices = [(0, 0)] + [((j - 1) // k, (j - 1) % k) for j in range(1, k * k + 1)]
-    dialogs: list[Dialog] = []
-    # Per-turn (state, system turn) indices of each kept dialog; distinct
-    # indices are distinct fragments (see ``SampledTurnSet``), so equal
-    # index tuples are exactly equal dialogs.
-    picked: set[tuple[tuple[int, int], ...]] = set()
-    for number, (a, b) in enumerate(choices):
-        indices = []
+    # Per candidate: its id suffix and its (state, system turn) slot per turn.
+    choices = [("0-0", tuple((0, 0) for _ in samples))]
+    for a, b in (divmod(j, k) for j in range(k * k)):
+        slots = []
         for turn_set in samples:
-            state_idx = 0 if number == 0 else min(1 + a, len(turn_set) - 1)
-            cont_idx = 0 if number == 0 else min(1 + b, len(turn_set[state_idx]) - 1)
-            indices.append((state_idx, cont_idx))
-        key = tuple(indices)
+            state_idx = min(1 + a, len(turn_set) - 1)
+            first_sample = 1 if state_idx == 0 else 0
+            slots.append((state_idx, min(first_sample + b, len(turn_set[state_idx]) - 1)))
+        choices.append((f"{a + 1}-{b + 1}", tuple(slots)))
+    dialogs: list[Dialog] = []
+    # The slots of each kept dialog; distinct slots are distinct fragments
+    # (see ``SampledTurnSet``), so equal slot tuples are exactly equal dialogs.
+    picked: set[tuple[tuple[int, int], ...]] = set()
+    for suffix, key in choices:
         if key in picked:
             continue
         picked.add(key)
@@ -115,7 +119,6 @@ def assemble_candidates(
             Turn(user=turn.user, system=turn_set[state_idx][cont_idx])
             for turn, turn_set, (state_idx, cont_idx) in zip(source.turns, samples, key)
         )
-        suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
         dialogs.append(
             Dialog(id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=turns)
         )

@@ -216,25 +216,20 @@ def _parse_act_response(
         diagnostics.append(f"missing {TOKEN_ACTS} token")
 
     acts: list[DialogAct] = []
-    booking = False
-    domain: str | None = None
+    # The running domain and booking flag, set where a clause names a domain;
+    # a bare ``booking`` prefix turns the flag on for the running domain.
+    running: tuple[str, bool] | None = None
     for clause in acts_part.split(";"):
         tokens = clause.split()
         if not tokens:
             continue
-        i = 0
-        new_booking = False
-        new_domain = None
-        if tokens[i].lower() == BOOKING_PREFIX:
-            new_booking = True
-            i += 1
+        booking = tokens[0].lower() == BOOKING_PREFIX
+        i = int(booking)
         if i < len(tokens) and tokens[i].lower() in domains:
-            new_domain = tokens[i].lower()
+            running = (tokens[i].lower(), booking)
             i += 1
-        if new_domain is not None:
-            booking, domain = new_booking, new_domain
-        elif new_booking:
-            booking = True
+        elif booking and running is not None:
+            running = (running[0], True)
         if i >= len(tokens):
             diagnostics.append(f"act clause without a verb: {clause.strip()!r}")
             continue
@@ -242,10 +237,11 @@ def _parse_act_response(
         if verb not in verbs:
             diagnostics.append(f"unknown act verb: {clause.strip()!r}")
             continue
-        if domain is None:
+        if running is None:
             diagnostics.append(f"act clause before any domain: {clause.strip()!r}")
             continue
         slot = " ".join(t.lower() for t in tokens[i + 1 :]) or None
+        domain, booking = running
         acts.append(DialogAct(domain=domain, act=verb, slot=slot, booking=booking))
     return ParsedActResponse(
         acts=tuple(acts), response=response.strip(), diagnostics=tuple(diagnostics)

@@ -9,6 +9,11 @@ or boolean operator, a ``not``, an integer or boolean constant, and the
 them with a fixed seed, and runs tier-1 with ``-x`` once per mutant. A
 mutant that no test kills is printed as a survivor.
 
+Sites that cannot change an output are not listed: decorator arguments
+(``@dataclass(frozen=True)``, ``@lru_cache(maxsize=...)``), ``repr=``
+arguments, and the values of the tuning constants in ``TUNING_CONSTANTS``,
+which size a memo or a block. So every survivor is a candidate gap.
+
 Run it with:
 
     python tests/mutate.py [--per-module 14] [--seed 0] [--workdir DIR] [module ...]
@@ -31,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("evaluate", "subgoals", "sampling", "verbalize", "iteration")
+# Module-level constants that bound a memo or a block; no output depends on them.
+TUNING_CONSTANTS = frozenset({"PARSE_MEMO_SIZE", "NORMALIZE_MEMO_SIZE", "BLOCK_SIZE"})
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -64,20 +71,37 @@ def _mutations(node: ast.AST) -> list[ast.AST]:
     return out
 
 
+def _inert(tree: ast.Module) -> set[int]:
+    """The ids of the nodes in ``tree`` whose mutants cannot change an output (module docstring)."""
+    roots: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            roots += node.decorator_list
+        elif isinstance(node, ast.keyword) and node.arg == "repr":
+            roots.append(node.value)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id in TUNING_CONSTANTS for t in targets):
+            roots.append(node.value)
+    return {id(node) for root in roots for node in ast.walk(root)}
+
+
 def mutants(source: str) -> list[tuple[int, str, str]]:
     """Every one-site mutant of ``source``: its line, the mutated text, and the whole mutated source.
 
     Only the mutated node's own text changes, so comments and layout stay.
     A mutated expression is parenthesized, so it binds as the original did.
+    Nodes that ``_inert`` lists get no mutant.
     """
     tree = ast.parse(source)
+    inert = _inert(tree)
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line.encode("utf-8")))
     encoded = source.encode("utf-8")
     out = []
     for node in ast.walk(tree):
-        if not hasattr(node, "end_col_offset"):
+        if not hasattr(node, "end_col_offset") or id(node) in inert:
             continue
         begin = starts[node.lineno - 1] + node.col_offset
         end = starts[node.end_lineno - 1] + node.end_col_offset

@@ -9,7 +9,8 @@ implementations rarely share a bug, so agreement is evidence of correctness.
 ``generation_request`` spells out, with ``hashlib``, the request and seed
 that sampling sends for one prompt and draw, apart from
 ``subtod.backends.stable_seed``. ``sampled_turn_set`` samples one prompt by
-sending every draw, one request at a time, with none left out.
+sending every draw, one request at a time, with none left out, and
+``every_draw_candidates`` builds a goal's candidates from such turn sets.
 
 The adapters at the bottom only convert package objects into the plain data
 the oracles consume, a dialog into its per-turn ``DialogContext``s
@@ -212,7 +213,7 @@ def generation_request(prompt, stage, cfg, *, greedy):
 
 # ---------------------------------------------------------------- sampling
 
-from subtod.model import SystemTurn  # noqa: E402
+from subtod.model import Dialog, SystemTurn, Turn  # noqa: E402
 from subtod.verbalize import act_prompt_text, parse_act_response, parse_state  # noqa: E402
 
 
@@ -227,6 +228,16 @@ def _draw_replies(backend, prompt, stage, cfg):
     return replies
 
 
+def sampled_continuations(backend, prompt, state, cfg, ontology):
+    """``state``'s greedy system turn and its ``k`` sampled ones, duplicates kept."""
+    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
+    turns = []
+    for raw in _draw_replies(backend, act_prompt_text(prompt, state), "turn", cfg):
+        parsed = parse_act_response(raw, domains=domains, verbs=verbs)
+        turns.append(SystemTurn(state=state, acts=parsed.acts, response=parsed.response))
+    return turns[0], turns[1:]
+
+
 def sampled_turn_set(backend, prompt, cfg, ontology):
     """One state prompt's turn set from every draw: per distinct state, its distinct turns.
 
@@ -234,7 +245,7 @@ def sampled_turn_set(backend, prompt, cfg, ontology):
     each distinct state's greedy and ``k``-sample act/response requests give
     its distinct system turns; each list keeps first occurrences, greedy first.
     """
-    domains, verbs = frozenset(ontology.domains), ontology.act_verbs()
+    domains = frozenset(ontology.domains)
     states = []
     for raw in _draw_replies(backend, prompt, "state", cfg):
         state = parse_state(raw, domains=domains).state
@@ -242,14 +253,38 @@ def sampled_turn_set(backend, prompt, cfg, ontology):
             states.append(state)
     turn_set = []
     for state in states:
+        greedy, samples = sampled_continuations(backend, prompt, state, cfg, ontology)
         turns = []
-        for raw in _draw_replies(backend, act_prompt_text(prompt, state), "turn", cfg):
-            parsed = parse_act_response(raw, domains=domains, verbs=verbs)
-            turn = SystemTurn(state=state, acts=parsed.acts, response=parsed.response)
+        for turn in [greedy, *samples]:
             if turn not in turns:
                 turns.append(turn)
         turn_set.append(turns)
     return turn_set
+
+
+def every_draw_candidates(source, turn_sets, k):
+    """The ``k*k + 1`` candidates of ``source`` over ``sampled_turn_set``'s turn sets.
+
+    Candidate 0 takes the greedy state and its greedy turn at every turn.
+    Candidate j (1-based) takes, at every turn, sampled state (j-1) // k and
+    its sampled turn (j-1) % k: list slots 1 + (j-1) // k and 1 + (j-1) % k,
+    since both lists are greedy first, each clamped to the list's last slot.
+    A candidate whose turns equal an earlier one's is dropped.
+    """
+    kept = []
+    for j in range(k * k + 1):
+        turns = []
+        for turn, turn_set in zip(source.turns, turn_sets):
+            state_turns = turn_set[0 if j == 0 else min(1 + (j - 1) // k, len(turn_set) - 1)]
+            system = state_turns[0 if j == 0 else min(1 + (j - 1) % k, len(state_turns) - 1)]
+            turns.append(Turn(user=turn.user, system=system))
+        suffix = "0-0" if j == 0 else f"{(j - 1) // k + 1}-{(j - 1) % k + 1}"
+        candidate = Dialog(
+            id=f"{source.id}/cand-{suffix}", goal_id=source.goal_id, turns=tuple(turns)
+        )
+        if all(candidate.turns != other.turns for other in kept):
+            kept.append(candidate)
+    return kept
 
 
 # ----------------------------------------------- package-object adapters

@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contexts_of, generation_request, sampled_turn_set
+from oracles import (
+    contexts_of,
+    every_draw_candidates,
+    generation_request,
+    sampled_continuations,
+    sampled_turn_set,
+)
 from subtod.errors import BackendError
 from subtod.backends import DEFAULT_MAX_TOKENS, ErrorInjectionConfig, ScriptedBackend, stable_seed
 from subtod.iteration import IterationConfig, process_goals
-from subtod.model import DialogAct, DialogContext, SystemTurn
+from subtod.model import Dialog, DialogAct, DialogContext, SystemTurn, Turn
 from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
 from subtod.subgoals import assemble_candidates
 from subtod.synthetic import default_ontology
@@ -77,10 +83,39 @@ def test_distinct_generations_all_survive():
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
     turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
     assert [turns[0].state["hotel"]["area"] for turns in turn_set] == ["north", "south", "west"]
-    # With other states, the greedy state holds only its greedy turn: no candidate reads more.
-    assert [len(turns) for turns in turn_set] == [1, 3, 3]
-    for turns in turn_set:
-        assert turns[0].response == "it is in the north."
+    # With other states, the greedy state holds only its greedy turn and each sampled state only
+    # its samples: no candidate reads more.
+    assert [[turn.response for turn in turns] for turns in turn_set] == [
+        ["it is in the north."],
+        ["it is in the north. anything else?", "what price range?"],
+        ["it is in the north. anything else?", "what price range?"],
+    ]
+    assert all(turn.state == turns[0].state for turns in turn_set for turn in turns)
+
+
+def test_a_sample_equal_to_the_greedy_continuation_fills_a_sampled_states_slot():
+    backend = FakeBackend(STATE_NORTH, [STATE_SOUTH, STATE_WEST],
+                          TURN_BASE, [TURN_BASE, TURN_ASK])
+    turn_set = sample_turn(backend, _context(), SamplingConfig(k=2), ONTOLOGY)
+    assert [[turn.response for turn in turns] for turns in turn_set] == [
+        ["it is in the north."],
+        ["it is in the north.", "what price range?"],
+        ["it is in the north.", "what price range?"],
+    ]
+    # No greedy act/response request goes to a sampled state.
+    greedy_act_prompts = [prompt for prompt, _, greedy, _ in backend.calls[2:] if greedy]
+    state_prompt = state_prompts([_context()])[0]
+    assert greedy_act_prompts == [act_prompt_text(state_prompt, {"hotel": {"area": "north"}})]
+    # Both samples fill a candidate's slot.
+    source = Dialog(id="d", goal_id="g", turns=(Turn(user=_context().user, system=turn_set[0][0]),))
+    candidates = assemble_candidates(source, [turn_set], 2)
+    assert [(c.id, c.turns[0].system) for c in candidates] == [
+        ("d/cand-0-0", turn_set[0][0]),
+        ("d/cand-1-1", turn_set[1][0]),
+        ("d/cand-1-2", turn_set[1][1]),
+        ("d/cand-2-1", turn_set[2][0]),
+        ("d/cand-2-2", turn_set[2][1]),
+    ]
 
 
 def test_dedup_keeps_the_greedy_variant_first():
@@ -103,15 +138,15 @@ def test_call_plan_and_distinct_stage_seeds():
                           TURN_BASE, [TURN_TAIL, TURN_ASK])
     sample_turn(backend, _context(), SamplingConfig(k=2, seed=11), ONTOLOGY)
     prompts = [c[0] for c in backend.calls]
-    # One greedy + one sampled call for states, then one pair per distinct state,
-    # except the greedy state's sampled call, which no candidate would read.
-    assert len(backend.calls) == 2 + 2 * 3 - 1
+    # One greedy + one sampled call for states, then one call per distinct state: the greedy
+    # state's greedy call and each sampled state's sampled call, the only ones candidates read.
+    assert len(backend.calls) == 2 + 3
     assert backend.calls[0][1:3] == (1, True)
     assert backend.calls[1][1:3] == (2, False)
     assert backend.calls[0][3] != backend.calls[1][3]
     assert prompts[0] == prompts[1]
     assert len(set(prompts[2:])) == 3  # one act prompt per distinct state
-    assert [call[1:3] for call in backend.calls if call[0] == prompts[2]] == [(1, True)]
+    assert [call[1:3] for call in backend.calls[2:]] == [(1, True), (2, False), (2, False)]
 
 
 def test_unparseable_generations_degrade_to_empty_state_and_bare_response():
@@ -141,10 +176,12 @@ def test_scripted_world_yields_full_turn_sets(small_world):
     context = contexts_of(dialog)[0]
     turn_set = sample_turn(backend, context, SamplingConfig(k=2, seed=1), small_world.ontology)
     assert len(turn_set) == 3
-    assert turn_set[0][0].state == dialog.turns[0].system.state
-    assert [len(turns) for turns in turn_set] == [1, 3, 3]
-    for turns in turn_set:
-        assert turns[0].response == dialog.turns[0].system.response
+    assert turn_set[0] == [dialog.turns[0].system]
+    # Each sampled state holds its two samples, which extend the gold response.
+    gold = dialog.turns[0].system.response
+    assert [len(turns) for turns in turn_set] == [1, 2, 2]
+    for turns in turn_set[1:]:
+        assert all(turn.response.startswith(f"{gold} ") for turn in turns)
 
 
 def test_sampled_turn_set_is_deterministic(small_world):
@@ -191,10 +228,11 @@ def test_every_request_carries_the_stable_seed_of_its_prompt_and_tag(small_world
     if greedy_only:
         assert set(tags) == {"greedy-state", "greedy-turn"}
     else:
-        # Each draw of a prompt has its own request, and prompts have several states,
-        # whose greedy one gets no k-sample act/response request.
+        # Each draw of a prompt has its own request. A prompt's greedy state gets the one greedy
+        # act/response request, and prompts have several states, whose sampled ones get a
+        # k-sample act/response request each.
         assert set(tags) == {"greedy-state", "state", "greedy-turn", "turn"}
-        assert tags["state"] == tags["greedy-state"] < tags["turn"] < tags["greedy-turn"]
+        assert tags["state"] == tags["greedy-state"] == tags["greedy-turn"] < tags["turn"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -204,12 +242,19 @@ def test_candidates_equal_those_of_sampling_every_draw(small_world, k):
     results = sample_dialogs(backend, _prompts(small_world.dialogs), cfg, small_world.ontology)
     several_states = False
     for dialog in small_world.dialogs:
-        reference = [
-            sampled_turn_set(backend, prompt, cfg, small_world.ontology)
-            for prompt in state_prompts(dialog.turns)
-        ]
-        several_states |= any(len(turn_set) > 1 for turn_set in reference)
-        assert assemble_candidates(dialog, results[dialog.goal_id], k) == assemble_candidates(
+        reference = []
+        for prompt in state_prompts(dialog.turns):
+            turn_set = sampled_turn_set(backend, prompt, cfg, small_world.ontology)
+            # Sampling sends a sampled state no greedy act/response request. The candidates
+            # stay equal because the scripted backend never samples that greedy continuation.
+            for turns in turn_set[1:]:
+                greedy, samples = sampled_continuations(
+                    backend, prompt, turns[0].state, cfg, small_world.ontology
+                )
+                assert greedy not in samples
+            several_states |= len(turn_set) > 1
+            reference.append(turn_set)
+        assert assemble_candidates(dialog, results[dialog.goal_id], k) == every_draw_candidates(
             dialog, reference, k
         )
     assert several_states
@@ -231,11 +276,15 @@ def test_no_request_is_sent_that_no_candidate_reads(small_world):
     for prompt, calls in turn_calls.items():
         turn_set = sampled_turn_set(scripted, prompt, cfg, small_world.ontology)
         states = [turns[0].state for turns in turn_set]
-        assert len(calls) == 2 * len(states) - (len(states) > 1), prompt
-        if len(states) > 1:
-            several_states = True
-            greedy_act_prompt = act_prompt_text(prompt, states[0])
-            assert not [call for call in calls if call[0] == greedy_act_prompt and not call[2]]
+        if len(states) == 1:
+            assert [call[2] for call in calls] == [True, False], prompt
+            continue
+        several_states = True
+        # The greedy state gets only its greedy request and each sampled state only its
+        # k-sample one.
+        assert sorted((call[0], call[2]) for call in calls) == sorted(
+            (act_prompt_text(prompt, state), i == 0) for i, state in enumerate(states)
+        ), prompt
     assert several_states
 
 
@@ -244,11 +293,14 @@ def test_a_goal_runs_when_only_a_request_no_candidate_reads_would_fail(small_wor
     sampling = cfg.sampling()
     scripted = ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.5), seed=3)
     dialogs = small_world.dialog_map()
-    # The first goal with a prompt of several states, and that prompt's greedy state's k-sample
-    # act/response request.
+    # The first goal with a prompt of several states, and that prompt's act/response requests
+    # that no candidate reads: its greedy state's k-sample one and each sampled state's greedy one.
     goal_id, unread = next(
-        (goal_id, generation_request(act_prompt_text(prompt, turn_set[0][0].state), "turn",
-                                     sampling, greedy=False))
+        (goal_id, [
+            generation_request(act_prompt_text(prompt, turns[0].state), "turn", sampling,
+                               greedy=i > 0)
+            for i, turns in enumerate(turn_set)
+        ])
         for goal_id in sorted(small_world.goals)
         for prompt in state_prompts(dialogs[goal_id].turns)
         for turn_set in [sampled_turn_set(scripted, prompt, sampling, small_world.ontology)]
@@ -263,7 +315,7 @@ def test_a_goal_runs_when_only_a_request_no_candidate_reads_would_fail(small_wor
         return groups, skipped
 
     clean, _ = run(scripted)
-    groups, skipped = run(RefusingBackend(scripted, [unread]))
+    groups, skipped = run(RefusingBackend(scripted, unread))
     assert goal_id not in dict(skipped)
     assert groups == clean
 

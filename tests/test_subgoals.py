@@ -87,12 +87,13 @@ def test_assemble_clamps_to_whatever_survived_dedup():
         turns=(Turn(user="hi", system=SystemTurn(state=s0, acts=(), response="greedy answer.")),),
     )
     samples = [[[c0], [c1, c2]]]
-    candidates = assemble_candidates(source, samples, 2)
-    assert len(candidates) == 2
+    # k=3 asks for three sampled states and three continuations of each; only one sampled
+    # state with two continuations survived.
+    candidates = assemble_candidates(source, samples, 3)
+    assert [c.id for c in candidates] == ["d-x/cand-0-0", "d-x/cand-1-1", "d-x/cand-1-2"]
     assert candidates[0].turns[0].system.state == s0
     assert candidates[0].turns[0].system.response == "greedy answer."
-    assert candidates[1].turns[0].system.state == s1
-    assert candidates[1].turns[0].system.response == "third answer."
+    assert [c.turns[0].system for c in candidates[1:]] == [c1, c2]
 
 
 def test_assemble_requires_samples_for_every_turn(small_world):
@@ -607,7 +608,10 @@ def test_labels_equal_dialog_success(group):
 
 
 def _naive_assemble(source, samples, k):
-    """``assemble_candidates`` that drops a candidate equal, turn by turn, to a kept one."""
+    """``assemble_candidates`` that drops a candidate equal, turn by turn, to a kept one.
+
+    The greedy state's list starts with its greedy turn; a sampled state's holds only samples.
+    """
     choices = [(0, 0)] + [((j - 1) // k, (j - 1) % k) for j in range(1, k * k + 1)]
     dialogs = []
     for number, (a, b) in enumerate(choices):
@@ -615,7 +619,8 @@ def _naive_assemble(source, samples, k):
         for t, turn_set in enumerate(samples):
             state_idx = 0 if number == 0 else min(1 + a, len(turn_set) - 1)
             spots = turn_set[state_idx]
-            system = spots[0 if number == 0 else min(1 + b, len(spots) - 1)]
+            first_sample = 1 if state_idx == 0 else 0
+            system = spots[0 if number == 0 else min(first_sample + b, len(spots) - 1)]
             turns.append(Turn(user=source.turns[t].user, system=system))
         suffix = "0-0" if number == 0 else f"{a + 1}-{b + 1}"
         candidate = Dialog(

@@ -418,3 +418,30 @@ def test_memoized_parsers_equal_their_originals(text, domains, verbs):
         assert parse_act_response(text, domains=domains, verbs=verbs) == unmemoized_turn(
             text, domains, verbs
         )
+
+
+# The grammar's own tokens, in the case the verbalizers write and another, mixed with free words
+# below; the MULTIWOZ vocabulary's domains and verbs, as the parsers are called with.
+_GRAMMAR_TOKENS = (
+    "booking", "BOOKING", ";", ":", "[A]", "[R]", "[B]", "NAME", "area",
+    *sorted(MULTIWOZ_DOMAINS), *sorted(MULTIWOZ_ACT_VERBS),
+)
+_GRAMMAR_TEXT = st.lists(
+    st.one_of(st.sampled_from(_GRAMMAR_TOKENS), st.text(max_size=6)), max_size=20
+).flatmap(lambda parts: st.sampled_from((" ", "", "; ")).map(lambda sep: sep.join(parts)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(text=_GRAMMAR_TEXT)
+def test_parsers_never_raise_on_text_built_from_the_grammar_tokens(text):
+    # Pins behaviour that already holds: the parsers skip what they cannot read, with a note.
+    state = parse_state(text, domains=MULTIWOZ_DOMAINS)
+    assert set(state.state) <= MULTIWOZ_DOMAINS
+    assert all(slots and all(slot and value for slot, value in slots.items())
+               for slots in state.state.values())
+    assert all(isinstance(note, str) for note in state.diagnostics)
+    turn = parse_act_response(text, **MULTIWOZ)
+    assert all(act.domain in MULTIWOZ_DOMAINS and act.act in MULTIWOZ_ACT_VERBS
+               for act in turn.acts)
+    assert isinstance(turn.response, str)
+    assert all(isinstance(note, str) for note in turn.diagnostics)
