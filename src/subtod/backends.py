@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .corpus import Corpus
 from .errors import BackendError
@@ -54,17 +54,6 @@ DEFAULT_MAX_TOKENS = 256
 def stable_seed(*parts) -> int:
     """Deterministic 64-bit seed from arbitrary parts; hash() is salted, this isn't."""
     return int.from_bytes(sha256(":".join(map(str, parts)).encode()).digest()[:8], "big")
-
-
-def stable_seeds(tags: Sequence, *parts) -> list[int]:
-    """``stable_seed(*parts, tag)`` for each of ``tags``, hashing ``parts`` once."""
-    prefix = sha256(":".join([*map(str, parts), ""]).encode())
-    seeds = []
-    for tag in tags:
-        digest = prefix.copy()
-        digest.update(str(tag).encode())
-        seeds.append(int.from_bytes(digest.digest()[:8], "big"))
-    return seeds
 
 
 class GeneratorBackend(Protocol):

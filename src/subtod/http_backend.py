@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import selectors
 import socket
 import threading
@@ -237,10 +238,10 @@ class HttpBackend:
                 "point the url at a local TLS-terminating tunnel (such as stunnel)"
             )
         try:
-            port = parts.port or 80
+            port = 80 if parts.port is None else parts.port
         except ValueError:  # not a number from 0 to 65535
-            port = None
-        if parts.scheme != "http" or not parts.hostname or port is None:
+            port = 0
+        if parts.scheme != "http" or not parts.hostname or not port:
             # Nothing before an "@" is shown: it may be a password.
             shown = "..." + url[url.rindex("@"):] if "@" in url else url
             raise ValueError(f"backend url must look like http://host[:port]/path, got {shown!r}")
@@ -248,6 +249,10 @@ class HttpBackend:
             raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
         if not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout!r}")
+        if not math.isfinite(timeout):
+            raise ValueError(f"timeout must be finite, got {timeout!r}")
+        if not (math.isfinite(backoff) and backoff >= 0):
+            raise ValueError(f"backoff must be finite and non-negative, got {backoff!r}")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff

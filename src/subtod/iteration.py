@@ -134,8 +134,9 @@ class IterationReport:
     def from_dict(data: Mapping, where: str = "report") -> "IterationReport":
         """The report ``to_dict`` gave; a field an older report lacks takes its default.
 
-        A missing required field or a value of another JSON type raises
-        ``CorpusError`` naming its place after ``where``.
+        A missing required field, a value of another JSON type, a ``k`` below
+        1 or a histogram whose buckets are not exactly ``0`` to ``k*k+1``
+        raises ``CorpusError`` naming its place after ``where``.
         """
         expect_type(data, dict, where)
         for f in fields(IterationReport):
@@ -145,9 +146,17 @@ class IterationReport:
         if data.get("dev_eval") is not None:
             expect_type(data["dev_eval"].get("combined", MISSING), (int, float), where,
                         "dev_eval", "combined")
-        for bucket in data["histogram"]:
+        if data["k"] < 1:
+            raise CorpusError(f"{where}['k']: expected at least 1, got {data['k']}")
+        histogram, top = data["histogram"], data["k"] ** 2 + 1
+        for bucket in histogram:
             if not bucket.isdecimal():
                 raise CorpusError(f"{where}['histogram']: bucket {bucket!r} is not a whole number")
+        # The length test comes first, so no range longer than the report is built.
+        if len(histogram) != top + 1 or set(histogram) != set(map(str, range(top + 1))):
+            raise CorpusError(
+                f"{where}['histogram']: expected buckets 0 to {top}, as k is {data['k']}"
+            )
         values = {f.name: data.get(f.name, f.default) for f in fields(IterationReport)}
         for name in ("skipped", "files", "dev_skipped"):
             values[name] = tuple(tuple(v) if isinstance(v, list) else v for v in values[name])
@@ -257,6 +266,8 @@ def map_goals(goal_ids: Sequence[str], fn, workers: int = 1) -> tuple[dict, list
 
     Generation failures skip the goal instead of aborting the run; results
     keep the order of ``goal_ids`` and the skip list is returned sorted.
+    The pipeline no longer calls it: ``bench/tracer.py`` wraps it by name,
+    and tests use it to run goals one at a time.
     """
     results: dict = {}
     skipped: list[tuple[str, str]] = []
@@ -284,7 +295,8 @@ def process_goals(
     block that needs a failed request sends it again. Returns each goal's
     labels, in goal order, and the skipped goals, sorted. A goal is
     skipped with the error ``build_group`` on it alone would raise; a failed
-    request that several goals of one block share skips each of them.
+    request that several goals of one block share skips each of them. An
+    error that ``handle`` raises, a ``BackendError`` included, stops the run.
     """
     goal_ids = subsample_goals(
         corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
@@ -305,21 +317,15 @@ def process_goals(
             for prompt in goal_prompts:
                 if last_goal[prompt] == goal_id:
                     known.pop(prompt, None)
-
-        def process(goal_id: str) -> tuple[bool, ...]:
             turn_sets = sampled.pop(goal_id)
             if isinstance(turn_sets, BackendError):
-                raise turn_sets
+                skipped.append((goal_id, str(turn_sets)))
+                continue
             group = label_candidates(
                 dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
             )
             handle(group)
-            return group.labels
-
-        # bench/tracer.py's map_goals wrapper takes the workers argument positionally.
-        block_labels, block_skipped = map_goals(block, process, 1)
-        labels.update(block_labels)
-        skipped += block_skipped
+            labels[goal_id] = group.labels
     return labels, skipped
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seeds
+from .backends import DEFAULT_MAX_TOKENS, GeneratorBackend, stable_seed
 from .errors import BackendError
 from .model import BeliefState, DialogContext, Ontology, SystemTurn
 from .verbalize import (
@@ -65,10 +65,10 @@ def generation_requests(
     ``stage`` is ``"state"`` or ``"turn"``. A request's seed is ``stable_seed(cfg.seed, prompt,
     tag)`` with the tag ``stage`` or ``greedy-<stage>``, so equal requests get equal seeds.
     """
-    tags = [f"greedy-{stage}" if greedy else stage for greedy in draws]
     return [
-        (prompt, 1 if greedy else cfg.k, greedy, cfg.temperature, seed, DEFAULT_MAX_TOKENS)
-        for greedy, seed in zip(draws, stable_seeds(tags, cfg.seed, prompt))
+        (prompt, 1 if greedy else cfg.k, greedy, cfg.temperature,
+         stable_seed(cfg.seed, prompt, f"greedy-{stage}" if greedy else stage), DEFAULT_MAX_TOKENS)
+        for greedy in draws
     ]
 
 

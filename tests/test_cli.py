@@ -881,6 +881,13 @@ BAD_REPORTS = {
                "['histogram']: bucket 'two' is not a whole number"),
     "no combined": (lambda report: {**report, "dev_eval": {}},
                     "['dev_eval']: missing key 'combined'"),
+    # The next three fail at the parent, which printed a column per bucket up to k*k+1.
+    "k 300": (lambda report: {**report, "k": 300},
+              "['histogram']: expected buckets 0 to 90001, as k is 300"),
+    "k 0": (lambda report: {**report, "k": 0}, "['k']: expected at least 1, got 0"),
+    "missing bucket": (lambda report: {**report, "histogram": {
+        bucket: count for bucket, count in report["histogram"].items() if bucket != "3"}},
+        "['histogram']: expected buckets 0 to 5, as k is 2"),
 }
 
 

@@ -143,6 +143,20 @@ def test_map_goals_propagates_programming_errors():
             map_goals(["g-0"], fn, workers)
 
 
+def test_a_backend_error_from_the_handler_stops_the_run(small_world, tmp_path):
+    # Fails at the parent, which listed it as the goal's skip after the goal was handled.
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=5, out_dir=tmp_path)
+    handled = []
+
+    def handle(group):
+        handled.append(group.goal_id)
+        raise BackendError("raised after the goal was handled")
+
+    with pytest.raises(BackendError, match="raised after the goal was handled"):
+        process_goals(small_world, cfg, ScriptedBackend(small_world), handle)
+    assert handled == sorted(small_world.goals)[:1]
+
+
 def test_a_turn_set_count_mismatch_stops_the_run(small_world, tmp_path, monkeypatch):
     cfg = IterationConfig(k=2, goal_fraction=1.0, seed=5, out_dir=tmp_path)
     run_iteration(small_world, cfg, ScriptedBackend(small_world))
