@@ -35,13 +35,13 @@ from .corpus import (
 from .errors import BackendError, CorpusError, PipelineError
 from .evaluate import evaluate_corpus
 from .iteration import (  # noqa: F401
-    DetectEmit,
     IterationConfig,
     IterationReport,
     TrainMode,
     build_group,
+    detect_emit,
+    labeled_groups,
     map_goals,
-    process_goals,
     run_iteration,
     staged_outputs,
     write_jsonl,
@@ -143,16 +143,16 @@ def _iteration_config(args, **emission) -> IterationConfig:
 def cmd_sample(args) -> int:
     corpus = load_corpus(args.corpus)
     cfg = _iteration_config(args)
+    labels: list[tuple[bool, ...]] = []
+    skipped: list[tuple[str, str]] = []
     with closing(_make_backend(args, corpus)) as backend, staged_outputs(args.out) as staging:
         path = staging / "candidates.jsonl"
         path.touch()
-
-        def write_group(group: CandidateGroup) -> None:
-            write_jsonl(path, [candidates_record(group.goal_id, group.labeled())])
-
-        labels, skipped = process_goals(corpus, cfg, backend, write_group)
-    n_candidates = sum(map(len, labels.values()))
-    n_successful = sum(map(sum, labels.values()))
+        for goal_id, group in labeled_groups(corpus, cfg, backend, skipped):
+            write_jsonl(path, [candidates_record(goal_id, group.labeled())])
+            labels.append(group.labels)
+    n_candidates = sum(map(len, labels))
+    n_successful = sum(map(sum, labels))
     _print_json(
         {
             "candidates_file": str(Path(args.out) / "candidates.jsonl"),
@@ -173,14 +173,12 @@ def cmd_detect(args) -> int:
     corpus = load_corpus(args.corpus)
     modes = [TrainMode.SFT, TrainMode.DPO] if args.mode == "both" else [TrainMode(args.mode)]
     with open(args.candidates, encoding="utf-8") as handle, staged_outputs(args.out) as staging:
-        stage = DetectEmit(corpus.database, staging, modes, PairPolicy(args.pair_policy))
-        for where, goal_id, dialogs, labels in read_candidates(handle, corpus):
-            try:
-                stage(CandidateGroup(goal_id=goal_id, goal=corpus.goals[goal_id],
-                                     candidates=dialogs, labels=labels))
-            except CorpusError as exc:  # a success label the evaluation refutes
-                raise CorpusError(f"{where}: {exc}") from None
-    _print_json({"n_subgoal_samples": sum(stage.kind_counts.values()), "written": stage.written})
+        groups = ((where, CandidateGroup(goal_id, corpus.goals[goal_id], dialogs, labels))
+                  for where, goal_id, dialogs, labels in read_candidates(handle, corpus))
+        _, kind_counts, written = detect_emit(
+            groups, corpus.database, staging, modes, PairPolicy(args.pair_policy)
+        )
+    _print_json({"n_subgoal_samples": sum(kind_counts.values()), "written": written})
     return 0
 
 

@@ -82,15 +82,19 @@ def _parse_reply(data: bytes, eof: bool) -> tuple[int, dict[str, str], bytes, bo
             return None
         status_line, *lines = data[start:head_end].decode("latin-1").split("\r\n")
         version, _, rest = status_line.partition(" ")
-        if version not in ("HTTP/1.0", "HTTP/1.1") or not rest[:3].isdecimal():
+        code = rest.partition(" ")[0]
+        if version not in ("HTTP/1.0", "HTTP/1.1") or len(code) != 3 or not code.isdecimal():
             raise _BadReply(f"bad status line {status_line!r}")
         headers = {}
         for line in lines:
             name, colon, value = line.partition(":")
             if not colon:
                 raise _BadReply(f"bad header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        status, start = int(rest[:3]), head_end + 4
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _BadReply(f"conflicting Content-Length {headers[name]!r} and {value!r}")
+            headers[name] = value
+        status, start = int(code), head_end + 4
     connection = headers.get("connection", "").lower()
     reusable = "close" not in connection and (version == "HTTP/1.1" or "keep-alive" in connection)
     if status in (204, 304):
@@ -247,6 +251,8 @@ class HttpBackend:
             raise ValueError(f"backend url must look like http://host[:port]/path, got {shown!r}")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
+        if isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 0:
+            raise ValueError(f"max_retries must be an int of at least 0, got {max_retries!r}")
         if not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout!r}")
         if not math.isfinite(timeout):

@@ -3,6 +3,9 @@
 Training itself happens elsewhere; an iteration ends by writing ``sft.jsonl``
 or ``dpo.jsonl`` plus ``report.json`` into the output directory, and the next
 iteration points its backend at whatever model was trained on those files.
+``labeled_groups`` is the goal stream and ``detect_emit`` the stage that
+turns labeled groups into records; ``sample``, ``detect`` and ``iterate``
+are compositions of the two.
 Goals run in sorted goal id order, ``BLOCK_SIZE`` at a time: each block is
 sampled in one wave of distinct state requests and one of distinct
 act/response requests, for the state prompts no earlier block has sampled,
@@ -26,7 +29,7 @@ import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backends import GeneratorBackend, stable_seed
 from .corpus import Corpus, expect_type
@@ -266,8 +269,9 @@ def map_goals(goal_ids: Sequence[str], fn, workers: int = 1) -> tuple[dict, list
 
     Generation failures skip the goal instead of aborting the run; results
     keep the order of ``goal_ids`` and the skip list is returned sorted.
-    The pipeline no longer calls it: ``bench/tracer.py`` wraps it by name,
-    and tests use it to run goals one at a time.
+    The pipeline runs goals through ``labeled_groups`` instead;
+    ``bench/tracer.py`` wraps this by name, and tests use it to run goals
+    one at a time.
     """
     results: dict = {}
     skipped: list[tuple[str, str]] = []
@@ -280,23 +284,23 @@ def map_goals(goal_ids: Sequence[str], fn, workers: int = 1) -> tuple[dict, list
     return results, skipped
 
 
-def process_goals(
+def labeled_groups(
     corpus: Corpus,
     cfg: IterationConfig,
     backend: GeneratorBackend,
-    handle: Callable[[CandidateGroup], None],
-) -> tuple[dict[str, tuple[bool, ...]], list[tuple[str, str]]]:
-    """Label the iteration's goals ``BLOCK_SIZE`` at a time, in sorted order, and ``handle`` each.
+    skipped: list[tuple[str, str]],
+) -> Iterator[tuple[str, CandidateGroup]]:
+    """Yield ``(goal_id, group)`` per labeled goal of the iteration, in sorted goal order.
 
-    Each group goes to ``handle`` as soon as it is labeled, before the next
-    goal's group is built. A state prompt's turn set is sampled once per run:
-    it is kept across blocks until the block that holds the last goal using
-    it has been sampled, then dropped. A failure is not kept, so a later
-    block that needs a failed request sends it again. Returns each goal's
-    labels, in goal order, and the skipped goals, sorted. A goal is
-    skipped with the error ``build_group`` on it alone would raise; a failed
-    request that several goals of one block share skips each of them. An
-    error that ``handle`` raises, a ``BackendError`` included, stops the run.
+    Goals are sampled ``BLOCK_SIZE`` at a time, and each group is yielded as
+    soon as it is labeled, before the next goal's group is built. A state
+    prompt's turn set is sampled once per run: it is kept across blocks until
+    the block that holds the last goal using it has been sampled, then
+    dropped. A failure is not kept, so a later block that needs a failed
+    request sends it again. A goal whose requests failed yields nothing: it
+    goes to ``skipped`` as ``(goal_id, error)``, with the error ``build_group``
+    on it alone would raise. A failed request that a block's goals share
+    skips each of them.
     """
     goal_ids = subsample_goals(
         corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
@@ -307,8 +311,6 @@ def process_goals(
     # The last goal, in goal order, whose dialog has each state prompt.
     last_goal = {prompt: goal_id for goal_id in goal_ids for prompt in prompts[goal_id]}
     known: dict[str, SampledTurnSet] = {}
-    labels: dict[str, tuple[bool, ...]] = {}
-    skipped: list[tuple[str, str]] = []
     for start in range(0, len(goal_ids), BLOCK_SIZE):
         block = goal_ids[start : start + BLOCK_SIZE]
         block_prompts = {goal_id: prompts.pop(goal_id) for goal_id in block}
@@ -321,57 +323,57 @@ def process_goals(
             if isinstance(turn_sets, BackendError):
                 skipped.append((goal_id, str(turn_sets)))
                 continue
-            group = label_candidates(
+            yield goal_id, label_candidates(
                 dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
             )
-            handle(group)
-            labels[goal_id] = group.labels
-    return labels, skipped
 
 
-class DetectEmit:
-    """The detect/emit stage: detect one labeled group's subgoals and append its records.
+def detect_emit(
+    groups: Iterable[tuple[str, CandidateGroup]], db: Database, out_dir: Path,
+    modes: Sequence[TrainMode], pair_policy: PairPolicy,
+) -> tuple[dict[str, tuple[bool, ...]], dict[str, int], dict[str, int]]:
+    """Detect the subgoals of each ``(place, group)`` and append its records in ``out_dir``.
 
-    Each call runs ``detect_subgoals`` on the group and appends ``emit_sft``
-    or ``emit_dpo`` records to ``<mode>.jsonl`` in ``out_dir`` for every
-    mode in ``modes``; the files are created up front, so a run without
-    records still writes them. ``seen`` keeps ``PairPolicy.ALL``
-    deduplicating across goals, ``kind_counts`` counts subgoal samples per
-    fragment kind and ``written`` records per file name.
+    The pairs come from ``labeled_groups`` or ``read_candidates``; a success
+    label the evaluation refutes raises ``CorpusError`` with ``place`` in
+    front. ``<mode>.jsonl``, created up front, gets ``emit_sft`` or
+    ``emit_dpo`` records for each mode in ``modes``; ``PairPolicy.ALL``
+    deduplicates across groups. Returns each place's labels, the subgoal
+    samples per fragment kind and the records written per file name.
     """
-
-    def __init__(
-        self, db: Database, out_dir: Path, modes: Sequence[TrainMode], pair_policy: PairPolicy
-    ):
-        self.db = db
-        self.pair_policy = pair_policy
-        self.paths = {mode: out_dir / f"{mode.value}.jsonl" for mode in modes}
-        self.seen: set[tuple[str, str, str]] = set()
-        self.kind_counts = {kind.value: 0 for kind in SubgoalKind}
-        self.written = {path.name: 0 for path in self.paths.values()}
-        for path in self.paths.values():
-            path.touch()
-
-    def __call__(self, group: CandidateGroup) -> None:
-        samples = detect_subgoals(group, self.db)
+    paths = {mode: out_dir / f"{mode.value}.jsonl" for mode in modes}
+    for path in paths.values():
+        path.touch()
+    seen: set[tuple[str, str, str]] = set()
+    labels: dict[str, tuple[bool, ...]] = {}
+    kind_counts = {kind.value: 0 for kind in SubgoalKind}
+    written = {path.name: 0 for path in paths.values()}
+    for place, group in groups:
+        try:
+            samples = detect_subgoals(group, db)
+        except CorpusError as exc:
+            raise CorpusError(f"{place}: {exc}") from None
+        labels[place] = group.labels
         for sample in samples:
-            self.kind_counts[sample.kind.value] += 1
-        for mode, path in self.paths.items():
-            if mode is TrainMode.SFT:
-                records = emit_sft(samples)
-            else:
-                records = emit_dpo(samples, self.pair_policy, self.seen)
+            kind_counts[sample.kind.value] += 1
+        for mode, path in paths.items():
+            records = (emit_sft(samples) if mode is TrainMode.SFT
+                       else emit_dpo(samples, pair_policy, seen))
             write_jsonl(path, records)
-            self.written[path.name] += len(records)
+            written[path.name] += len(records)
+    return labels, kind_counts, written
 
 
 def run_iteration(
     corpus: Corpus, cfg: IterationConfig, backend: GeneratorBackend
 ) -> IterationReport:
-    """``process_goals`` with the detect/emit stage, then the dev evaluation and the report."""
+    """``labeled_groups`` into ``detect_emit``, then the dev evaluation and the report."""
+    skipped: list[tuple[str, str]] = []
     with staged_outputs(cfg.out_dir) as staging:
-        stage = DetectEmit(corpus.database, staging, [cfg.train_mode], cfg.pair_policy)
-        labels, skipped = process_goals(corpus, cfg, backend, stage)
+        labels, kind_counts, written = detect_emit(
+            labeled_groups(corpus, cfg, backend, skipped),
+            corpus.database, staging, [cfg.train_mode], cfg.pair_policy,
+        )
 
         predicted, dev_skipped = predict_greedy(
             backend, corpus.dev_dialogs, cfg.sampling(), corpus.ontology
@@ -394,9 +396,9 @@ def run_iteration(
             n_dialogs_successful=n_successful,
             n_dialogs_unsuccessful=sum(map(len, labels.values())) - n_successful,
             histogram=histogram,
-            n_subgoal_samples=stage.kind_counts,
+            n_subgoal_samples=kind_counts,
             skipped=tuple(skipped),
-            files=tuple(stage.written),
+            files=tuple(written),
             dev_eval=dev_eval,
             dev_skipped=tuple(dev_skipped),
         )

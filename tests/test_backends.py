@@ -1075,8 +1075,13 @@ def test_a_chunked_reply_is_decoded_and_keeps_its_connection(keep_alive_server):
         b"NOT HTTP\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
         b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n",
+        # These three fail at the parent, which read them as a 200 reply holding "{}".
+        b"HTTP/1.1 2000 OK\r\ncontent-length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200abc\r\ncontent-length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}   ",
     ],
-    ids=["status line", "header line", "chunk size"],
+    ids=["status line", "header line", "chunk size", "four-digit status",
+         "status run into its reason", "conflicting Content-Length"],
 )
 def test_a_garbled_reply_is_retried_like_a_network_error(monkeypatch, reply):
     monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
@@ -1138,7 +1143,12 @@ def test_a_reply_that_is_not_an_object_skips_the_goal(completion_server, small_w
                                     # These two fail at the parent, which failed on the first
                                     # call or retry with an error that was no BackendError.
                                     ("timeout", float("inf"), "finite"),
-                                    ("backoff", float("nan"), "finite and non-negative"))),
+                                    ("backoff", float("nan"), "finite and non-negative"),
+                                    # These fail at the parent: an infinite count retried a
+                                    # failing POST forever, None raised a TypeError on the
+                                    # first retry, and True or -1 were taken as counts.
+                                    *(("max_retries", value, "an int of at least 0")
+                                      for value in (-1, float("inf"), None, True)))),
     ],
 )
 def test_http_backend_rejects_urls_it_cannot_post_to(kwargs, message):

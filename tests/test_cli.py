@@ -193,7 +193,8 @@ def test_evaluate_rejects_malformed_inputs(corpus10, tmp_path, capsys):
 
 def test_sample_writes_labeled_candidate_groups(corpus10, tmp_path, capsys):
     _, path = corpus10
-    out = tmp_path / "samples"
+    # The output directory's parents are made too.
+    out = tmp_path / "runs" / "samples"
     args = [
         "sample", "--corpus", path, "--out", str(out),
         "--goal-fraction", "1.0", "--seed", "5",

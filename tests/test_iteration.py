@@ -28,9 +28,9 @@ from subtod.iteration import (
     IterationReport,
     TrainMode,
     build_group,
+    labeled_groups,
     map_goals,
     predict_greedy,
-    process_goals,
     run_iteration,
     subsample_goals,
     write_jsonl,
@@ -143,18 +143,20 @@ def test_map_goals_propagates_programming_errors():
             map_goals(["g-0"], fn, workers)
 
 
-def test_a_backend_error_from_the_handler_stops_the_run(small_world, tmp_path):
-    # Fails at the parent, which listed it as the goal's skip after the goal was handled.
+def test_a_backend_error_from_the_handler_stops_the_run(small_world, tmp_path, monkeypatch):
+    # A BackendError raised once a goal is labeled is not that goal's skip: it stops the run.
     cfg = IterationConfig(k=2, goal_fraction=1.0, seed=5, out_dir=tmp_path)
     handled = []
 
-    def handle(group):
+    def handle(group, db):
         handled.append(group.goal_id)
         raise BackendError("raised after the goal was handled")
 
+    monkeypatch.setattr(iteration, "detect_subgoals", handle)
     with pytest.raises(BackendError, match="raised after the goal was handled"):
-        process_goals(small_world, cfg, ScriptedBackend(small_world), handle)
+        run_iteration(small_world, cfg, ScriptedBackend(small_world))
     assert handled == sorted(small_world.goals)[:1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_turn_set_count_mismatch_stops_the_run(small_world, tmp_path, monkeypatch):
@@ -179,10 +181,12 @@ def test_a_turn_set_count_mismatch_stops_the_run(small_world, tmp_path, monkeypa
 
 
 def test_predict_greedy_reproduces_the_ground_truth(small_world):
-    backend = ScriptedBackend(small_world)
+    backend = RecordingBackend(ScriptedBackend(small_world))
     dialogs = list(small_world.dialogs[4:7])
     cfg = SamplingConfig(k=2, seed=0)
     assert predict_greedy(backend, dialogs, cfg, small_world.ontology) == (dialogs, [])
+    # A k-sample draw would be a request that no prediction reads.
+    assert backend.calls and all(greedy and n == 1 for _, n, greedy, *_ in backend.calls)
 
 
 def test_replies_are_parsed_with_the_corpus_vocabulary(lodge_world):
@@ -289,8 +293,7 @@ def test_the_report_counts_the_subgoal_samples_the_oracle_detects(small_world, t
         return ScriptedBackend(small_world, ErrorInjectionConfig(rate=0.6), seed=13)
 
     report = run_iteration(small_world, cfg, noisy())
-    groups = []
-    process_goals(small_world, cfg, noisy(), groups.append)
+    groups = [group for _, group in labeled_groups(small_world, cfg, noisy(), [])]
     db = small_world.database
     expected = {kind.value: 0 for kind in SubgoalKind}
     for group in groups:
@@ -363,14 +366,14 @@ def test_detection_rejects_exactly_the_harmful_injected_fragments(n_goals, world
     injected = _injected_fragments(world, cfg, noisy, ScriptedBackend(world, seed=seed))
     db = world.database
     negatives = {}
-
-    def handle(group):
+    labels = {}
+    skipped = []
+    for goal_id, group in labeled_groups(world, cfg, noisy, skipped):
         for sample in detect_subgoals(group, db):
             negatives.setdefault((sample.goal_id, sample.turn, sample.kind), []).extend(
                 sample.negatives
             )
-
-    labels, skipped = process_goals(world, cfg, noisy, handle)
+        labels[goal_id] = group.labels
     assert skipped == [] and len(labels) == len(world.goals)
     # Every negative is an injected fragment of its goal, turn and kind.
     for (goal_id, t, kind), found in negatives.items():
@@ -452,6 +455,26 @@ def test_a_run_sends_each_distinct_request_once(shared_world, tmp_path, monkeypa
     assert len(backend.calls) == len(set(backend.calls))
     assert act_prompts
     assert len(act_prompts) == len(set(act_prompts))
+
+
+def test_the_first_group_is_yielded_after_the_first_block_alone(shared_world):
+    # Pins streaming that already holds: a group goes out before the next block is sampled.
+    assert len(shared_world.goals) > iteration.BLOCK_SIZE
+    cfg = IterationConfig(k=2, goal_fraction=1.0, seed=3)
+    noisy = ScriptedBackend(shared_world, ErrorInjectionConfig(rate=0.5), seed=3)
+    dialogs = shared_world.dialog_map()
+    first_block = sorted(shared_world.goals)[: iteration.BLOCK_SIZE]
+    alone = RecordingBackend(noisy)
+    sampling.sample_dialogs(
+        alone, {goal_id: state_prompts(dialogs[goal_id].turns) for goal_id in first_block},
+        cfg.sampling(), shared_world.ontology,
+    )
+    backend = RecordingBackend(noisy)
+    stream = labeled_groups(shared_world, cfg, backend, [])
+    assert next(stream)[0] == first_block[0]
+    assert backend.calls == alone.calls
+    assert [goal_id for goal_id, _ in stream] == sorted(shared_world.goals)[1:]
+    assert len(backend.calls) > len(alone.calls)
 
 
 def test_a_failed_shared_request_is_sent_again_by_a_later_block(

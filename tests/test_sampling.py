@@ -13,7 +13,7 @@ from oracles import (
 )
 from subtod.errors import BackendError
 from subtod.backends import DEFAULT_MAX_TOKENS, ErrorInjectionConfig, ScriptedBackend, stable_seed
-from subtod.iteration import IterationConfig, process_goals
+from subtod.iteration import IterationConfig, labeled_groups
 from subtod.model import Dialog, DialogAct, DialogContext, SystemTurn, Turn
 from subtod.sampling import SamplingConfig, sample_dialogs, sample_turn
 from subtod.subgoals import assemble_candidates
@@ -308,10 +308,10 @@ def test_a_goal_runs_when_only_a_request_no_candidate_reads_would_fail(small_wor
     )
 
     def run(backend):
+        skipped = []
         groups = {}
-        _, skipped = process_goals(
-            small_world, cfg, backend, lambda group: groups.setdefault(group.goal_id, group)
-        )
+        for goal_id, group in labeled_groups(small_world, cfg, backend, skipped):
+            groups.setdefault(goal_id, group)
         return groups, skipped
 
     clean, _ = run(scripted)
