@@ -19,9 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from .corpus import Corpus
 from .errors import BackendError
 from .model import (
     BeliefState,
@@ -39,6 +38,9 @@ from .verbalize import (
     verbalize_acts,
     verbalized_turn_text,
 )
+
+if TYPE_CHECKING:  # corpus imports subgoals, which imports this module through sampling
+    from .corpus import Corpus
 
 try:  # the interpreter's built-in SHA-256: ``hashlib`` would load OpenSSL's libcrypto
     from _sha2 import sha256  # Python 3.12+

@@ -41,6 +41,7 @@ from .model import (
     Turn,
     UserGoal,
 )
+from .subgoals import CandidateGroup
 from .verbalize import SPECIAL_TOKENS
 
 _PLACEHOLDER_RE = re.compile(r"\[([a-z]+)_([a-z0-9_ ]+)\]")
@@ -413,15 +414,15 @@ def candidates_record(goal_id: str, labeled: Iterable[tuple[Dialog, bool]]) -> d
     return {"goal_id": goal_id, "candidates": entries}
 
 
-def read_candidates(
-    handle: TextIO, corpus: Corpus
-) -> Iterator[tuple[str, str, tuple[Dialog, ...], tuple[bool, ...]]]:
-    """``(where, goal_id, dialogs, labels)`` per line of the candidates file open as ``handle``.
+def read_candidates(handle: TextIO, corpus: Corpus) -> Iterator[tuple[str, CandidateGroup]]:
+    """``(where, group)`` per line of the candidates file open as ``handle``.
 
-    ``where`` names the file and the line. Goal ids must be ``corpus`` goal
-    ids in ascending order, as ``sample`` writes them, and each candidate must
-    be a dialog of its line's goal with the user turns of the corpus dialog of
-    that goal; a bad line raises ``CorpusError`` naming the file and the line.
+    ``where`` names the file and the line, and ``group`` is the line's
+    labeled candidate group: the pairs ``detect_emit`` takes. Goal ids must
+    be ``corpus`` goal ids in ascending order, as ``sample`` writes them, and
+    each candidate must be a dialog of its line's goal with the user turns of
+    the corpus dialog of that goal; a bad line raises ``CorpusError`` naming
+    the file and the line.
     """
     goals = corpus.goals
     sources = {d.goal_id: d.turns for d in corpus.dialogs}
@@ -462,4 +463,4 @@ def read_candidates(
                 if turn.user != gold.user:
                     raise CorpusError(f"{place}['turns'][{t}]['user']: not the user utterance of "
                                       f"the corpus dialog of goal {goal_id!r}")
-        yield where, goal_id, dialogs, labels
+        yield where, CandidateGroup(goal_id, goals[goal_id], dialogs, labels)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import selectors
 import socket
 import threading
@@ -26,6 +25,13 @@ from .errors import BackendError
 
 # Largest reply body the HTTP client reads; a larger one fails without a retry.
 MAX_REPLY_BYTES = 1 << 20
+# Seconds a dial, a send or a reply may take, and the longest wait before a retry.
+TIMEOUT_S = 30.0
+# Transient failures retried per request, the first wait, doubled after each
+# retry, and the most POSTs in flight (and connections pooled) at once.
+MAX_RETRIES = 3
+BACKOFF_S = 0.25
+MAX_IN_FLIGHT = 64
 _RECV_BYTES = 1 << 16
 _REQUEST_FIELDS = ("prompt", "n", "greedy", "temperature", "seed", "max_tokens")
 # poll() keeps registration out of the kernel; Windows has only select().
@@ -146,7 +152,7 @@ def _chunks(data: bytes, pos: int) -> tuple[bytes, int] | None:
         pos += 2
 
 
-def _route(parts: urllib.parse.SplitResult, port: int, timeout: float):
+def _route(parts: urllib.parse.SplitResult, port: int):
     """A connection factory for the ``http://`` URL ``parts``, and every POST's head up to its length."""
     host = parts.hostname
     origin = f"[{host}]" if ":" in host else host
@@ -158,19 +164,18 @@ def _route(parts: urllib.parse.SplitResult, port: int, timeout: float):
         "Content-Type: application/json",
         "Content-Length: ",
     ]
-    return (lambda: _Connection((host, port), timeout)), "\r\n".join(lines).encode("ascii")
+    return (lambda: _Connection((host, port))), "\r\n".join(lines).encode("ascii")
 
 
 class _Connection:
     """A connection to ``address``: ``connect()`` dials it, then ``sock`` is open until ``close()``."""
 
-    def __init__(self, address: tuple[str, int], timeout: float):
+    def __init__(self, address: tuple[str, int]):
         self.sock: socket.socket | None = None
         self._address = address
-        self._timeout = timeout
 
     def connect(self) -> None:
-        self.sock = socket.create_connection(self._address, self._timeout)
+        self.sock = socket.create_connection(self._address, TIMEOUT_S)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def close(self) -> None:
@@ -196,23 +201,24 @@ class _Exchange:
 
 
 class HttpBackend:
-    """Client for a remote completion service.
+    """Client for the remote completion service at ``url``, its one setting.
 
     POSTs ``{"prompt", "n", "greedy", "temperature", "seed", "max_tokens"}``
     and expects ``{"completions": [...]}`` back. Transient failures (network
-    errors, truncated or garbled replies, 429, 5xx) are retried with
-    exponential backoff up to ``max_retries``; a numeric ``Retry-After`` on a
-    429 or 503 lengthens the wait, and no wait exceeds ``timeout``. Schema
-    problems and replies over ``MAX_REPLY_BYTES`` fail fast. Determinism is
-    best-effort and entirely up to the service.
+    errors, truncated or garbled replies, 429, 5xx) are retried
+    ``MAX_RETRIES`` times, after waits from ``BACKOFF_S`` that double; a
+    numeric ``Retry-After`` on a 429 or 503 lengthens the wait, and no wait
+    exceeds ``TIMEOUT_S``. Schema problems and replies over
+    ``MAX_REPLY_BYTES`` fail fast. Determinism is best-effort and entirely
+    up to the service.
 
     A backend serves one calling thread at a time: that thread sends a wave
     of POSTs (see ``prefetch``; a lone ``generate`` and each retry are waves
     of one) with one selector loop, which returns once every POST of the
     wave has its outcome. A call from another thread while a ``prefetch``
     block is open raises ``RuntimeError``. A POST is one ``sendall`` on a
-    keep-alive connection, and its reply must arrive within ``timeout``. At
-    most ``max_in_flight`` POSTs are in flight at once, each on a connection
+    keep-alive connection, and its reply must arrive within ``TIMEOUT_S``. At
+    most ``MAX_IN_FLIGHT`` POSTs are in flight at once, each on a connection
     from a pool that never holds more than that many, open or being dialed.
     They are dialed on short-lived threads, with plain sockets; a dial that
     ends is the only thing that wakes a waiting wave. A POST with no idle
@@ -223,15 +229,7 @@ class HttpBackend:
     service: an ``https://`` URL is refused, and no proxy variable is read.
     """
 
-    def __init__(
-        self,
-        url: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.25,
-        max_in_flight: int = 64,
-    ):
+    def __init__(self, url: str):
         parts = urllib.parse.urlsplit(url)
         if "@" in parts.netloc:
             # The client would silently drop them, and error messages name the URL.
@@ -249,25 +247,11 @@ class HttpBackend:
             # Nothing before an "@" is shown: it may be a password.
             shown = "..." + url[url.rindex("@"):] if "@" in url else url
             raise ValueError(f"backend url must look like http://host[:port]/path, got {shown!r}")
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
-        if isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 0:
-            raise ValueError(f"max_retries must be an int of at least 0, got {max_retries!r}")
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout!r}")
-        if not math.isfinite(timeout):
-            raise ValueError(f"timeout must be finite, got {timeout!r}")
-        if not (math.isfinite(backoff) and backoff >= 0):
-            raise ValueError(f"backoff must be finite and non-negative, got {backoff!r}")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.url = url
-        self._max_in_flight = max_in_flight
-        self._connect, self._head = _route(parts, port, timeout)
+        self._connect, self._head = _route(parts, port)
         # Idle keep-alive connections, most recently used last, and the count
         # of connections idle, in use or being dialed, which never exceeds
-        # max_in_flight; a POST holds one, so that also bounds the POSTs.
+        # MAX_IN_FLIGHT; a POST holds one, so that also bounds the POSTs.
         self._idle: list[_Connection] = []
         self._open = 0
         self._closed = False
@@ -359,7 +343,7 @@ class HttpBackend:
         """The completions in the reply ``exchange`` has; transient failures post it again."""
         prompt, n = exchange.request[:2]
         attempts = 0
-        delay = self.backoff
+        delay = BACKOFF_S
         while True:
             attempts += 1
             try:
@@ -400,13 +384,13 @@ class HttpBackend:
             # OSError: refused, reset, timed out, unresolvable; _BadReply:
             # truncated or garbled replies.
             except (OSError, _BadReply, _RetryableStatus) as exc:
-                if attempts > self.max_retries:
+                if attempts > MAX_RETRIES:
                     raise BackendError(
                         f"backend unreachable after {attempts} attempts: {exc}",
                         prompt=prompt,
                         attempts=attempts,
                     ) from exc
-                time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), self.timeout))
+                time.sleep(min(max(delay, getattr(exc, "retry_after", 0.0)), TIMEOUT_S))
                 delay *= 2
                 exchange.outcome = None
                 self._post([exchange])
@@ -451,7 +435,7 @@ class HttpBackend:
     def _send_waiting(self) -> None:
         """Send waiting POSTs on idle connections and keep one dial in progress per POST left.
 
-        Dials never take the open connections past ``max_in_flight``. While a
+        Dials never take the open connections past ``MAX_IN_FLIGHT``. While a
         POST waits on one of this call's dials, or nothing is in flight, the
         loop has its wake socket pair, so a dial that ends wakes it.
         """
@@ -473,7 +457,7 @@ class HttpBackend:
                     ready.append((self._waiting.popleft(), conn))
             while (
                 len(self._waiting) > self._dials + len(dials)
-                and self._open < self._max_in_flight
+                and self._open < MAX_IN_FLIGHT
             ):
                 self._open += 1
                 dials.append(self._connect())
@@ -488,12 +472,12 @@ class HttpBackend:
 
     def _send(self, exchange: _Exchange, conn: _Connection) -> None:
         exchange.conn, exchange.buf = conn, bytearray()
-        exchange.deadline = time.monotonic() + self.timeout
+        exchange.deadline = time.monotonic() + TIMEOUT_S
         self._running[exchange] = None
         self._selector.register(conn.sock, selectors.EVENT_READ, exchange)
         try:
             # The send may wait up to the timeout for buffer room; reads never block.
-            conn.sock.settimeout(self.timeout)
+            conn.sock.settimeout(TIMEOUT_S)
             conn.sock.sendall(self._encode(exchange.request))
             conn.sock.settimeout(0)
         except OSError as exc:

@@ -14,7 +14,8 @@ memory grows with a block and with the turn sets kept for later goals,
 rather than with the run.
 Outputs are staged and replace the previous run's files only when the run
 succeeds. A goal whose generation fails is skipped whole and listed in the
-report rather than contributing a partial candidate group.
+report rather than contributing a partial candidate group; a run whose every
+goal is skipped fails.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ def labeled_groups(
     request sends it again. A goal whose requests failed yields nothing: it
     goes to ``skipped`` as ``(goal_id, error)``, with the error ``build_group``
     on it alone would raise. A failed request that a block's goals share
-    skips each of them.
+    skips each of them. If every goal was skipped, the stream ends by raising
+    ``BackendError`` with the first goal's error, so the staged run reading it
+    writes nothing.
     """
     goal_ids = subsample_goals(
         corpus.goals, cfg.goal_fraction, stable_seed(cfg.seed, "goals", cfg.iteration_index)
@@ -311,6 +314,7 @@ def labeled_groups(
     # The last goal, in goal order, whose dialog has each state prompt.
     last_goal = {prompt: goal_id for goal_id in goal_ids for prompt in prompts[goal_id]}
     known: dict[str, SampledTurnSet] = {}
+    labeled = False
     for start in range(0, len(goal_ids), BLOCK_SIZE):
         block = goal_ids[start : start + BLOCK_SIZE]
         block_prompts = {goal_id: prompts.pop(goal_id) for goal_id in block}
@@ -323,9 +327,12 @@ def labeled_groups(
             if isinstance(turn_sets, BackendError):
                 skipped.append((goal_id, str(turn_sets)))
                 continue
+            labeled = True
             yield goal_id, label_candidates(
                 dialog_map[goal_id], corpus.goals[goal_id], turn_sets, cfg.k, corpus.database
             )
+    if skipped and not labeled:
+        raise BackendError(f"every goal was skipped: {skipped[0][1]}")
 
 
 def detect_emit(
@@ -367,7 +374,10 @@ def detect_emit(
 def run_iteration(
     corpus: Corpus, cfg: IterationConfig, backend: GeneratorBackend
 ) -> IterationReport:
-    """``labeled_groups`` into ``detect_emit``, then the dev evaluation and the report."""
+    """``labeled_groups`` into ``detect_emit``, then the dev evaluation and the report.
+
+    A run whose every goal is skipped raises ``BackendError`` and writes nothing.
+    """
     skipped: list[tuple[str, str]] = []
     with staged_outputs(cfg.out_dir) as staging:
         labels, kind_counts, written = detect_emit(

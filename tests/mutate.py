@@ -7,12 +7,15 @@ For each module it lists every operator site (a comparison, an arithmetic
 or boolean operator, a ``not``, an integer or boolean constant, and the
 ``all``/``any`` and ``min``/``max`` builtins), picks ``--per-module`` of
 them with a fixed seed, and runs tier-1 with ``-x`` once per mutant. A
-mutant that no test kills is printed as a survivor.
+mutant that no test kills is printed as a survivor. A mutant whose run takes
+three times as long as the unmutated one, plus a minute, hangs: its run is
+stopped and it counts as killed.
 
 Sites that cannot change an output are not listed: decorator arguments
 (``@dataclass(frozen=True)``, ``@lru_cache(maxsize=...)``), ``repr=``
 arguments, and the values of the tuning constants in ``TUNING_CONSTANTS``,
-which size a memo or a block. So every survivor is a candidate gap.
+which size a memo, a block or a connection pool. So every survivor is a
+candidate gap.
 
 Run it with:
 
@@ -32,12 +35,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("evaluate", "subgoals", "sampling", "verbalize", "iteration")
-# Module-level constants that bound a memo or a block; no output depends on them.
-TUNING_CONSTANTS = frozenset({"PARSE_MEMO_SIZE", "NORMALIZE_MEMO_SIZE", "BLOCK_SIZE"})
+# Module-level constants that bound a memo, a block or a pool; no output depends on them.
+TUNING_CONSTANTS = frozenset(
+    {"PARSE_MEMO_SIZE", "NORMALIZE_MEMO_SIZE", "BLOCK_SIZE", "MAX_IN_FLIGHT"}
+)
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -129,9 +135,11 @@ def main(argv: list[str] | None = None) -> int:
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "--continue-on-collection-errors"]
+    start = time.monotonic()
     if subprocess.run(command, cwd=work, env=env, capture_output=True).returncode != 0:
         print(f"tier-1 fails in {work} before any mutation", file=sys.stderr)
         return 1
+    limit = 3 * (time.monotonic() - start) + 60
     rng = random.Random(args.seed)
     survivors = total = 0
     for module in args.modules:
@@ -143,13 +151,16 @@ def main(argv: list[str] | None = None) -> int:
             line, text, mutated = candidates[index]
             path.write_text(mutated, encoding="utf-8")
             try:
-                done = subprocess.run(command, cwd=work, env=env, capture_output=True)
+                done = subprocess.run(command, cwd=work, env=env, capture_output=True,
+                                      timeout=limit)
+                verdict = "killed " if done.returncode != 0 else "SURVIVED"
+            except subprocess.TimeoutExpired:
+                verdict = "hung   "
             finally:
                 path.write_text(original, encoding="utf-8")
             total += 1
-            killed = done.returncode != 0
-            survivors += not killed
-            print(f"{'killed ' if killed else 'SURVIVED'} {module}.py:{line}: {text}", flush=True)
+            survivors += verdict == "SURVIVED"
+            print(f"{verdict} {module}.py:{line}: {text}", flush=True)
     print(f"{total - survivors} of {total} mutants killed, {survivors} survived")
     return 0
 

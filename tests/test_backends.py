@@ -92,8 +92,8 @@ def closing_backends():
     """Builds ``HttpBackend``s and closes each at teardown, so no pooled socket outlives the test."""
     built = []
 
-    def build(url, **kwargs):
-        built.append(HttpBackend(url, **kwargs))
+    def build(url):
+        built.append(HttpBackend(url))
         return built[-1]
 
     yield build
@@ -364,7 +364,7 @@ def test_http_backend_rejects_malformed_json(completion_server):
         backend.generate("p", 1, greedy=True)
 
 
-def test_http_backend_retries_transient_errors(completion_server):
+def test_http_backend_retries_transient_errors(completion_server, monkeypatch):
     failures = []
 
     def flaky(payload):
@@ -374,14 +374,17 @@ def test_http_backend_retries_transient_errors(completion_server):
         return 200, {"completions": ["ok"]}
 
     completion_server.respond_with(flaky)
-    backend = HttpBackend(completion_server.url, backoff=0.01)
+    monkeypatch.setattr("subtod.http_backend.BACKOFF_S", 0.01)
+    backend = HttpBackend(completion_server.url)
     assert backend.generate("p", 1, greedy=True) == ["ok"]
     assert len(completion_server.payloads) == 3
 
 
-def test_http_backend_gives_up_after_max_retries(completion_server):
+def test_http_backend_gives_up_after_max_retries(completion_server, monkeypatch):
     completion_server.respond_with(lambda payload: (503, {"error": "down"}))
-    backend = HttpBackend(completion_server.url, max_retries=2, backoff=0.01)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 2)
+    monkeypatch.setattr("subtod.http_backend.BACKOFF_S", 0.01)
+    backend = HttpBackend(completion_server.url)
     with pytest.raises(BackendError, match="after 3 attempts") as info:
         backend.generate("p", 1, greedy=True)
     assert info.value.attempts == 3
@@ -401,7 +404,10 @@ def test_http_backend_waits_out_a_numeric_retry_after_up_to_the_timeout(
         (200, {"completions": ["ok"]}),
     ])
     completion_server.respond_with(lambda payload: next(replies))
-    backend = HttpBackend(completion_server.url, timeout=5.0, max_retries=4, backoff=0.5)
+    monkeypatch.setattr("subtod.http_backend.TIMEOUT_S", 5.0)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 4)
+    monkeypatch.setattr("subtod.http_backend.BACKOFF_S", 0.5)
+    backend = HttpBackend(completion_server.url)
     assert backend.generate("p", 1, greedy=True) == ["ok"]
     # Each wait is the larger of the backoff (0.5, 1, 2, 4) and a numeric
     # Retry-After of a 429 or 503, and at most the timeout.
@@ -417,7 +423,9 @@ def test_a_reply_later_than_the_timeout_is_retried_then_fails(completion_server,
         return 200, {"completions": ["late"]}
 
     completion_server.respond_with(late)
-    backend = HttpBackend(completion_server.url, timeout=0.2, max_retries=1)
+    monkeypatch.setattr("subtod.http_backend.TIMEOUT_S", 0.2)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 1)
+    backend = HttpBackend(completion_server.url)
     try:
         start = time.monotonic()
         with pytest.raises(BackendError, match="after 2 attempts: .*timed out") as info:
@@ -430,9 +438,10 @@ def test_a_reply_later_than_the_timeout_is_retried_then_fails(completion_server,
         backend.close()
 
 
-def test_http_backend_fails_fast_on_client_errors(completion_server):
+def test_http_backend_fails_fast_on_client_errors(completion_server, monkeypatch):
     completion_server.respond_with(lambda payload: (404, {"error": "no route"}))
-    backend = HttpBackend(completion_server.url, max_retries=5)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 5)
+    backend = HttpBackend(completion_server.url)
     with pytest.raises(BackendError, match="http 404"):
         backend.generate("p", 1, greedy=True)
     assert len(completion_server.payloads) == 1
@@ -466,11 +475,14 @@ def _scripted_answer(backend):
     return answer
 
 
-def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, small_world):
+def test_sample_turn_overlaps_requests_within_max_in_flight(
+    completion_server, small_world, monkeypatch
+):
     scripted = ScriptedBackend(small_world, seed=2)
     responder, seen = _held(_scripted_answer(scripted))
     completion_server.respond_with(responder)
-    remote = HttpBackend(completion_server.url, max_in_flight=3)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 3)
+    remote = HttpBackend(completion_server.url)
     calls = []
     generate = remote.generate
     remote.generate = lambda *args, **kwargs: calls.append(args) or generate(*args, **kwargs)
@@ -490,7 +502,7 @@ def test_sample_turn_overlaps_requests_within_max_in_flight(completion_server, s
     assert len(completion_server.payloads) == len(calls)
 
 
-def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
+def test_connection_pool_holds_every_in_flight_post(keep_alive_server, monkeypatch):
     # Every request of a wave waits until all 16 are in flight.
     barrier = threading.Barrier(16, timeout=10)
 
@@ -499,7 +511,8 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
         return 200, {"completions": ["stub"]}
 
     keep_alive_server.respond_with(responder)
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=16)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 16)
+    backend = HttpBackend(keep_alive_server.url)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(16)]
     # Frequent thread switches, so a lost update to the idle pool would show.
     interval = sys.getswitchinterval()
@@ -516,10 +529,13 @@ def test_connection_pool_holds_every_in_flight_post(keep_alive_server):
     assert len(keep_alive_server.payloads) == 32
 
 
-def test_threads_sharing_a_client_keep_its_pool_within_max_in_flight(keep_alive_server):
+def test_threads_sharing_a_client_keep_its_pool_within_max_in_flight(
+    keep_alive_server, monkeypatch
+):
     responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
     keep_alive_server.respond_with(responder)
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=6)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 6)
+    backend = HttpBackend(keep_alive_server.url)
     waves = [[(f"thread {t} prompt {i}", 1, True, 1.0, i, 256) for i in range(40)] for t in range(4)]
     answers = [None] * len(waves)
     # A backend serves one calling thread at a time, so the threads take turns.
@@ -595,7 +611,8 @@ def test_a_connection_the_server_closed_is_replaced_without_a_retry(
 
     monkeypatch.setattr("subtod.http_backend.time.sleep", no_sleep)
     keep_alive_server.drop_after_reply()
-    backend = HttpBackend(keep_alive_server.url, max_retries=0)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 0)
+    backend = HttpBackend(keep_alive_server.url)
     try:
         for i in range(3):
             assert backend.generate(f"prompt {i}", 1, greedy=True) == ["stub"]
@@ -660,8 +677,9 @@ def _wave_with_a_held_dial(server, backend, size=64):
     return dial
 
 
-def test_a_wave_runs_on_other_connections_while_one_dial_is_held(keep_alive_server):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+def test_a_wave_runs_on_other_connections_while_one_dial_is_held(keep_alive_server, monkeypatch):
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 8)
+    backend = HttpBackend(keep_alive_server.url)
     dial = _wave_with_a_held_dial(keep_alive_server, backend)
     try:
         # The held connection never opened: every POST ran on the others.
@@ -672,8 +690,9 @@ def test_a_wave_runs_on_other_connections_while_one_dial_is_held(keep_alive_serv
         backend.close()
 
 
-def test_a_held_dial_joins_the_pool_and_the_pool_stays_bounded(keep_alive_server):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+def test_a_held_dial_joins_the_pool_and_the_pool_stays_bounded(keep_alive_server, monkeypatch):
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 8)
+    backend = HttpBackend(keep_alive_server.url)
     dial = _wave_with_a_held_dial(keep_alive_server, backend)
     try:
         dial.released.set()
@@ -693,8 +712,9 @@ def test_a_held_dial_joins_the_pool_and_the_pool_stays_bounded(keep_alive_server
         backend.close()
 
 
-def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_server):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_server, monkeypatch):
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 8)
+    backend = HttpBackend(keep_alive_server.url)
     dial = _wave_with_a_held_dial(keep_alive_server, backend)
     try:
         start = time.monotonic()
@@ -711,9 +731,10 @@ def test_close_does_not_wait_for_a_held_dial_and_closes_it_later(keep_alive_serv
 
 
 def test_a_dial_an_earlier_wave_left_held_does_not_count_toward_the_next_waves_dials(
-    keep_alive_server,
+    keep_alive_server, monkeypatch,
 ):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=8)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 8)
+    backend = HttpBackend(keep_alive_server.url)
     # Wave 1 dials twice: the held dial, and one that serves both its POSTs.
     dial = _wave_with_a_held_dial(keep_alive_server, backend, size=2)
     try:
@@ -732,8 +753,9 @@ def test_a_dial_an_earlier_wave_left_held_does_not_count_toward_the_next_waves_d
         backend.close()
 
 
-def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_server):
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=1)
+def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_server, monkeypatch):
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 1)
+    backend = HttpBackend(keep_alive_server.url)
     assert backend.generate("before", 1, greedy=True) == ["stub"]
     backend.close()
     start = time.monotonic()
@@ -745,10 +767,11 @@ def test_a_closed_backend_fails_its_posts_at_once_and_dials_nothing(keep_alive_s
     assert len(keep_alive_server.payloads) == 1
 
 
-def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server):
+def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server, monkeypatch):
     # Each reply closes its connection, so the first reply leaves the rest of
     # the wave waiting on a new dial, which is held until the backend is closed.
-    backend = HttpBackend(completion_server.url, max_in_flight=1)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 1)
+    backend = HttpBackend(completion_server.url)
     dial = _HeldDial(backend, held=1)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(3)]
     answers = {}
@@ -777,8 +800,9 @@ def test_closing_a_backend_fails_a_wave_that_waits_on_a_dial(completion_server):
     assert backend._idle == []
 
 
-def test_a_prefetch_block_opens_with_its_wave_answered(completion_server):
-    backend = HttpBackend(completion_server.url, max_in_flight=2)
+def test_a_prefetch_block_opens_with_its_wave_answered(completion_server, monkeypatch):
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 2)
+    backend = HttpBackend(completion_server.url)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(5)]
     try:
         with backend.prefetch(wave):
@@ -819,10 +843,13 @@ def test_a_lone_generate_and_a_finished_wave_leave_no_wave_behind(completion_ser
     assert len(completion_server.payloads) == 4
 
 
-def test_a_wave_longer_than_twice_max_in_flight_returns_every_reply_in_order(keep_alive_server):
+def test_a_wave_longer_than_twice_max_in_flight_returns_every_reply_in_order(
+    keep_alive_server, monkeypatch
+):
     responder, seen = _held(lambda payload: (200, {"completions": [payload["prompt"]]}), 0.002)
     keep_alive_server.respond_with(responder)
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=4)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 4)
+    backend = HttpBackend(keep_alive_server.url)
     taken = []
     generate = backend.generate
     backend.generate = lambda prompt, *args, **kwargs: (
@@ -839,10 +866,11 @@ def test_a_wave_longer_than_twice_max_in_flight_returns_every_reply_in_order(kee
     assert keep_alive_server.connections <= 4
 
 
-def test_every_pooled_connection_sets_tcp_nodelay(keep_alive_server):
+def test_every_pooled_connection_sets_tcp_nodelay(keep_alive_server, monkeypatch):
     # Pins behaviour that holds while http.client dialed: a POST's one write
     # must not wait for the last POST's acknowledgement.
-    backend = HttpBackend(keep_alive_server.url, max_in_flight=4)
+    monkeypatch.setattr("subtod.http_backend.MAX_IN_FLIGHT", 4)
+    backend = HttpBackend(keep_alive_server.url)
     wave = [(f"prompt {i}", 1, True, 1.0, i, 256) for i in range(12)]
     try:
         assert answer_wave(backend, wave) == {request: ["stub"] for request in wave}
@@ -854,11 +882,14 @@ def test_every_pooled_connection_sets_tcp_nodelay(keep_alive_server):
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["content-length", "read-to-close"])
-def test_http_backend_rejects_an_oversized_reply_without_a_retry(completion_server, declared):
+def test_http_backend_rejects_an_oversized_reply_without_a_retry(
+    completion_server, declared, monkeypatch
+):
     body = json.dumps({"completions": ["x" * MAX_REPLY_BYTES]}).encode("utf-8")
     headers = {} if declared else {"content-length": None}
     completion_server.respond_with(lambda payload: (200, body, headers))
-    backend = HttpBackend(completion_server.url, max_retries=3)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 3)
+    backend = HttpBackend(completion_server.url)
     size = f"of {len(body)} bytes " if declared else ""
     with pytest.raises(BackendError, match=f"reply {size}exceeds the {MAX_REPLY_BYTES}-") as info:
         backend.generate("p", 1, greedy=True)
@@ -1045,7 +1076,8 @@ def test_a_failed_request_goals_share_skips_each_of_them_and_no_other(
 def test_http_backend_rejects_hostile_replies(completion_server, monkeypatch, body, headers, error):
     monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     completion_server.respond_with(lambda payload: (200, body, headers))
-    backend = HttpBackend(completion_server.url, max_retries=1)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 1)
+    backend = HttpBackend(completion_server.url)
     with pytest.raises(BackendError, match=error):
         backend.generate("p", 1, greedy=True)
     # Only a truncated reply is transient and retried.
@@ -1097,7 +1129,8 @@ def test_a_garbled_reply_is_retried_like_a_network_error(monkeypatch, reply):
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    backend = HttpBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1", max_retries=1)
+    monkeypatch.setattr("subtod.http_backend.MAX_RETRIES", 1)
+    backend = HttpBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1")
     try:
         with pytest.raises(BackendError, match="unreachable after 2 attempts"):
             backend.generate("p", 1, greedy=True)
@@ -1127,33 +1160,21 @@ def test_a_reply_that_is_not_an_object_skips_the_goal(completion_server, small_w
 
 
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "url, message",
     [
-        *(pytest.param({"url": url}, "backend url must look like", id=url)
+        *(pytest.param(url, "backend url must look like", id=url)
           for url in ("127.0.0.1:8000/v1", "ftp://host/v1", "http:///v1",
                       "http://host:99999/v1",
                       # Fails at the parent, which posted to port 80.
                       "http://127.0.0.1:0/v1")),
         # Fails at the parent, which posted over TLS.
-        pytest.param({"url": "https://host/v1"}, "point the url at a local TLS-terminating tunnel",
+        pytest.param("https://host/v1", "point the url at a local TLS-terminating tunnel",
                      id="https://host/v1"),
-        *(pytest.param({name: value}, f"{name} must be {rule}, got {value}", id=f"{name}={value}")
-          for name, value, rule in (("max_in_flight", 0, "at least 1"), ("timeout", 0, "positive"),
-                                    ("timeout", -1, "positive"),
-                                    # These two fail at the parent, which failed on the first
-                                    # call or retry with an error that was no BackendError.
-                                    ("timeout", float("inf"), "finite"),
-                                    ("backoff", float("nan"), "finite and non-negative"),
-                                    # These fail at the parent: an infinite count retried a
-                                    # failing POST forever, None raised a TypeError on the
-                                    # first retry, and True or -1 were taken as counts.
-                                    *(("max_retries", value, "an int of at least 0")
-                                      for value in (-1, float("inf"), None, True)))),
     ],
 )
-def test_http_backend_rejects_urls_it_cannot_post_to(kwargs, message):
+def test_http_backend_rejects_urls_it_cannot_post_to(url, message):
     with pytest.raises(ValueError, match=message):
-        HttpBackend(**{"url": "http://127.0.0.1:1/v1", **kwargs})
+        HttpBackend(url)
 
 
 @pytest.mark.parametrize("url", [

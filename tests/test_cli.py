@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import warnings
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ import subtod
 from subtod.backends import ErrorInjectionConfig, ScriptedBackend
 from subtod.cli import main
 from subtod.corpus import dialog_to_dict, load_corpus, save_corpus
+from subtod.errors import BackendError
 from subtod.evaluate import DOMAIN_COLUMN_ORDER
+from subtod.http_backend import HttpBackend
 from subtod.synthetic import build_world
 
 
@@ -781,25 +784,20 @@ def test_unreachable_backend_exits_3(corpus1, tmp_path, capsys, monkeypatch):
     # The retry backoff is real time; skip it.
     monkeypatch.setattr("subtod.http_backend.time.sleep", lambda seconds: None)
     url = _closed_port_url()
-    assert main([
-        "iterate", "--corpus", corpus1, "--out", str(tmp_path / "a"),
-        "--backend", "http", "--url", url, "--goal-fraction", "1.0",
-    ]) == 3
-    out, err = capsys.readouterr()
-    assert "backend" in err.lower()
-    # The report still reaches stdout and the output directory.
-    report = json.loads(out)
-    assert json.loads((tmp_path / "a" / "report.json").read_text()) == report
-    assert err == f"error: backend failure: every goal was skipped: {report['skipped'][0][1]}\n"
-
-    assert main([
-        "sample", "--corpus", corpus1, "--out", str(tmp_path / "b"),
-        "--backend", "http", "--url", url, "--goal-fraction", "1.0",
-    ]) == 3
-    out, err = capsys.readouterr()
-    summary = json.loads(out)
-    assert (tmp_path / "b" / "candidates.jsonl").read_bytes() == b""
-    assert err == f"error: backend failure: every goal was skipped: {summary['skipped'][0][1]}\n"
+    with closing(HttpBackend(url)) as backend, pytest.raises(BackendError) as info:
+        backend.generate("p", 1, greedy=True)
+    for command in ("iterate", "sample"):
+        out = tmp_path / command
+        run = [command, "--corpus", corpus1, "--out", str(out), "--goal-fraction", "1.0"]
+        assert main(run) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([*run, "--backend", "http", "--url", url]) == 3
+        # Fails at the parent, whose run with every goal skipped printed its
+        # report and replaced the previous run's files.
+        assert capsys.readouterr() == ("", f"error: backend failure: every goal was skipped: "
+                                           f"{info.value}\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_a_key_error_is_a_bug_not_bad_input(corpus1, tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 
 Every name a module imports is used in that module; an import kept on
 purpose carries ``# noqa: F401`` on its statement's first line or on the
-imported name's own line. Neither a scripted run nor an ``http://`` run
+imported name's own line. Each module imports first in a fresh interpreter,
+so no import cycle closes. Neither a scripted run nor an ``http://`` run
 loads the HTTP stack or OpenSSL: the HTTP client dials with plain sockets.
 """
 
@@ -89,6 +90,15 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_every_module_imports_first_in_a_fresh_interpreter(module):
+    # A module on an import cycle fails when it is the first one imported.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", f"import subtod.{module}"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture(scope="module")
